@@ -28,7 +28,7 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -143,40 +143,16 @@ def _atom_or_number(token: str) -> dict:
     return {"kind": "atom_or_number", "text": token}
 
 
-def _rank1_worker(args):
-    family, mbar, n = args
-    model = rank1.SpaceModel(family, mbar)
-    return n, rank1.coefficient(model, n)
-
-
-def _build_rank1_series(family: str, mbar: int, n_max: int, fill: str | None,
-                        oracle_precision: int, jobs: int) -> series.HeatSeries:
-    if jobs <= 1 or n_max < 8:
-        return rank1.rank1_series(rank1.SpaceModel(family, mbar), n_max, fill,
-                                  oracle_precision)
-    model = rank1.SpaceModel(family, mbar)
-    base = rank1.rank1_series(model, min(model.threshold, n_max), fill, oracle_precision)
-    coeffs = list(base.coeffs) + [Fraction(0)] * (n_max - base.n_max)
-    flags = list(base.validity) + [series.EXACT] * (n_max - base.n_max)
-    work = [(family, mbar, n) for n in range(model.threshold + 1, n_max + 1)]
-    if work:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for n, value in pool.map(_rank1_worker, work,
-                                     chunksize=max(1, len(work) // (4 * jobs))):
-                coeffs[n] = value
-    return series.HeatSeries(coeffs[: n_max + 1], flags[: n_max + 1], base.provenance)
-
-
 def evaluate_space(tree: dict, n_max: int, fill: str | None = None,
-                   oracle_precision: int = 30, jobs: int = 1) -> series.HeatSeries:
+                   oracle_precision: int = 30) -> series.HeatSeries:
     """Evaluate a parsed space tree into a coefficient series."""
     kind = tree["kind"]
     if kind == "atom":
         family = tree["family"]
         if family in _RANK1_ATOMS:
             mbar = 2 if family == "op2" else int(tree["param"])
-            return _build_rank1_series(_RANK1_ATOMS[family], mbar, n_max, fill,
-                                       oracle_precision, jobs)
+            return rank1.rank1_series(rank1.SpaceModel(_RANK1_ATOMS[family], mbar),
+                                      n_max, fill, oracle_precision)
         pfam = family.replace("-", "_")
         param = tree["param"]
         model = plancherel.build_family(pfam, int(param) if pfam in
@@ -184,14 +160,14 @@ def evaluate_space(tree: dict, n_max: int, fill: str | None = None,
         return plancherel.to_series(plancherel.closed_form(model), n_max)
     if kind == "dual":
         return series.dualize(evaluate_space(tree["child"], n_max, fill,
-                                             oracle_precision, jobs))
+                                             oracle_precision))
     if kind == "scale":
         return series.rescale(
-            evaluate_space(tree["child"], n_max, fill, oracle_precision, jobs),
+            evaluate_space(tree["child"], n_max, fill, oracle_precision),
             Fraction(tree["c2"]),
         )
     if kind == "product":
-        parts = [evaluate_space(c, n_max, fill, oracle_precision, jobs)
+        parts = [evaluate_space(c, n_max, fill, oracle_precision)
                  for c in tree["children"]]
         out = parts[0]
         for p in parts[1:]:
@@ -225,8 +201,29 @@ def _normalization(tree: dict) -> dict:
 # --- documents ----------------------------------------------------------------
 
 
+@contextmanager
+def _any_int_digits():
+    """Lift the interpreter's int <-> str digit limit for exact coefficients.
+
+    Deep coefficients pass the default 4300-digit limit (sphere:1 at
+    n = 975); the limit guards parsing of untrusted numbers, and these are
+    exact values the package wrote or reads back.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def _frac_fields(value: Fraction, pi_power: int = 0) -> dict:
-    return {"num": str(value.numerator), "den": str(value.denominator), "pi_power": pi_power}
+    with _any_int_digits():
+        return {"num": str(value.numerator), "den": str(value.denominator),
+                "pi_power": pi_power}
 
 
 def _decimal(value: Fraction, pi_power: int, digits: int) -> str:
@@ -262,11 +259,12 @@ def parse_document(text: str) -> tuple[dict, series.HeatSeries]:
     doc = json.loads(text)
     coeffs = []
     flags = []
-    for entry in doc["coefficients"]:
-        if int(entry["pi_power"]) != 0:
-            raise ValueError("normalized coefficient documents carry pi_power 0")
-        coeffs.append(Fraction(int(entry["num"]), int(entry["den"])))
-        flags.append(entry["validity"])
+    with _any_int_digits():
+        for entry in doc["coefficients"]:
+            if int(entry["pi_power"]) != 0:
+                raise ValueError("normalized coefficient documents carry pi_power 0")
+            coeffs.append(Fraction(int(entry["num"]), int(entry["den"])))
+            flags.append(entry["validity"])
     prov = doc.get("provenance") or [""]
     return doc, series.HeatSeries(coeffs, flags, prov[0])
 
@@ -279,8 +277,9 @@ def render_csv(s: series.HeatSeries) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "num", "den", "pi_power", "validity"])
-    for n, (value, flag) in enumerate(zip(s.coeffs, s.validity)):
-        writer.writerow([n, value.numerator, value.denominator, 0, flag])
+    with _any_int_digits():
+        for n, (value, flag) in enumerate(zip(s.coeffs, s.validity)):
+            writer.writerow([n, value.numerator, value.denominator, 0, flag])
     return buf.getvalue()
 
 
@@ -293,7 +292,7 @@ def cmd_coeffs(args) -> int:
                         "(raise it with --n-max-limit)")
     tree = parse_space(args.space)
     s = evaluate_space(tree, args.n_max, "oracle" if args.oracle_fill else None,
-                       args.oracle_precision, args.jobs)
+                       args.oracle_precision)
     if args.format == "csv":
         args.out.write(render_csv(s))
     else:
@@ -342,7 +341,7 @@ def cmd_closed_form(args) -> int:
 
 def cmd_growth(args) -> int:
     tree = parse_space(args.space)
-    s = evaluate_space(tree, args.n_max, jobs=args.jobs)
+    s = evaluate_space(tree, args.n_max)
     report = growth_report(s, n_min=args.n_min, epsilons=tuple(args.epsilon))
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -390,8 +389,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="omit the generated_at field (deterministic output)")
         p.add_argument("--decimal", type=int, default=None, metavar="D",
                        help="add decimal renderings with D significant digits")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers for per-index computation")
         p.add_argument("-o", "--output", dest="out", type=argparse.FileType("w"),
                        default=sys.stdout, help="write to a file instead of stdout")
 

@@ -87,6 +87,8 @@ def c_coeff(n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
+    if len(_c_cache) <= n:
+        _extend_tangent(n + 1)  # B_2..B_(2n+2) from one triangle, not one per doubling
     while len(_c_cache) <= n:
         i = len(_c_cache)
         value = (
@@ -109,6 +111,8 @@ def d_coeff(n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
+    if len(_d_cache) <= n:
+        _extend_tangent(n + 1)  # B_2..B_(2n+2) from one triangle, not one per doubling
     while len(_d_cache) <= n:
         i = len(_d_cache)
         _d_cache.append(Fraction((-1) ** i, i + 1) * bernoulli(2 * i + 2))

@@ -21,14 +21,13 @@ hard-coded, and the rank-one hyperbolic anchor rho_sq = 1/4 is asserted.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .errors import DegenerateModelError, InvariantViolation, NotPositiveDefiniteError, UnsupportedSpaceError
 from .exactnum import gauss_moment
-from .series import EXACT, HeatSeries, dualize as _dualize_series
+from .series import EXACT, HeatSeries, dualize as _dualize_series, exp_times
 
 __all__ = [
     "PlancherelModel",
@@ -43,8 +42,6 @@ __all__ = [
 Monomial = tuple[int, ...]
 Poly = dict[Monomial, Fraction]
 Matrix = tuple[tuple[Fraction, ...], ...]
-
-_fact = math.factorial
 
 
 # --- small exact multivariate polynomial helpers ------------------------------
@@ -502,12 +499,7 @@ def to_series(form: ExpPolyForm, n_max: int, dual: bool = False) -> HeatSeries:
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    coeffs = []
-    for n in range(n_max + 1):
-        acc = Fraction(0)
-        for h in range(min(n, len(form.poly) - 1) + 1):
-            acc += form.poly[h] * form.kappa ** (n - h) / _fact(n - h)
-        coeffs.append(acc)
+    coeffs = exp_times(form.kappa, list(form.poly), n_max)
     out = HeatSeries(coeffs, [EXACT] * (n_max + 1), f"exppoly(kappa={form.kappa})")
     return _dualize_series(out) if dual else out
 

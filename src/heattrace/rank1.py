@@ -33,7 +33,7 @@ from fractions import Fraction
 from .errors import BelowThresholdError, InvariantViolation, UnsupportedSpaceError
 from .exactnum import c_coeff, d_coeff
 from .seedpolys import SignedTable, beta_table, delta_table, eta_table, gamma_table
-from .series import APPROXIMATE, EXACT, UNAVAILABLE, HeatSeries
+from .series import APPROXIMATE, EXACT, UNAVAILABLE, HeatSeries, exp_times
 
 __all__ = [
     "ScaledRational",
@@ -169,32 +169,97 @@ def threshold(family: str, mbar: int) -> int:
     raise UnsupportedSpaceError(f"unknown rank-one family {family!r}")
 
 
-# --- inner-sum caches ---------------------------------------------------------
+# --- tail vectors ------------------------------------------------------------
 #
-# Each double sum factors as sum_k (positive weight) * S(i) where S(i) is a
-# family inner sum of c- or d-coefficients against a signed table.  S depends
-# only on one index, so it is cached; its terms all share the family sign,
-# which is asserted here once per entry (this single check covers every term
-# of every double sum downstream).
+# Each double tail sum factors as sum_k b^k/k! * S(i - k)/(i - k)!, a binomial
+# convolution of a family inner sum S(i) (c- or d-coefficients against a
+# signed table) with e^{b t}, so the whole tail vector is one
+# :func:`exp_times`.  Every term of every inner sum shares the family sign,
+# which is asserted once per term here; this single check covers every term
+# of every double sum downstream (the no-cancellation invariant).
 
-_inner_cache: dict[tuple, Fraction] = {}
+
+def _inner_sums(table: SignedTable, coeff_fn, lo: int, i_max: int,
+                expect_sign: int) -> list[Fraction]:
+    """S(0..i_max), S(i) = sum_j (-1)^j table[j] coeff_fn(i + j) from i = lo on, else 0."""
+    if i_max >= lo:
+        coeff_fn(i_max + len(table) - 1)  # size the coefficient caches once
+    out = [Fraction(0)] * min(lo, i_max + 1)
+    for i in range(lo, i_max + 1):
+        total = Fraction(0)
+        for j, w in enumerate(table.values):
+            term = (-1) ** j * w * coeff_fn(i + j)
+            if term != 0 and (term > 0) != (expect_sign > 0):
+                raise InvariantViolation(
+                    f"tail term sign violated for {table.family} at i={i}, j={j}"
+                )
+            total += term
+        out.append(total)
+    return out
 
 
-def _inner_sum(table: SignedTable, coeff_fn, i: int, expect_sign: int) -> Fraction:
-    key = (table.family, table.param, coeff_fn is d_coeff, i)
-    hit = _inner_cache.get(key)
-    if hit is not None:
-        return hit
-    total = Fraction(0)
-    for j, w in enumerate(table.values):
-        term = (-1) ** j * w * coeff_fn(i + j)
-        if term != 0 and (term > 0) != (expect_sign > 0):
-            raise InvariantViolation(
-                f"tail term sign violated for {table.family} at i={i}, j={j}"
-            )
-        total += term
-    _inner_cache[key] = total
-    return total
+def _exp_tail(b: Fraction, inner: list[Fraction]) -> list[Fraction]:
+    """sum_{k <= n} b^k/k! * S(n - k)/(n - k)! for n = 0..len(inner) - 1."""
+    return exp_times(b, [s / _fact(i) for i, s in enumerate(inner)], len(inner) - 1)
+
+
+def _build_tails(family: str, mbar: int, n_max: int) -> list[Fraction]:
+    """The unprefactored tail sums of a_0..a_{n_max} (zero below the threshold)."""
+    if family == "sphere":
+        nu_max = n_max - mbar
+        if nu_max < 0:
+            return [Fraction(0)] * (n_max + 1)
+        inner = _inner_sums(beta_table(mbar), c_coeff, 0, nu_max, (-1) ** (mbar - 1))
+        return [Fraction(0)] * mbar + _exp_tail(Fraction((2 * mbar - 1) ** 2, 4), inner)
+    if family == "complex_projective":
+        nu_max = n_max - mbar + 1
+        if nu_max < 0:
+            return [Fraction(0)] * (n_max + 1)
+        gamma = gamma_table(mbar)
+        base = Fraction(mbar * mbar, 4 * (mbar + 1) ** 2)
+        if mbar % 2 == 1:
+            tails = _exp_tail(base, _inner_sums(gamma, c_coeff, 0, nu_max, +1))
+        else:
+            inner = _inner_sums(gamma, d_coeff, 0, nu_max, -1)
+            tails = []
+            for nu in range(nu_max + 1):
+                tail = Fraction(0)
+                for k in range(min(mbar, nu + 1)):
+                    tail += (
+                        base ** k
+                        * Fraction(1, (mbar + 1) ** k)
+                        * inner[nu - k]
+                        / (_fact(k) * _fact(nu - k))
+                    )
+                tails.append(tail)
+        return [Fraction(0)] * (mbar - 1) + [t * (mbar + 1) ** nu for nu, t in enumerate(tails)]
+    if family == "quaternionic_projective":
+        inner = _inner_sums(delta_table(mbar), c_coeff, 2 * mbar - 2, n_max, -1)
+        return _exp_tail(Fraction((2 * mbar - 1) ** 2, 8 * (mbar + 1)), inner)
+    if family == "cayley_plane":
+        return _exp_tail(Fraction(121, 72), _inner_sums(eta_table(), c_coeff, 8, n_max, -1))
+    raise UnsupportedSpaceError(f"unknown rank-one family {family!r}")
+
+
+_tail_cache: dict[tuple[str, int], list[Fraction]] = {}
+
+
+def _tails(family: str, mbar: int, n_max: int) -> list[Fraction]:
+    """The tail vector of (family, mbar) to at least n_max.
+
+    A shorter cached vector is rebuilt to exactly n_max rather than grown:
+    callers that know their depth (``rank1_series``) request it up front.
+    """
+    key = (family, mbar)
+    hit = _tail_cache.get(key)
+    if hit is None or len(hit) <= n_max:
+        hit = _build_tails(family, mbar, n_max)
+        _tail_cache[key] = hit
+    return hit
+
+
+def _tail(family: str, mbar: int, n: int) -> Fraction:
+    return _tails(family, mbar, n)[n]
 
 
 def _sphere_parts(mbar: int, n: int) -> tuple[Fraction, Fraction, Fraction, int]:
@@ -208,12 +273,8 @@ def _sphere_parts(mbar: int, n: int) -> tuple[Fraction, Fraction, Fraction, int]
         if e < 0:
             continue
         first += beta[j] * _fact(j) * b2 ** e / _fact(e)
-    sign = (-1) ** (mbar - 1)
-    tail = Fraction(0)
-    for k in range(nu + 1):
-        tail += b2 ** (nu - k) * _inner_sum(beta, c_coeff, k, sign) / (_fact(k) * _fact(nu - k))
     pref = Fraction(4 ** mbar, _fact(2 * mbar - 1))
-    return first, tail, pref, mbar
+    return first, _tail("sphere", mbar, n), pref, mbar
 
 
 def _cp_parts(mbar: int, n: int) -> tuple[Fraction, Fraction, Fraction, int]:
@@ -227,24 +288,8 @@ def _cp_parts(mbar: int, n: int) -> tuple[Fraction, Fraction, Fraction, int]:
             continue
         first += _fact(j) * gamma[j] * m2_4 ** e / _fact(e)
     first *= Fraction(mbar + 1) ** (-nu)
-    base = Fraction(mbar * mbar, 4 * (mbar + 1) ** 2)
-    tail = Fraction(0)
-    if mbar % 2 == 1:
-        for k in range(nu + 1):
-            tail += base ** k * _inner_sum(gamma, c_coeff, nu - k, +1) / (_fact(k) * _fact(nu - k))
-    else:
-        for k in range(mbar):
-            if nu - k < 0:
-                continue
-            tail += (
-                base ** k
-                * Fraction(1, (mbar + 1) ** k)
-                * _inner_sum(gamma, d_coeff, nu - k, -1)
-                / (_fact(k) * _fact(nu - k))
-            )
-    tail *= Fraction(mbar + 1) ** nu
     pref = Fraction(4 ** (mbar - 1), _fact(mbar) * _fact(mbar - 1))
-    return first, tail, pref, mbar - 1
+    return first, _tail("complex_projective", mbar, n), pref, mbar - 1
 
 
 def _hp_parts(mbar: int, n: int) -> tuple[Fraction, Fraction, Fraction, int]:
@@ -257,11 +302,8 @@ def _hp_parts(mbar: int, n: int) -> tuple[Fraction, Fraction, Fraction, int]:
         if e < 0:
             continue
         first += base ** (2 * e) * _fact(k) * delta[k] / _fact(e)
-    tail = Fraction(0)
-    for k in range(n - 2 * mbar + 3):
-        tail += base ** k * _inner_sum(delta, c_coeff, n - k, -1) / (_fact(k) * _fact(n - k))
     pref = Fraction(4 ** (2 * mbar - 2), _fact(2 * mbar - 1) * _fact(2 * mbar - 3))
-    return first, tail, pref, 2 * mbar - 2
+    return first, _tail("quaternionic_projective", mbar, n), pref, 2 * mbar - 2
 
 
 def _op2_parts(n: int) -> tuple[Fraction, Fraction, Fraction, int]:
@@ -270,11 +312,8 @@ def _op2_parts(n: int) -> tuple[Fraction, Fraction, Fraction, int]:
     first = Fraction(0)
     for k in range(8):
         first += base ** (n + 7 - k) * eta[k] * _fact(k) / _fact(n + 7 - k)
-    tail = Fraction(0)
-    for k in range(n - 7):
-        tail += base ** k * _inner_sum(eta, c_coeff, n - k, -1) / (_fact(k) * _fact(n - k))
     pref = Fraction(6 * 4 ** 8, _fact(7) * _fact(11))
-    return first, tail, pref, 8
+    return first, _tail("cayley_plane", 2, n), pref, 8
 
 
 def _parts(family: str, mbar: int, n: int) -> tuple[Fraction, Fraction, Fraction, int]:
@@ -406,6 +445,7 @@ def rank1_series(model: SpaceModel, n_max: int, fill: str | None = None,
     if fill not in (None, "oracle"):
         raise ValueError("fill must be None or 'oracle'")
     thr = model.threshold
+    _tails(model.family, model.mbar, n_max)
     coeffs: list[Fraction] = [Fraction(1)]
     flags: list[str] = [EXACT]
     gap = range(1, min(thr, n_max + 1))

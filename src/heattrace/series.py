@@ -6,6 +6,11 @@ mirror how the underlying spaces combine: Cauchy product (Riemannian
 products), coefficient sign flip (compact/noncompact duality, t -> -t), and
 geometric rescaling (homothety, t -> c2*t).
 
+The two whole-series kernels, :func:`product` and :func:`exp_times`, work on
+integer numerators over one shared denominator and reduce each output
+coefficient to lowest terms once, instead of paying a ``gcd`` on every term
+of an O(n^2) Fraction sum.
+
 Validity flags propagate pessimistically: an operation never upgrades a
 flag, and a product coefficient is only as trustworthy as the weakest flag
 among all pairs that contribute to it.
@@ -13,8 +18,11 @@ among all pairs that contribute to it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 EXACT = "exact"
 APPROXIMATE = "approximate"
@@ -23,7 +31,16 @@ UNAVAILABLE = "unavailable"
 _RANK = {UNAVAILABLE: 0, APPROXIMATE: 1, EXACT: 2}
 _BY_RANK = {v: k for k, v in _RANK.items()}
 
-__all__ = ["HeatSeries", "product", "dualize", "rescale", "EXACT", "APPROXIMATE", "UNAVAILABLE"]
+__all__ = [
+    "HeatSeries",
+    "product",
+    "exp_times",
+    "dualize",
+    "rescale",
+    "EXACT",
+    "APPROXIMATE",
+    "UNAVAILABLE",
+]
 
 
 @dataclass
@@ -64,20 +81,59 @@ class HeatSeries:
         )
 
 
+def _over_common_denominator(values: list[Fraction | int]) -> tuple[list[int], int]:
+    """Integers ``nums`` and one ``den`` with ``values[i] == nums[i] / den``."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def product(a: HeatSeries, b: HeatSeries) -> HeatSeries:
-    """Exact Cauchy product, truncated to the shorter operand."""
+    """Exact Cauchy product, truncated to the shorter operand.
+
+    A schoolbook convolution of the integer numerators over
+    ``lcm(den a) * lcm(den b)``.  Each pair (i, n - i) with i <= n lies in
+    0..n on both sides, so the flag at n is the weaker of the two operands'
+    prefix-minimum flags at n.
+    """
     n_max = min(a.n_max, b.n_max)
-    coeffs: list[Fraction] = []
-    flags: list[str] = []
-    for n in range(n_max + 1):
-        acc = Fraction(0)
-        rank = _RANK[EXACT]
-        for i in range(n + 1):
-            acc += a.coeffs[i] * b.coeffs[n - i]
-            rank = min(rank, _RANK[a.validity[i]], _RANK[b.validity[n - i]])
-        coeffs.append(acc)
-        flags.append(_BY_RANK[rank])
+    xs, dx = _over_common_denominator(a.coeffs[: n_max + 1])
+    ys, dy = _over_common_denominator(b.coeffs[: n_max + 1])
+    den = dx * dy
+    coeffs = [Fraction(sum(map(mul, xs[: n + 1], ys[n::-1])), den) for n in range(n_max + 1)]
+    ranks_a = accumulate((_RANK[f] for f in a.validity[: n_max + 1]), min)
+    ranks_b = accumulate((_RANK[f] for f in b.validity[: n_max + 1]), min)
+    flags = [_BY_RANK[min(ra, rb)] for ra, rb in zip(ranks_a, ranks_b)]
     return HeatSeries(coeffs, flags, f"product({a.provenance}, {b.provenance})")
+
+
+def exp_times(b: Fraction | int, ys: list[Fraction | int], n_max: int) -> list[Fraction]:
+    """Coefficients 0..n_max of e^{b t} * sum_k ys[k] t^k, exactly.
+
+    Entry n is sum_{k <= n} ys[k] b^(n-k) / (n-k)!, with ys[k] = 0 past the
+    end of ``ys``.  For b = p/q, D = lcm(den ys) and t_k = k! q^k D ys[k],
+
+        n! q^n D [t^n] = sum_k C(n, k) p^(n-k) t_k = V_n,
+
+    which the Pascal triangle row'[j] = p*row[j] + row[j+1] builds as
+    V_n = row_n[0]: n^2/2 products by the small integer p, no big-by-big
+    products.  Rows keep only the entries later V_n still need, so a short
+    ``ys`` (a polynomial) costs O(n_max * len(ys)).
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    b = Fraction(b)
+    p, q = b.numerator, b.denominator
+    nums, den = _over_common_denominator(ys[: n_max + 1])
+    row = [math.factorial(k) * q ** k * x for k, x in enumerate(nums)]
+    out = [Fraction(row[0], den)]
+    scale = den
+    for n in range(1, n_max + 1):
+        row.append(0)
+        row = [p * x + y for x, y in zip(row, row[1:])]
+        del row[n_max - n + 1 :]
+        scale *= q * n
+        out.append(Fraction(row[0], scale))
+    return out
 
 
 def dualize(a: HeatSeries) -> HeatSeries:

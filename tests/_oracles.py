@@ -173,13 +173,16 @@ def hp_direct(mbar: int, n: int) -> Fraction:
     return total / (math.factorial(2 * mbar - 1) * math.factorial(2 * mbar - 3))
 
 
+# The Cayley-plane seed table, typed in from the tabulated closed form.
+ETA = [
+    Fraction(-8037225, 16384), Fraction(18455239, 4096),
+    Fraction(-13020525, 1024), Fraction(2858418, 256),
+    Fraction(-262075, 64), Fraction(10437, 16), Fraction(-170, 4), Fraction(1),
+]
+
+
 def op2_direct(n: int) -> Fraction:
     """Direct transliteration of the Cayley-plane double sum, no shared tables."""
-    eta = [
-        Fraction(-8037225, 16384), Fraction(18455239, 4096),
-        Fraction(-13020525, 1024), Fraction(2858418, 256),
-        Fraction(-262075, 64), Fraction(10437, 16), Fraction(-170, 4), Fraction(1),
-    ]
     Bs = bernoulli_recurrence(2 * (n + 7) + 2)
 
     def c(i):
@@ -189,14 +192,14 @@ def op2_direct(n: int) -> Fraction:
     for k in range(8):
         total += (
             Fraction(121, 72) ** (n + 7 - k)
-            * eta[k]
+            * ETA[k]
             * math.factorial(k)
             / math.factorial(n + 7 - k)
         )
     for k in range(0, n - 7):
         inner = Fraction(0)
         for j in range(8):
-            inner += (-1) ** j * eta[j] * c(j + n - k)
+            inner += (-1) ** j * ETA[j] * c(j + n - k)
         total += Fraction(121, 72) ** k * inner / (math.factorial(k) * math.factorial(n - k))
     return Fraction(6, math.factorial(7) * math.factorial(11)) * total
 
@@ -235,3 +238,62 @@ def sphere_exact(mbar: int, n_max: int, Bs: list[Fraction]) -> list[Fraction]:
     b = Fraction(2 * mbar - 1, 2) ** 2
     ex = [b ** i / math.factorial(i) for i in range(n_max + 1)]
     return [sum(ex[i] * g[n - i] for i in range(n + 1)) / g[0] for n in range(n_max + 1)]
+
+
+def rank1_tail_reference(family: str, mbar: int, n: int, Bs: list[Fraction]) -> Fraction:
+    """The tail part of a_n (prefactor applied, pi power dropped), summed per index.
+
+    Direct transliteration of the four rank-one double tail sums,
+    sum_k b^k/k! * S(i - k)/(i - k)! with S the family inner sum, one index at
+    a time in Fractions.  ``Bs`` must hold B_0..B_{2(n + 8) + 2}, e.g. from
+    :func:`bernoulli_recurrence`.  The beta, gamma and delta tables are rebuilt
+    from their roots; eta is the typed-in :data:`ETA`.
+    """
+    def c(i):
+        return Fraction((-1) ** i, i + 1) * Bs[2 * i + 2] * (1 - Fraction(1, 2 ** (2 * i + 1)))
+
+    def d(i):
+        return Fraction((-1) ** i, i + 1) * Bs[2 * i + 2]
+
+    def halves(count):
+        return [Fraction(2 * i + 1, 2) for i in range(count)]
+
+    def table(roots):
+        return even_part(expand_linear_product([x for j in roots for x in (j, -j)]))
+
+    def inner(tab, coeff, i):
+        return sum((-1) ** j * w * coeff(i + j) for j, w in enumerate(tab))
+
+    fact = math.factorial
+    tail = Fraction(0)
+    if family == "sphere":
+        beta = table(halves(mbar - 1))
+        b2 = Fraction((2 * mbar - 1) ** 2, 4)
+        nu = n - mbar
+        for k in range(nu + 1):
+            tail += b2 ** (nu - k) * inner(beta, c, k) / (fact(k) * fact(nu - k))
+        return tail * Fraction(4 ** mbar, fact(2 * mbar - 1))
+    if family == "complex_projective":
+        roots = [Fraction(k) - Fraction(mbar, 2) for k in range(1, mbar)] * 2
+        gamma = even_part(expand_linear_product(roots))
+        base = Fraction(mbar * mbar, 4 * (mbar + 1) ** 2)
+        nu = n - mbar + 1
+        if mbar % 2 == 1:
+            for k in range(nu + 1):
+                tail += base ** k * inner(gamma, c, nu - k) / (fact(k) * fact(nu - k))
+        else:
+            for k in range(min(mbar, nu + 1)):
+                tail += (base / (mbar + 1)) ** k * inner(gamma, d, nu - k) / (
+                    fact(k) * fact(nu - k))
+        tail *= Fraction(mbar + 1) ** nu
+        return tail * Fraction(4 ** (mbar - 1), fact(mbar) * fact(mbar - 1))
+    if family == "quaternionic_projective":
+        delta = table(halves(mbar - 1) + halves(mbar - 2))
+        base = Fraction((2 * mbar - 1) ** 2, 8 * (mbar + 1))
+        for k in range(n - 2 * mbar + 3):
+            tail += base ** k * inner(delta, c, n - k) / (fact(k) * fact(n - k))
+        return tail * Fraction(4 ** (2 * mbar - 2), fact(2 * mbar - 1) * fact(2 * mbar - 3))
+    assert family == "cayley_plane"
+    for k in range(n - 7):
+        tail += Fraction(121, 72) ** k * inner(ETA, c, n - k) / (fact(k) * fact(n - k))
+    return tail * Fraction(6 * 4 ** 8, fact(7) * fact(11))

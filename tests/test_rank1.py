@@ -18,7 +18,7 @@ from heattrace.rank1 import (
 )
 from heattrace.series import APPROXIMATE, EXACT, UNAVAILABLE
 
-from _oracles import cp_direct, hp_direct, op2_direct
+from _oracles import bernoulli_recurrence, cp_direct, hp_direct, op2_direct, rank1_tail_reference
 
 
 def A(family, mbar, n):
@@ -164,6 +164,30 @@ class TestFirstSumDecay:
             assert tail.rational != 0
             if first.rational != 0:
                 assert log_abs(first.rational) < log_abs(tail.rational)
+
+
+class TestTailKernel:
+    """The whole-vector tail kernel equals the per-index double sums exactly."""
+
+    @pytest.fixture(scope="class")
+    def bernoulli(self):
+        return bernoulli_recurrence(2 * (300 + 8) + 2)
+
+    @pytest.mark.parametrize(
+        "family,mbar,thr",
+        [
+            ("sphere", 1, 1),
+            ("sphere", 2, 2),
+            ("complex_projective", 2, 1),
+            ("complex_projective", 3, 2),
+            ("quaternionic_projective", 2, 2),
+            ("cayley_plane", 2, 7),
+        ],
+    )
+    def test_tail_split_matches_per_index_sums(self, family, mbar, thr, bernoulli):
+        for n in [300, 150, *range(thr, 81)]:
+            _first, tail = tail_split(family, mbar, n)
+            assert tail.rational == rank1_tail_reference(family, mbar, n, bernoulli), n
 
 
 class TestSeriesAssembly:

@@ -11,6 +11,7 @@ from heattrace.series import (
     UNAVAILABLE,
     HeatSeries,
     dualize,
+    exp_times,
     product,
     rescale,
 )
@@ -109,3 +110,52 @@ def test_flags_validated():
         HeatSeries([Fraction(1)], ["bogus"])
     with pytest.raises(ValueError):
         HeatSeries([])
+
+
+def naive_product(a, b):
+    """Per-index Fraction Cauchy product with the pairwise flag minimum."""
+    order = [UNAVAILABLE, APPROXIMATE, EXACT]
+    n_max = min(a.n_max, b.n_max)
+    coeffs, flags = [], []
+    for n in range(n_max + 1):
+        coeffs.append(sum((a[i] * b[n - i] for i in range(n + 1)), Fraction(0)))
+        pair_flags = [f for i in range(n + 1) for f in (a.validity[i], b.validity[n - i])]
+        flags.append(min(pair_flags, key=order.index))
+    return coeffs, flags
+
+
+entry = st.tuples(st.one_of(st.just(Fraction(0)), frac),
+                  st.sampled_from([EXACT, APPROXIMATE, UNAVAILABLE]))
+flagged_series = st.lists(entry, min_size=1, max_size=10).map(
+    lambda es: HeatSeries([c for c, _ in es], [f for _, f in es], "t"))
+
+
+@given(flagged_series, flagged_series)
+def test_product_equals_naive_cauchy_sum(a, b):
+    p = product(a, b)
+    assert (p.coeffs, p.validity) == naive_product(a, b)
+
+
+def test_product_with_zero_operand():
+    z = HeatSeries([Fraction(0)] * 8)
+    a = HeatSeries([Fraction(k - 3, k + 1) for k in range(10)])
+    assert product(a, z).coeffs == [0] * 8
+    assert product(z, a).coeffs == [0] * 8
+
+
+@given(st.one_of(frac, st.integers(-6, 6)),
+       st.lists(st.one_of(st.just(Fraction(0)), frac), min_size=1, max_size=8),
+       st.integers(0, 14))
+def test_exp_times_equals_naive_sum(b, ys, n_max):
+    naive = [
+        sum((ys[h] * b ** (n - h) / math.factorial(n - h) for h in range(min(n, len(ys) - 1) + 1)),
+            Fraction(0))
+        for n in range(n_max + 1)
+    ]
+    assert exp_times(b, ys, n_max) == naive
+
+
+def test_exp_times_of_one_is_the_exponential():
+    assert exp_times(Fraction(-1, 4), [Fraction(1)], 30) == exp_series(Fraction(-1, 4), 30).coeffs
+    with pytest.raises(ValueError):
+        exp_times(1, [Fraction(1)], -1)
