@@ -143,6 +143,10 @@ def _atom_or_number(token: str) -> dict:
     return {"kind": "atom_or_number", "text": token}
 
 
+def _plancherel_model(atom: dict) -> plancherel.PlancherelModel:
+    return plancherel.build_family(atom["family"].replace("-", "_"), atom["param"])
+
+
 def evaluate_space(tree: dict, n_max: int, fill: str | None = None,
                    oracle_precision: int = 30) -> series.HeatSeries:
     """Evaluate a parsed space tree into a coefficient series."""
@@ -153,11 +157,7 @@ def evaluate_space(tree: dict, n_max: int, fill: str | None = None,
             mbar = 2 if family == "op2" else int(tree["param"])
             return rank1.rank1_series(rank1.SpaceModel(_RANK1_ATOMS[family], mbar),
                                       n_max, fill, oracle_precision)
-        pfam = family.replace("-", "_")
-        param = tree["param"]
-        model = plancherel.build_family(pfam, int(param) if pfam in
-                                        ("hyperbolic_odd", "su_star") else param)
-        return plancherel.to_series(plancherel.closed_form(model), n_max)
+        return plancherel.to_series(plancherel.closed_form(_plancherel_model(tree)), n_max)
     if kind == "dual":
         return series.dualize(evaluate_space(tree["child"], n_max, fill,
                                              oracle_precision))
@@ -310,10 +310,7 @@ def cmd_closed_form(args) -> int:
         if tree["kind"] != "atom" or tree["family"] not in _PLANCHEREL_ATOMS:
             raise SpecError("closed-form expects a polynomial-Plancherel family atom "
                             "(hyperbolic-odd:M, su-star:M, e6-f4, complex-group:XN)")
-        pfam = tree["family"].replace("-", "_")
-        param = tree["param"]
-        model = plancherel.build_family(pfam, int(param) if pfam in
-                                        ("hyperbolic_odd", "su_star") else param)
+        model = _plancherel_model(tree)
     form = plancherel.closed_form(model)
     doc = {
         "schema_version": SCHEMA_VERSION,

@@ -6,7 +6,8 @@ the rank r, the dimension m, the density polynomial p in r coordinates, the
 inner-product Gram matrix on those coordinates, and the squared norm of the
 half-sum of positive restricted roots.  :func:`closed_form` converts the
 model to the pair (kappa, P) with trace series e^{kappa*t} * P(t), by exact
-Gaussian-moment integration: diagonalize the form by a rational congruence,
+Gaussian-moment integration: diagonalize the form by a unit upper-triangular
+rational congruence, substitute it into the density as a sequence of shears,
 drop monomials with an odd exponent (they integrate to zero), apply the
 half-integer Gamma moments with the diagonal scale factors, and normalize so
 P(0) = 1.  Every surviving constant (the sqrt(pi) powers, the Jacobian, the
@@ -21,6 +22,7 @@ hard-coded, and the rank-one hyperbolic anchor rho_sq = 1/4 is asserted.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -47,17 +49,6 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 # --- small exact multivariate polynomial helpers ------------------------------
 
 
-def _poly_add(p: Poly, q: Poly) -> Poly:
-    out = dict(p)
-    for e, a in q.items():
-        v = out.get(e, Fraction(0)) + a
-        if v:
-            out[e] = v
-        else:
-            out.pop(e, None)
-    return out
-
-
 def _poly_mul(p: Poly, q: Poly) -> Poly:
     out: Poly = {}
     for e1, a1 in p.items():
@@ -71,40 +62,21 @@ def _poly_mul(p: Poly, q: Poly) -> Poly:
     return out
 
 
-def _poly_const(c: Fraction, nvars: int) -> Poly:
-    return {(0,) * nvars: Fraction(c)} if c else {}
-
-def _poly_linear(coeffs: list[Fraction]) -> Poly:
-    n = len(coeffs)
-    out: Poly = {}
-    for i, c in enumerate(coeffs):
-        if c:
-            e = [0] * n
-            e[i] = 1
-            out[tuple(e)] = Fraction(c)
-    return out
-
-
 def _poly_degree(p: Poly) -> int:
     return max((sum(e) for e in p), default=0)
 
 
-def _poly_substitute(p: Poly, columns: list[list[Fraction]]) -> Poly:
-    """Substitute x_i = sum_j columns[i][j] * y_j into p (exact expansion)."""
-    nvars = len(columns[0]) if columns else 0
-    # cache powers of each substituted linear form
-    lin = [_poly_linear(col) for col in columns]
-    pow_cache: list[list[Poly]] = [[{(0,) * nvars: Fraction(1)}] for _ in lin]
+def _shear(p: Poly, i: int, j: int, c: Fraction) -> Poly:
+    """p with x_i replaced by x_i + c * x_j, by the binomial expansion of each monomial."""
     out: Poly = {}
-    for exps, a in p.items():
-        term = {(0,) * nvars: Fraction(a)}
-        for i, e in enumerate(exps):
-            while len(pow_cache[i]) <= e:
-                pow_cache[i].append(_poly_mul(pow_cache[i][-1], lin[i]))
-            if e:
-                term = _poly_mul(term, pow_cache[i][e])
-        out = _poly_add(out, term)
-    return out
+    for e, a in p.items():
+        k = e[i]
+        for l in range(k + 1):
+            f = list(e)
+            f[i], f[j] = k - l, e[j] + l
+            f = tuple(f)
+            out[f] = out.get(f, 0) + a * math.comb(k, l) * c ** l
+    return {e: a for e, a in out.items() if a}
 
 
 # --- model -------------------------------------------------------------------
@@ -264,104 +236,65 @@ def _rho_sq(rho_model: list[Fraction], form: Matrix) -> Fraction:
     return total
 
 
-def _reduced_linears(ncoords: int) -> list[Poly]:
-    """Model linear forms L_1..L_N on the sum-zero realization (N coords, N-1 vars)."""
-    r = ncoords - 1
-    out = [_poly_linear([Fraction(int(i == a)) for i in range(r)]) for a in range(r)]
-    out.append(_poly_linear([Fraction(-1)] * r))
-    return out
+_ROOT_NOTE = "rho_sq derived from restricted root data (Killing normalization)"
 
 
-def _shifted_square_product(pairs: list[Poly], shifts: list[int], nvars: int) -> Poly:
-    """prod over linear forms ell of prod over h in shifts (ell^2 + h^2)."""
-    p: Poly = {(0,) * nvars: Fraction(1)}
-    for ell in pairs:
-        ell2 = _poly_mul(ell, ell)
+def _from_roots(family: str, label: str, roots: list[tuple[int, ...]], mult: int,
+                sum_zero: bool, sigma: int, shifts: range, notes: str) -> PlancherelModel:
+    """The model of the restricted roots ``roots``, each of multiplicity ``mult``.
+
+    Roots are given in N ambient coordinates.  On the sum-zero realization the
+    model coordinates are the first r = N - 1 (the last is minus their sum),
+    so <alpha, lambda> has coefficients alpha_i - alpha_N; otherwise r = N.
+    The ambient dual is sigma times the model dual.  The density is
+    prod_alpha prod_{h in shifts} (<alpha, lambda>^2 + h^2), of degree
+    m - r with m = r + sum of multiplicities.
+    """
+    r = len(roots[0]) - 1 if sum_zero else len(roots[0])
+    form = _model_gram(_killing_scalar(roots, [mult] * len(roots), sum_zero), sigma, r, sum_zero)
+    rho_model = [Fraction(mult * sum(alpha[i] for alpha in roots), 2 * sigma) for i in range(r)]
+    p: Poly = {(0,) * r: Fraction(1)}
+    for alpha in roots:
+        last = alpha[-1] if sum_zero else 0
+        pairing = {tuple(int(k == i) for k in range(r)): Fraction(alpha[i] - last)
+                   for i in range(r) if alpha[i] != last}
+        square = _poly_mul(pairing, pairing)
         for h in shifts:
-            p = _poly_mul(p, _poly_add(ell2, _poly_const(Fraction(h * h), nvars)))
-    return p
+            p = _poly_mul(p, {**square, (0,) * r: Fraction(h * h)} if h else square)
+    return PlancherelModel(family, label, r, r + mult * len(roots), p, form,
+                           _rho_sq(rho_model, form), notes=(notes,))
 
 
 def build_family(family: str, param: int | str | None = None) -> PlancherelModel:
     """Construct a built-in polynomial-Plancherel model.
 
     Families: ``hyperbolic_odd`` (param mbar >= 1, the space H^{2 mbar + 1}),
-    ``su_star`` (param mbar >= 2), ``e6_f4`` (no param), and
-    ``complex_group`` (param like ``"A2"``; classical types A/B/C/D, rank <= 8).
+    ``su_star`` (param 2 <= mbar <= 5), ``e6_f4`` (no param), and
+    ``complex_group`` (param like ``"A2"``; classical types A (rank <= 5) and
+    B/C/D (rank <= 6)).  The upper ranks are where :func:`closed_form` still
+    finishes in about a minute; the next ones (su_star:6, A6, B7, D7) run for
+    minutes, so they are refused here.
     """
     if family == "hyperbolic_odd":
         mbar = int(param)  # type: ignore[arg-type]
         if mbar < 1:
             raise ValueError("hyperbolic_odd requires mbar >= 1")
-        roots = [(1,)]
-        mults = [2 * mbar]
-        c = _killing_scalar(roots, mults, sum_zero=False)
-        form = _model_gram(c, sigma=1, r=1, sum_zero=False)
-        rho_model = [Fraction(mbar)]
-        rho_sq = _rho_sq(rho_model, form)
-        if mbar == 1 and rho_sq != Fraction(1, 4):
+        model = _from_roots(family, f"hyperbolic_odd:{mbar}", [(1,)], 2 * mbar,
+                            False, 1, range(mbar), _ROOT_NOTE)
+        if mbar == 1 and model.rho_sq != Fraction(1, 4):
             raise InvariantViolation("rank-one hyperbolic anchor rho_sq = 1/4 failed")
-        y = _poly_linear([Fraction(1)])
-        p = _shifted_square_product([y], list(range(mbar)), 1)
-        return PlancherelModel(
-            family, f"hyperbolic_odd:{mbar}", 1, 2 * mbar + 1, p, form, rho_sq,
-            notes=("rho_sq derived from restricted root data (Killing normalization)",),
-        )
+        return model
 
     if family == "su_star":
         mbar = int(param)  # type: ignore[arg-type]
-        if mbar < 2:
-            raise ValueError("su_star requires mbar >= 2")
-        roots = []
-        for i in range(mbar):
-            for j in range(i + 1, mbar):
-                v = [0] * mbar
-                v[i], v[j] = 1, -1
-                roots.append(tuple(v))
-        mults = [4] * len(roots)
-        c = _killing_scalar(roots, mults, sum_zero=True)
-        r = mbar - 1
-        form = _model_gram(c, sigma=2, r=r, sum_zero=True)
-        rho_amb = [Fraction(0)] * mbar
-        for alpha, mult in zip(roots, mults):
-            for i in range(mbar):
-                rho_amb[i] += Fraction(mult * alpha[i], 2)
-        rho_model = [x / 2 for x in rho_amb[:r]]
-        rho_sq = _rho_sq(rho_model, form)
-        L = _reduced_linears(mbar)
-        p: Poly = {(0,) * r: Fraction(1)}
-        for i in range(mbar):
-            for j in range(i + 1, mbar):
-                diff = _poly_add(L[i], {e: -a for e, a in L[j].items()})
-                diff2 = _poly_mul(diff, diff)
-                p = _poly_mul(p, diff2)
-                p = _poly_mul(p, _poly_add(diff2, _poly_const(Fraction(1), r)))
-        return PlancherelModel(
-            family, f"su_star:{mbar}", r, (mbar - 1) * (2 * mbar + 1), p, form, rho_sq,
-            notes=("rho_sq derived from restricted root data (Killing normalization)",),
-        )
+        if not 2 <= mbar <= 5:
+            raise ValueError("su_star requires 2 <= mbar <= 5")
+        return _from_roots(family, f"su_star:{mbar}", _a_positive_roots(mbar - 1), 4,
+                           True, 2, range(2), _ROOT_NOTE)
 
     if family == "e6_f4":
-        roots = [(1, -1, 0), (1, 0, -1), (0, 1, -1)]
-        mults = [8, 8, 8]
-        c = _killing_scalar(roots, mults, sum_zero=True)
-        form = _model_gram(c, sigma=2, r=2, sum_zero=True)
-        rho_amb = [Fraction(0)] * 3
-        for alpha, mult in zip(roots, mults):
-            for i in range(3):
-                rho_amb[i] += Fraction(mult * alpha[i], 2)
-        rho_model = [x / 2 for x in rho_amb[:2]]
-        rho_sq = _rho_sq(rho_model, form)
-        L = _reduced_linears(3)
-        diffs = []
-        for i in range(3):
-            for j in range(i + 1, 3):
-                diffs.append(_poly_add(L[i], {e: -a for e, a in L[j].items()}))
-        p = _shifted_square_product(diffs, [0, 1, 2, 3], 2)
-        return PlancherelModel(
-            family, "e6_f4", 2, 26, p, form, rho_sq,
-            notes=("rho_sq derived from restricted root data (Killing normalization)",),
-        )
+        return _from_roots(family, "e6_f4", _a_positive_roots(2), 8, True, 2, range(4),
+                           _ROOT_NOTE)
 
     if family == "complex_group":
         label = str(param).strip().upper()
@@ -373,50 +306,24 @@ def build_family(family: str, param: int | str | None = None) -> PlancherelModel
                 f"exceptional complex type {label} is not built in; "
                 "supply root data through a model file instead"
             )
-        if not 1 <= rank <= 8:
-            raise ValueError("complex group rank must be between 1 and 8")
+        top = 5 if kind == "A" else 6
+        if not 1 <= rank <= top:
+            raise ValueError(f"{kind}-type complex group rank must be between 1 and {top}")
         if kind in ("B", "C") and rank < 2:
             raise ValueError(f"{kind}-type needs rank >= 2")
         if kind == "D" and rank < 3:
             raise ValueError("D-type needs rank >= 3 (D2 is not simple)")
-        if kind == "A":
-            roots = _a_positive_roots(rank)
-            sum_zero = True
-            m = (rank + 1) ** 2 - 1
-        else:
-            roots = _bcd_positive_roots(kind, rank)
-            sum_zero = False
-            m = rank * (2 * rank + 1) if kind in ("B", "C") else rank * (2 * rank - 1)
-        mults = [2] * len(roots)
-        c = _killing_scalar(roots, mults, sum_zero=sum_zero)
-        form = _model_gram(c, sigma=1, r=rank, sum_zero=sum_zero)
-        ncoords = rank + 1 if sum_zero else rank
-        rho_amb = [Fraction(0)] * ncoords
-        for alpha in roots:
-            for i in range(ncoords):
-                rho_amb[i] += alpha[i]
-        rho_model = list(rho_amb[:rank])
-        rho_sq = _rho_sq(rho_model, form)
-        if sum_zero:
-            L = _reduced_linears(ncoords)
-        else:
-            L = [_poly_linear([Fraction(int(i == a)) for i in range(rank)]) for a in range(rank)]
-        p: Poly = {(0,) * rank: Fraction(1)}
-        for alpha in roots:
-            lin: Poly = {}
-            for i, a_i in enumerate(alpha):
-                if a_i:
-                    lin = _poly_add(lin, {e: a_i * v for e, v in L[i].items()})
-            p = _poly_mul(p, _poly_mul(lin, lin))
-        if label == "A1" and rho_sq != Fraction(1, 4):
-            raise InvariantViolation("complex A1 anchor rho_sq = 1/4 failed")
-        return PlancherelModel(
-            family, f"complex_group:{label}", rank, m, p, form, rho_sq,
-            notes=("rho_sq derived from root data (Killing normalization); "
-                   "density uses the squared root pairing with the half-sum shift dropped "
-                   "(the shift's surviving part integrates to zero and would break the "
-                   "rank-one consistency anchor)",),
+        roots = _a_positive_roots(rank) if kind == "A" else _bcd_positive_roots(kind, rank)
+        model = _from_roots(
+            family, f"complex_group:{label}", roots, 2, kind == "A", 1, range(1),
+            "rho_sq derived from root data (Killing normalization); "
+            "density uses the squared root pairing with the half-sum shift dropped "
+            "(the shift's surviving part integrates to zero and would break the "
+            "rank-one consistency anchor)",
         )
+        if label == "A1" and model.rho_sq != Fraction(1, 4):
+            raise InvariantViolation("complex A1 anchor rho_sq = 1/4 failed")
+        return model
 
     raise UnsupportedSpaceError(f"unknown Plancherel family {family!r}")
 
@@ -469,8 +376,13 @@ def closed_form(model: PlancherelModel) -> ExpPolyForm:
     the moment array, and its constant term is the leading Weyl moment.
     """
     T, d = diagonalize_form(model)
-    columns = [[T[i][j] for j in range(model.r)] for i in range(model.r)]
-    p_diag = _poly_substitute(model.p, columns)
+    # p(T y) for unit upper-triangular T: T is the product of its columns'
+    # shears x_i -> x_i + T_ij x_j taken from the last column to the first.
+    p_diag = model.p
+    for j in range(model.r - 1, 0, -1):
+        for i in range(j):
+            if T[i][j]:
+                p_diag = _shear(p_diag, i, j, T[i][j])
     H = (model.m - model.r) // 2
     moments = [Fraction(0)] * (H + 1)
     for exps, a in p_diag.items():

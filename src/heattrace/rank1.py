@@ -248,7 +248,8 @@ def _tails(family: str, mbar: int, n_max: int) -> list[Fraction]:
     """The tail vector of (family, mbar) to at least n_max.
 
     A shorter cached vector is rebuilt to exactly n_max rather than grown:
-    callers that know their depth (``rank1_series``) request it up front.
+    callers that know their depth (``rank1_series``) request it up front,
+    and the per-index ``_tail`` asks for a doubled depth.
     """
     key = (family, mbar)
     hit = _tail_cache.get(key)
@@ -259,7 +260,10 @@ def _tails(family: str, mbar: int, n_max: int) -> list[Fraction]:
 
 
 def _tail(family: str, mbar: int, n: int) -> Fraction:
-    return _tails(family, mbar, n)[n]
+    """One tail sum.  Past the cached depth the vector is rebuilt to at least
+    twice that depth, so per-index calls at rising n cost O(log n) builds."""
+    depth = len(_tail_cache.get((family, mbar), ())) - 1
+    return _tails(family, mbar, n if n <= depth else max(n, 2 * depth))[n]
 
 
 def _sphere_parts(mbar: int, n: int) -> tuple[Fraction, Fraction, Fraction, int]:

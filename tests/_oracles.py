@@ -5,7 +5,10 @@ the defining binomial recurrence instead of the tangent triangle, polynomial
 products are expanded over the full linear factorization, harmonic
 dimensions come from an exact kernel computation of the Laplacian on monomials,
 and the unit-sphere coefficients come from the Hurwitz-zeta form of the
-spectrum rather than from the closed-form tail sums.
+spectrum rather than from the closed-form tail sums.  The one exception is
+:func:`closed_form_reference`, which takes its diagonalizing congruence from
+``heattrace.plancherel.diagonalize_form`` and differs from the package in how
+it substitutes: it expands every monomial of p(T y) in full.
 """
 
 from __future__ import annotations
@@ -13,6 +16,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
+
+from heattrace.errors import DegenerateModelError
+from heattrace.plancherel import diagonalize_form
 
 
 def bernoulli_recurrence(n_top: int) -> list[Fraction]:
@@ -297,3 +303,58 @@ def rank1_tail_reference(family: str, mbar: int, n: int, Bs: list[Fraction]) -> 
     for k in range(n - 7):
         tail += Fraction(121, 72) ** k * inner(ETA, c, n - k) / (fact(k) * fact(n - k))
     return tail * Fraction(6 * 4 ** 8, fact(7) * fact(11))
+
+
+def _poly_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for e1, a1 in p.items():
+        for e2, a2 in q.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + a1 * a2
+    return {e: a for e, a in out.items() if a}
+
+
+def poly_substitute(p: dict, columns: list[list[Fraction]]) -> dict:
+    """Substitute x_i = sum_j columns[i][j] * y_j into p, expanding every monomial."""
+    nvars = len(columns[0]) if columns else 0
+    one = (0,) * nvars
+    lin = [{tuple(int(k == j) for k in range(nvars)): Fraction(c) for j, c in enumerate(col) if c}
+           for col in columns]
+    pow_cache = [[{one: Fraction(1)}] for _ in lin]
+    out: dict = {}
+    for exps, a in p.items():
+        term = {one: Fraction(a)}
+        for i, e in enumerate(exps):
+            while len(pow_cache[i]) <= e:
+                pow_cache[i].append(_poly_mul(pow_cache[i][-1], lin[i]))
+            if e:
+                term = _poly_mul(term, pow_cache[i][e])
+        for e, c in term.items():
+            out[e] = out.get(e, Fraction(0)) + c
+    return {e: a for e, a in out.items() if a}
+
+
+def closed_form_reference(model) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """(kappa, P) of a Plancherel model by substitute-then-integrate.
+
+    Substitutes the diagonalizing coordinates into the whole density with
+    :func:`poly_substitute`, then sums the Gaussian moments (2h)!/(4^h h!) of
+    the even monomials with the diagonal scale factors d_j^{-h} and
+    normalizes P(0) = 1.  Raises ``DegenerateModelError`` when the leading
+    moment vanishes.
+    """
+    T, d = diagonalize_form(model.form)
+    p_diag = poly_substitute(model.p, [list(row) for row in T])
+    H = (model.m - model.r) // 2
+    moments = [Fraction(0)] * (H + 1)
+    for exps, a in p_diag.items():
+        if any(e % 2 for e in exps):
+            continue
+        contrib = a
+        for j, e in enumerate(exps):
+            h = e // 2
+            contrib *= Fraction(math.factorial(2 * h), 4 ** h * math.factorial(h)) / d[j] ** h
+        moments[sum(e // 2 for e in exps)] += contrib
+    if moments[H] == 0:
+        raise DegenerateModelError("density has zero leading moment")
+    return -model.rho_sq, tuple(moments[H - h] / moments[H] for h in range(H + 1))

@@ -191,6 +191,12 @@ class TestClosedFormCommand:
         code, _, err = run(capsys, "closed-form", "--family", "sphere:1")
         assert code == 2
 
+    def test_refuses_ranks_that_cannot_finish(self, capsys):
+        for family in ("complex-group:A6", "complex-group:B7", "su-star:6"):
+            code, out, err = run(capsys, "closed-form", "--family", family)
+            assert code == 2 and out == ""
+            assert "must be between" in err or "requires" in err
+
 
 class TestGrowthCommand:
     def test_decaying_series(self, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heattrace.errors import (
@@ -14,6 +14,7 @@ from heattrace.errors import (
 )
 from heattrace.plancherel import (
     ExpPolyForm,
+    PlancherelModel,
     build_family,
     closed_form,
     diagonalize_form,
@@ -21,6 +22,8 @@ from heattrace.plancherel import (
     to_series,
 )
 from heattrace.series import dualize, product
+
+from _oracles import closed_form_reference
 
 
 class TestBuildFamily:
@@ -70,6 +73,12 @@ class TestBuildFamily:
             build_family("hyperbolic_odd", 0)
         with pytest.raises(ValueError):
             build_family("su_star", 1)
+        # past these ranks closed_form runs for minutes, so they are refused
+        with pytest.raises(ValueError):
+            build_family("su_star", 6)
+        for label in ("A6", "B7", "C7", "D7"):
+            with pytest.raises(ValueError):
+                build_family("complex_group", label)
         with pytest.raises(UnsupportedSpaceError):
             build_family("complex_group", "E6")
         with pytest.raises(ValueError):
@@ -226,9 +235,9 @@ class TestClosedForm:
             [Fraction(-1, 3), Fraction(1), Fraction(1)],
             [Fraction(0), Fraction(1, 2), Fraction(1)],
         ]
-        from heattrace.plancherel import _poly_substitute
+        from _oracles import poly_substitute
 
-        p_scr = _poly_substitute(p_diag, S)
+        p_scr = poly_substitute(p_diag, S)
         form_scr = tuple(
             tuple(
                 sum(S[k][i] * d[k] * S[k][j] for k in range(3)) for j in range(3)
@@ -249,6 +258,60 @@ class TestClosedForm:
             for n in range(121):
                 bound = K * kap ** n * Fraction((1 + n) ** form.degree, math.factorial(n))
                 assert abs(s[n]) <= bound
+
+
+BUILT_IN = (
+    [("hyperbolic_odd", m) for m in range(1, 6)]
+    + [("e6_f4", None), ("su_star", 3), ("su_star", 4)]
+    + [("complex_group", g) for g in
+       ("A2", "A3", "B2", "B3", "B4", "B5", "C2", "C3", "C4", "C5", "D3", "D4", "D5")]
+)
+
+
+class TestShearAgainstReference:
+    """The shear substitution of ``closed_form`` against full expansion."""
+
+    @pytest.mark.parametrize("family,param", BUILT_IN)
+    def test_built_in_families(self, family, param):
+        model = build_family(family, param)
+        form = closed_form(model)
+        assert (form.kappa, form.poly) == closed_form_reference(model)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.data())
+    def test_random_custom_models(self, r, data):
+        small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+        pos = st.fractions(min_value=Fraction(1, 6), max_value=4, max_denominator=6)
+        L = [[Fraction(1) if i == j else (data.draw(small) if j < i else Fraction(0))
+              for j in range(r)] for i in range(r)]
+        d = [data.draw(pos) for _ in range(r)]
+        form = tuple(
+            tuple(sum(L[i][k] * d[k] * L[j][k] for k in range(r)) for j in range(r))
+            for i in range(r)
+        )
+        degree = data.draw(st.sampled_from([0, 2, 4, 6, 8]))
+
+        def monomial(total):
+            cuts = sorted(data.draw(st.integers(0, total)) for _ in range(r - 1))
+            return tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
+
+        nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool)
+        p = {monomial(degree): data.draw(nonzero)}
+        for _ in range(data.draw(st.integers(0, 5))):
+            e = monomial(data.draw(st.integers(0, degree)))
+            p[e] = p.get(e, Fraction(0)) + data.draw(nonzero)
+        p = {e: a for e, a in p.items() if a}
+        assume(max((sum(e) for e in p), default=-1) == degree)
+        model = PlancherelModel("custom", "random", r, r + degree, p, form,
+                                data.draw(pos))
+        try:
+            want = closed_form_reference(model)
+        except DegenerateModelError:
+            with pytest.raises(DegenerateModelError):
+                closed_form(model)
+            return
+        form_out = closed_form(model)
+        assert (form_out.kappa, form_out.poly) == want
 
 
 class TestToSeries:

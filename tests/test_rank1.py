@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from heattrace import rank1
 from heattrace.errors import BelowThresholdError, UnsupportedSpaceError
 from heattrace.rank1 import (
     ScaledRational,
@@ -188,6 +189,20 @@ class TestTailKernel:
         for n in [300, 150, *range(thr, 81)]:
             _first, tail = tail_split(family, mbar, n)
             assert tail.rational == rank1_tail_reference(family, mbar, n, bernoulli), n
+
+    def test_rising_per_index_calls_rebuild_logarithmically(self, monkeypatch):
+        builds = []
+        build = rank1._build_tails
+
+        def counting(family, mbar, n_max):
+            builds.append(n_max)
+            return build(family, mbar, n_max)
+
+        monkeypatch.setattr(rank1, "_tail_cache", {})
+        monkeypatch.setattr(rank1, "_build_tails", counting)
+        for n in range(7, 201):
+            op2_an(n)
+        assert builds == [7, 14, 28, 56, 112, 224]
 
 
 class TestSeriesAssembly:
