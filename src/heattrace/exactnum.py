@@ -28,16 +28,16 @@ _tangent: list[int] = [0]
 
 
 def _extend_tangent(n: int) -> None:
-    """Grow the tangent-number table so that T_1..T_n are available."""
+    """Rebuild the tangent-number table as exactly T_1..T_n, unless it already
+    reaches T_n."""
     if len(_tangent) > n:
         return
-    size = max(n, 2 * (len(_tangent) - 1), 8)
-    T = [0] * (size + 1)
+    T = [0] * (n + 1)
     T[1] = 1
-    for k in range(2, size + 1):
+    for k in range(2, n + 1):
         T[k] = (k - 1) * T[k - 1]
-    for k in range(2, size + 1):
-        for j in range(k, size + 1):
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
             T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
     _tangent[:] = T
 
@@ -62,7 +62,9 @@ def bernoulli(k: int) -> Fraction:
     if hit is not None:
         return hit
     n = k // 2
-    _extend_tangent(n)
+    if len(_tangent) <= n:
+        # past the table, ask for twice its depth: rising calls rebuild O(log n) times
+        _extend_tangent(max(n, 2 * (len(_tangent) - 1)))
     four_n = 1 << (2 * n)
     value = Fraction((-1) ** (n - 1) * 2 * n * _tangent[n], four_n * (four_n - 1))
     _bernoulli_cache[k] = value

@@ -6,6 +6,13 @@ multiprecision exponentials, and asymptotic coefficients are recovered by a
 least-squares fit on a geometric time ladder.  Agreement between these fits
 and the exact closed forms is the package's primary end-to-end validation.
 
+Every trace, sphere or custom, goes through one summation loop.  It stops at
+the first level past the peak whose term, with r = term/prev < 1, satisfies
+term/(1 - r) < 10^-(precision + 10) * partial sum: for a convex spectrum with
+polynomial multiplicities the term ratio only falls past the peak, so
+term/(1 - r) bounds everything after it.  Inputs whose Boltzmann factor has
+not fallen below that cutoff by the level limit are refused before summing.
+
 Built-in targets are the unit round spheres S^m (m >= 2), whose spectra and
 volumes are elementary and unimpeachable.  Other spaces can be probed through
 the ``spectrum`` extension hook of :func:`heat_trace` and
@@ -36,6 +43,7 @@ __all__ = [
 ]
 
 _MAX_TERMS = 2_000_000
+_GUARD_TERMS = 6  # extra fit columns that absorb the truncated orders
 
 
 @dataclass(frozen=True)
@@ -74,59 +82,40 @@ def sphere_volume(m: int) -> ScaledRational:
     return ScaledRational(Fraction(2, math.factorial(q - 1)), q)
 
 
-def _sum_spectrum(spectrum: Callable[[int], SpectrumLine], t: mp.mpf, digits: int) -> mp.mpf:
-    """Sum mult * exp(-t * eig) until the geometric tail bound is negligible."""
-    total = mp.mpf(0)
-    prev = mp.mpf("inf")
+def _boltzmann(t: mp.mpf, eig: Fraction) -> mp.mpf:
+    return mp.exp(-t * mp.mpf(eig.numerator) / eig.denominator)
+
+
+def _sum_levels(spectrum: Callable[[int], SpectrumLine], t: mp.mpf, digits: int) -> mp.mpf:
+    """Sum mult * exp(-t * eig) over the levels until the tail is negligible.
+
+    Each weight is the previous one times step = exp(-t * gap), and step is
+    updated by exp(-t * (gap_k - gap_{k-1})), recomputed only when that second
+    difference changes: a quadratic spectrum costs two multiplications a level.
+    """
     cutoff = mp.mpf(10) ** (-digits)
-    q = mp.exp(-t)  # exp(-t * eig) = q^eig for integer eigenvalues
-    k = 0
-    while True:
-        if k > _MAX_TERMS:
-            raise SafetyLimitError(
-                f"heat trace at t={float(t)} needs more than {_MAX_TERMS} terms"
-            )
+    line = spectrum(0)
+    eig, gap, d2 = line.eigenvalue, Fraction(0), None
+    weight, step = _boltzmann(t, eig), mp.mpf(1)
+    total = prev = line.multiplicity * weight
+    for k in range(1, _MAX_TERMS + 1):
         line = spectrum(k)
-        eig = line.eigenvalue
-        if eig.denominator == 1:
-            weight = q ** eig.numerator
-        else:
-            weight = mp.exp(-t * mp.mpf(eig.numerator) / eig.denominator)
+        new_gap = line.eigenvalue - eig
+        if new_gap - gap != d2:
+            d2 = new_gap - gap
+            ratio = _boltzmann(t, d2)
+        step *= ratio
+        weight *= step
+        eig, gap = line.eigenvalue, new_gap
         term = line.multiplicity * weight
         total += term
-        # past the peak, terms decay faster than geometrically with ratio 1/2
-        if term < prev and term < cutoff * total and 2 * term < prev:
-            break
+        # Past the peak, the term ratio r = term/prev of a convex spectrum with
+        # polynomial multiplicities only falls, so the tail after this term is
+        # at most term * r/(1 - r) < term/(1 - r) = term*prev/(prev - term).
+        if term < prev and term * prev < cutoff * total * (prev - term):
+            return total
         prev = term
-        k += 1
-    return total
-
-
-def _sum_sphere(m: int, t: mp.mpf, digits: int) -> mp.mpf:
-    """Sphere specialization: the eigenvalue gaps are an arithmetic ladder,
-    so consecutive Boltzmann weights differ by a geometric update and the
-    whole sum needs two multiplications per level."""
-    cutoff = mp.mpf(10) ** (-digits)
-    total = mp.mpf(1)  # k = 0 term
-    weight = mp.mpf(1)
-    step = mp.exp(-t * m)      # exp(-t(lambda_{k+1}-lambda_k)) at k = 0
-    step_ratio = mp.exp(-2 * t)
-    prev = mp.mpf("inf")
-    k = 1
-    while True:
-        if k > _MAX_TERMS:
-            raise SafetyLimitError(
-                f"heat trace at t={float(t)} needs more than {_MAX_TERMS} terms"
-            )
-        weight *= step
-        step *= step_ratio
-        term = (math.comb(k + m, m) - math.comb(k + m - 2, m)) * weight
-        total += term
-        if term < prev and term < cutoff * total and 2 * term < prev:
-            break
-        prev = term
-        k += 1
-    return total
+    raise SafetyLimitError(f"heat trace at t={float(t)} needs more than {_MAX_TERMS} terms")
 
 
 def heat_trace(m: int, t: Fraction | int, precision: int = 50,
@@ -134,22 +123,26 @@ def heat_trace(m: int, t: Fraction | int, precision: int = 50,
     """Tr e^{-t Laplacian} summed to ``precision`` decimal digits.
 
     ``t`` is an exact rational (kept exact until the multiprecision
-    exponentials); the truncation tail is bounded by geometric domination and
-    pushed below 10^-precision relative.  Pass ``spectrum`` to sum a custom
-    discrete spectrum instead of the unit-sphere one.
+    exponentials); the truncation tail is pushed below 10^-(precision + 10)
+    relative.  Pass ``spectrum`` to sum a custom discrete spectrum instead of
+    the unit-sphere one.  Refuses with :class:`SafetyLimitError`, before
+    summing, when exp(-t * eig) at the level limit is still above that cutoff.
     """
     t = Fraction(t)
     if t <= 0:
         raise ValueError("t must be positive")
     if not 1 <= precision <= 500:
         raise ValueError("precision must lie in [1, 500]")
+    if spectrum is None:
+        spectrum = lambda k: sphere_spectrum(m, k)
+    digits = precision + 10
+    if t * spectrum(_MAX_TERMS).eigenvalue < digits * math.log(10):
+        raise SafetyLimitError(
+            f"heat trace at t={float(t)} needs more than {_MAX_TERMS} terms"
+        )
     with mp.workdps(precision + 15):
         tt = mp.mpf(t.numerator) / t.denominator
-        if spectrum is None:
-            if m < 2:
-                raise ValueError("sphere dimension must be >= 2")
-            return _sum_sphere(m, tt, precision + 10)
-        return _sum_spectrum(spectrum, tt, precision + 10)
+        return _sum_levels(spectrum, tt, digits)
 
 
 def default_grid(orders: int, t0: Fraction = Fraction(1, 8), points: int | None = None) -> list[Fraction]:
@@ -161,53 +154,35 @@ def default_grid(orders: int, t0: Fraction = Fraction(1, 8), points: int | None 
 
 def fit_coefficients(m: int, orders: int, t_grid: list[Fraction] | None = None,
                      precision: int = 50,
-                     spectrum: Callable[[int], SpectrumLine] | None = None,
-                     volume: ScaledRational | None = None,
-                     guard_terms: int = 6):
+                     spectrum: Callable[[int], SpectrumLine] | None = None):
     """Least-squares estimates of the normalized coefficients A_0..A_orders.
 
     Samples R(t) = (4 pi t)^{m/2} * trace(t) / Vol on a geometric ladder and
-    fits a polynomial of degree orders + guard_terms with column scaling; the
+    fits a polynomial of degree orders + _GUARD_TERMS with column scaling; the
     guard terms absorb the truncated high-order behavior so the reported
     coefficients are clean.  Returns ``(values, errors)`` where ``errors``
     are residual-based per-coefficient estimates.  Refuses with
-    :class:`IllConditionedFitError` when the scaled system's condition number
-    would eat the working precision.
+    :class:`IllConditionedFitError`, before summing any trace, when the scaled
+    system's condition number would eat the working precision.
 
-    For a custom ``spectrum`` without a known ``volume`` the coefficients are
+    For a custom ``spectrum`` the volume is unknown, so the coefficients are
     normalized by the fitted leading coefficient instead (A_0 = 1 by fiat).
     """
     if orders < 0:
         raise ValueError("orders must be nonnegative")
     if t_grid is None:
         t_grid = default_grid(orders)
-    if len(t_grid) < max(2 * orders, orders + guard_terms + 2):
+    if len(t_grid) < max(2 * orders, orders + _GUARD_TERMS + 2):
         raise ValueError("t_grid has too few points for a stable fit")
-    ncols = orders + guard_terms + 1
+    ncols = orders + _GUARD_TERMS + 1
+    t_grid = [Fraction(t) for t in t_grid]
     with mp.workdps(precision + 30):
-        if volume is not None:
-            vol = mp.mpf(volume.rational.numerator) / volume.rational.denominator
-            vol *= mp.pi ** volume.pi_power
-        elif spectrum is None:
-            sv = sphere_volume(m)
-            vol = mp.mpf(sv.rational.numerator) / sv.rational.denominator * mp.pi ** sv.pi_power
-        else:
-            vol = mp.mpf(1)
-        rows = []
-        rhs = []
-        for t in t_grid:
-            t = Fraction(t)
-            tr = heat_trace(m, t, precision, spectrum)
-            tt = mp.mpf(t.numerator) / t.denominator
-            r = (4 * mp.pi * tt) ** (mp.mpf(m) / 2) * tr / vol
-            rows.append([tt ** i for i in range(ncols)])
-            rhs.append(r)
-        scales = [max(abs(rows[j][i]) for j in range(len(rows))) for i in range(ncols)]
-        A = mp.matrix(len(rows), ncols)
-        for j in range(len(rows)):
+        ts = [mp.mpf(t.numerator) / t.denominator for t in t_grid]
+        scales = [max(abs(tt ** i) for tt in ts) for i in range(ncols)]
+        A = mp.matrix(len(ts), ncols)
+        for j, tt in enumerate(ts):
             for i in range(ncols):
-                A[j, i] = rows[j][i] / scales[i]
-        b = mp.matrix(rhs)
+                A[j, i] = tt ** i / scales[i]
         sing = mp.svd_r(A, compute_uv=False)
         smax, smin = sing[0], sing[len(sing) - 1]
         if smin <= 0 or smax / smin > mp.mpf(10) ** (precision + 10):
@@ -215,14 +190,20 @@ def fit_coefficients(m: int, orders: int, t_grid: list[Fraction] | None = None,
                 f"fit condition number {mp.nstr(smax / (smin or mp.mpf('1e-999')), 5)} "
                 "exceeds the working precision; refusing to return garbage"
             )
+        if spectrum is None:
+            sv = sphere_volume(m)
+            vol = mp.mpf(sv.rational.numerator) / sv.rational.denominator * mp.pi ** sv.pi_power
+        else:
+            vol = mp.mpf(1)
+        b = mp.matrix([(4 * mp.pi * tt) ** (mp.mpf(m) / 2) * heat_trace(m, t, precision, spectrum) / vol
+                       for t, tt in zip(t_grid, ts)])
         x, _ = mp.qr_solve(A, b)
-        resid = A * x - b
-        rnorm = mp.norm(resid)
+        rnorm = mp.norm(A * x - b)
         values = [x[i] / scales[i] for i in range(ncols)]
         # the residual misses truncation bias at the largest t; inflate by 10
         errors = [10 * max(rnorm / smin, mp.mpf(10) ** (-(precision - 2))) / scales[i]
                   for i in range(ncols)]
-        if volume is None and spectrum is not None:
+        if spectrum is not None:
             lead = values[0]
             values = [v / lead for v in values]
             errors = [e / abs(lead) for e in errors]

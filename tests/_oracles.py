@@ -5,7 +5,9 @@ the defining binomial recurrence instead of the tangent triangle, polynomial
 products are expanded over the full linear factorization, harmonic
 dimensions come from an exact kernel computation of the Laplacian on monomials,
 and the unit-sphere coefficients come from the Hurwitz-zeta form of the
-spectrum rather than from the closed-form tail sums.  The one exception is
+spectrum rather than from the closed-form tail sums.  Heat traces are summed
+with one exponential per level out to a generous fixed cutoff instead of
+the package's weight recurrence and tail bound.  The one exception is
 :func:`closed_form_reference`, which takes its diagonalizing congruence from
 ``heattrace.plancherel.diagonalize_form`` and differs from the package in how
 it substitutes: it expands every monomial of p(T y) in full.
@@ -16,6 +18,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
+
+import mpmath as mp
 
 from heattrace.errors import DegenerateModelError
 from heattrace.plancherel import diagonalize_form
@@ -30,6 +34,27 @@ def bernoulli_recurrence(n_top: int) -> list[Fraction]:
             acc += math.comb(n + 1, j) * B[j]
         B.append(-acc / (n + 1))
     return B
+
+
+def direct_heat_trace(spectrum, t, digits: int):
+    """sum mult * exp(-t * eig) with one ``mp.exp`` per level.
+
+    The spectrum's eigenvalues must increase.  Summation stops at the first
+    level with t * eig past 3 * (digits + 12) * ln 10, where the Boltzmann
+    factor is below 10^-(3 * (digits + 12)), far under what ``digits`` need.
+    """
+    t = Fraction(t)
+    with mp.workdps(digits + 20):
+        tt = mp.mpf(t.numerator) / t.denominator
+        total = mp.mpf(0)
+        k = 0
+        while True:
+            line = spectrum(k)
+            eig = line.eigenvalue
+            if k > 0 and t * eig > 3 * (digits + 12) * math.log(10):
+                return total
+            total += line.multiplicity * mp.exp(-tt * mp.mpf(eig.numerator) / eig.denominator)
+            k += 1
 
 
 def expand_linear_product(roots: list[Fraction]) -> list[Fraction]:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from heattrace import exactnum
 from heattrace.exactnum import bernoulli, c_coeff, d_coeff, gauss_moment, log_abs
 
 from _oracles import bernoulli_recurrence
@@ -72,6 +73,32 @@ def test_cd_positivity_to_300():
     for n in range(301):
         assert c_coeff(n) > 0
         assert d_coeff(n) > 0
+
+
+@pytest.fixture
+def cold_tables(monkeypatch):
+    """Empty Bernoulli/tangent caches for this test; the shared ones are restored."""
+    monkeypatch.setattr(exactnum, "_tangent", [0])
+    monkeypatch.setattr(exactnum, "_bernoulli_cache", {0: Fraction(1), 1: Fraction(-1, 2)})
+    monkeypatch.setattr(exactnum, "_c_cache", [])
+    monkeypatch.setattr(exactnum, "_d_cache", [])
+
+
+def test_tangent_table_sized_to_request(cold_tables):
+    c_coeff(307)
+    first = list(exactnum._tangent)
+    assert len(first) == 309  # T_0..T_308
+    assert c_coeff(367) > 0
+    assert len(exactnum._tangent) == 369  # not doubled to T_616
+    assert exactnum._tangent[:309] == first
+
+
+def test_rising_bernoulli_calls_rebuild_logarithmically(cold_tables):
+    depths = set()
+    for n in range(1, 301):
+        assert (-1) ** (n + 1) * bernoulli(2 * n) > 0
+        depths.add(len(exactnum._tangent))
+    assert len(depths) <= math.ceil(math.log2(300)) + 2
 
 
 def test_gauss_moment_values():

@@ -4,8 +4,10 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from heattrace.errors import SafetyLimitError
+from heattrace import oracle
+from heattrace.errors import IllConditionedFitError, SafetyLimitError
 from heattrace.oracle import (
+    SpectrumLine,
     default_grid,
     fit_coefficients,
     heat_trace,
@@ -14,7 +16,22 @@ from heattrace.oracle import (
 )
 from heattrace.rank1 import ScaledRational, SpaceModel, coefficient
 
-from _oracles import harmonic_dimension
+from _oracles import direct_heat_trace, harmonic_dimension
+
+
+def _flat_circle(k):
+    # eigenvalues k^2 with multiplicity 2 for k >= 1
+    return SpectrumLine(Fraction(k * k), 1 if k == 0 else 2)
+
+
+def _cubic(k):
+    # second difference 6k: a new step ratio at every level
+    return SpectrumLine(Fraction(k ** 3), k + 1)
+
+
+def _half_integer(k):
+    # k^2 + k/2: half-integers at odd k
+    return SpectrumLine(Fraction(2 * k * k + k, 2), 2 * k + 1)
 
 
 class TestSpectrum:
@@ -78,18 +95,12 @@ class TestHeatTrace:
             assert abs(lo - hi) < mp.mpf(10) ** (-50) * hi
 
     def test_tail_bound_audit(self):
-        # doubling the cutoff level changes nothing at the requested precision
+        # summing far past the stopping level changes nothing at the requested precision
         t = Fraction(1, 10)
         prec = 40
         base = heat_trace(3, t, precision=prec)
+        total = direct_heat_trace(lambda k: sphere_spectrum(3, k), t, prec)
         with mp.workdps(prec + 20):
-            tt = mp.mpf(1) / 10
-            k = 0
-            total = mp.mpf(0)
-            while k * k * float(tt) < 3 * (prec + 12) * math.log(10):
-                line = sphere_spectrum(3, k)
-                total += line.multiplicity * mp.exp(-tt * int(line.eigenvalue))
-                k += 1
             assert abs(base - total) < mp.mpf(10) ** (-prec) * total
 
     def test_custom_spectrum_hook(self):
@@ -109,15 +120,45 @@ class TestHeatTrace:
             assert abs(v - theta) < 1e-28
 
     def test_fast_ladder_matches_generic_path(self):
-        # the sphere specialization must agree with the generic custom-spectrum
-        # summation to the requested precision
-        for m in (2, 3, 5):
-            for t in (Fraction(1, 3), Fraction(1, 64)):
-                fast = heat_trace(m, t, precision=40)
-                generic = heat_trace(m, t, precision=40,
-                                     spectrum=lambda k, m=m: sphere_spectrum(m, k))
-                with mp.workdps(50):
-                    assert abs(fast - generic) < mp.mpf(10) ** (-38) * fast
+        # the weight recurrence and tail bound against a per-level exp sum
+        cases = [(m, None, lambda k, m=m: sphere_spectrum(m, k)) for m in (2, 3, 5)]
+        cases += [(1, spec, spec) for spec in (_flat_circle, _cubic, _half_integer)]
+        for m, hook, spec in cases:
+            for t in (Fraction(1, 3), Fraction(1, 64), Fraction(1, 4096)):
+                got = heat_trace(m, t, precision=40, spectrum=hook)
+                ref = direct_heat_trace(spec, t, 40)
+                with mp.workdps(60):
+                    assert abs(got - ref) < mp.mpf(10) ** (-40) * ref
+
+    def test_small_t_sums_few_levels(self):
+        # S^3 at t = 2^-19: sqrt(60 ln 10 / t) ~ 8500 levels reach 60 digits
+        levels = []
+
+        def counted(k):
+            levels.append(k)
+            return sphere_spectrum(3, k)
+
+        heat_trace(3, Fraction(1, 2 ** 19), precision=50, spectrum=counted)
+        assert max(k for k in levels if k != oracle._MAX_TERMS) <= 10_000
+
+    def test_unreachable_truncation_refused_up_front(self):
+        calls = []
+
+        def counted(k):
+            calls.append(k)
+            return sphere_spectrum(2, k)
+
+        with pytest.raises(SafetyLimitError):
+            heat_trace(2, Fraction(1, 10 ** 15), 30, spectrum=counted)
+        assert len(calls) <= 2
+
+    def test_default_grids_are_never_refused(self, monkeypatch):
+        # S^2 has the smallest eigenvalue at the level limit; the summation is stubbed
+        monkeypatch.setattr(oracle, "_sum_levels", lambda spectrum, t, digits: mp.mpf(1))
+        for orders in range(9):
+            for t in default_grid(orders):
+                for precision in (1, 50, 80):
+                    heat_trace(2, t, precision)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -180,3 +221,15 @@ class TestFit:
         # at 1-digit working precision the scaled ladder system is hopeless
         with pytest.raises(IllConditionedFitError):
             fit_coefficients(2, orders=8, precision=1)
+
+    def test_ill_conditioned_fit_refuses_before_summing(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return heat_trace(*args)
+
+        monkeypatch.setattr(oracle, "heat_trace", counted)
+        with pytest.raises(IllConditionedFitError):
+            fit_coefficients(2, orders=8, precision=1)
+        assert calls == []
