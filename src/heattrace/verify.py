@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
-
 from . import growth, oracle, plancherel, rank1, seedpolys, series
 from .exactnum import bernoulli, c_coeff, d_coeff, log_abs
 
@@ -115,6 +113,8 @@ def check_anchors() -> list[CheckResult]:
 
 
 def _fit_rel_errors(mbar: int, precision: int = 50):
+    import mpmath as mp
+
     m = 2 * mbar
     thr = mbar
     model = rank1.SpaceModel("sphere", mbar)
@@ -146,6 +146,8 @@ def check_oracle_spheres() -> list[CheckResult]:
 
 def check_unit_s3_chain() -> list[CheckResult]:
     """Spectral fit on the unit 3-sphere against the exact exponential chain."""
+    import mpmath as mp
+
     out = []
     fitted, _ = oracle.fit_coefficients(3, orders=5, precision=50)
     worst = 0.0
@@ -265,6 +267,8 @@ def check_factorial_bound() -> list[CheckResult]:
 
 def check_kernel() -> list[CheckResult]:
     """Exact-kernel cross-checks: zeta identity, positivity, table sign laws."""
+    import mpmath as mp
+
     out = []
     with mp.workdps(40):
         worst = 0.0

@@ -39,22 +39,30 @@ def bernoulli_recurrence(n_top: int) -> list[Fraction]:
 def direct_heat_trace(spectrum, t, digits: int):
     """sum mult * exp(-t * eig) with one ``mp.exp`` per level.
 
-    The spectrum's eigenvalues must increase.  Summation stops at the first
-    level with t * eig past 3 * (digits + 12) * ln 10, where the Boltzmann
-    factor is below 10^-(3 * (digits + 12)), far under what ``digits`` need.
+    Summation stops at the first level k > 0 with t * (eig - eig_0) past
+    3 * (digits + 12) * ln 10, where the Boltzmann factor is below
+    10^-(3 * (digits + 12)) of level 0's, far under what ``digits`` need; the
+    eigenvalues must increase from that level on.
     """
     t = Fraction(t)
     with mp.workdps(digits + 20):
         tt = mp.mpf(t.numerator) / t.denominator
         total = mp.mpf(0)
+        eig0 = spectrum(0).eigenvalue
         k = 0
         while True:
             line = spectrum(k)
             eig = line.eigenvalue
-            if k > 0 and t * eig > 3 * (digits + 12) * math.log(10):
+            if k > 0 and t * (eig - eig0) > 3 * (digits + 12) * math.log(10):
                 return total
             total += line.multiplicity * mp.exp(-tt * mp.mpf(eig.numerator) / eig.denominator)
             k += 1
+
+
+def level_hooks(spectrum) -> dict:
+    """``heat_trace``'s eigenvalue and multiplicity hooks from one SpectrumLine callable."""
+    return {"eigenvalue": lambda k: spectrum(k).eigenvalue,
+            "multiplicity": lambda k: spectrum(k).multiplicity}
 
 
 def expand_linear_product(roots: list[Fraction]) -> list[Fraction]:

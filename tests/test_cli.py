@@ -264,3 +264,23 @@ class TestExitCodes:
 
     def test_argparse_usage_is_2(self, capsys):
         assert main(["coeffs"]) == 2  # missing required arguments
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # mpmath loads only when the oracle sums a trace or --decimal rounds a value
+    import os
+    import subprocess
+    import sys
+
+    import heattrace
+
+    code = (
+        "import sys, heattrace.cli\n"
+        "assert 'mpmath' not in sys.modules, 'import heattrace.cli loaded mpmath'\n"
+        "from heattrace import heat_trace\n"
+        "assert abs(float(heat_trace(2, 5, 10)) - 1.0001362) < 1e-7\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(heattrace.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -16,7 +16,7 @@ from heattrace.oracle import (
 )
 from heattrace.rank1 import ScaledRational, SpaceModel, coefficient
 
-from _oracles import direct_heat_trace, harmonic_dimension
+from _oracles import direct_heat_trace, harmonic_dimension, level_hooks
 
 
 def _flat_circle(k):
@@ -32,6 +32,16 @@ def _cubic(k):
 def _half_integer(k):
     # k^2 + k/2: half-integers at odd k
     return SpectrumLine(Fraction(2 * k * k + k, 2), 2 * k + 1)
+
+
+def _shifted_square(k):
+    # k^2 + 5: level 0 has a nonzero eigenvalue
+    return SpectrumLine(k * k + 5, 2 * k + 1)
+
+
+def _valley(k):
+    # (k - 10)^2: eigenvalues fall until level 10, so the first steps exceed 1
+    return SpectrumLine((k - 10) ** 2, 1)
 
 
 class TestSpectrum:
@@ -114,21 +124,43 @@ class TestHeatTrace:
                 )
             )
 
-        v = heat_trace(1, 1, precision=30, spectrum=flat_circle)
+        v = heat_trace(1, 1, precision=30, **level_hooks(flat_circle))
         with mp.workdps(40):
             theta = 1 + 2 * mp.nsum(lambda k: mp.exp(-k * k), [1, mp.inf])
             assert abs(v - theta) < 1e-28
 
     def test_fast_ladder_matches_generic_path(self):
         # the weight recurrence and tail bound against a per-level exp sum
-        cases = [(m, None, lambda k, m=m: sphere_spectrum(m, k)) for m in (2, 3, 5)]
-        cases += [(1, spec, spec) for spec in (_flat_circle, _cubic, _half_integer)]
-        for m, hook, spec in cases:
+        cases = [(m, {}, lambda k, m=m: sphere_spectrum(m, k)) for m in (2, 3, 5)]
+        cases += [(1, level_hooks(spec), spec) for spec in (_flat_circle, _cubic, _half_integer)]
+        for m, hooks, spec in cases:
             for t in (Fraction(1, 3), Fraction(1, 64), Fraction(1, 4096)):
-                got = heat_trace(m, t, precision=40, spectrum=hook)
+                got = heat_trace(m, t, precision=40, **hooks)
                 ref = direct_heat_trace(spec, t, 40)
                 with mp.workdps(60):
                     assert abs(got - ref) < mp.mpf(10) ** (-40) * ref
+        # about 8,600 levels: the longest ladder the default fit grids sum
+        t = Fraction(1, 2 ** 19)
+        got = heat_trace(3, t, precision=50)
+        ref = direct_heat_trace(lambda k: sphere_spectrum(3, k), t, 50)
+        with mp.workdps(70):
+            assert abs(got - ref) < mp.mpf(10) ** (-50) * ref
+
+    @pytest.mark.parametrize("m, t, precision, spec", [
+        # multiplicities near 10^80 at the peak: weights fall far below level 0's
+        (200, Fraction(1, 64), 50, None),
+        # level 0 alone is exp(-250) and exp(-500); the rest is relative to it
+        (1, Fraction(50), 50, _shifted_square),
+        (1, Fraction(100), 50, _shifted_square),
+        (3, Fraction(1, 2 ** 12), 1, None),
+        (3, Fraction(1, 2 ** 12), 500, None),
+        (1, Fraction(20), 50, _valley),
+    ], ids=["S200", "k2+5-t50", "k2+5-t100", "S3-precision1", "S3-precision500", "valley-t20"])
+    def test_fixed_point_edge_cases(self, m, t, precision, spec):
+        got = heat_trace(m, t, precision, **(level_hooks(spec) if spec else {}))
+        ref = direct_heat_trace(spec or (lambda k: sphere_spectrum(m, k)), t, precision)
+        with mp.workdps(precision + 20):
+            assert abs(got - ref) < mp.mpf(10) ** (-precision) * ref
 
     def test_small_t_sums_few_levels(self):
         # S^3 at t = 2^-19: sqrt(60 ln 10 / t) ~ 8500 levels reach 60 digits
@@ -138,7 +170,7 @@ class TestHeatTrace:
             levels.append(k)
             return sphere_spectrum(3, k)
 
-        heat_trace(3, Fraction(1, 2 ** 19), precision=50, spectrum=counted)
+        heat_trace(3, Fraction(1, 2 ** 19), precision=50, **level_hooks(counted))
         assert max(k for k in levels if k != oracle._MAX_TERMS) <= 10_000
 
     def test_unreachable_truncation_refused_up_front(self):
@@ -149,12 +181,36 @@ class TestHeatTrace:
             return sphere_spectrum(2, k)
 
         with pytest.raises(SafetyLimitError):
-            heat_trace(2, Fraction(1, 10 ** 15), 30, spectrum=counted)
+            heat_trace(2, Fraction(1, 10 ** 15), 30, **level_hooks(counted))
         assert len(calls) <= 2
+        # the factor that must fall is relative to level 0's, however large that is
+        levels = []
+        with pytest.raises(SafetyLimitError):
+            heat_trace(1, Fraction(1, 10 ** 5), 30, eigenvalue=lambda k: k + 10 ** 9,
+                       multiplicity=lambda k: levels.append(k) or 1)
+        assert levels == []
+
+    def test_level_limit_probe_reads_only_the_eigenvalue(self):
+        eigenvalue, multiplicity = [], []
+
+        def eig(k):
+            eigenvalue.append(k)
+            return k * (k + 2)
+
+        def mult(k):
+            multiplicity.append(k)
+            return (k + 1) ** 2
+
+        heat_trace(3, Fraction(1, 64), 30, eigenvalue=eig, multiplicity=mult)
+        with pytest.raises(SafetyLimitError):
+            heat_trace(3, Fraction(1, 10 ** 15), 30, eigenvalue=eig, multiplicity=mult)
+        assert oracle._MAX_TERMS in eigenvalue
+        assert oracle._MAX_TERMS not in multiplicity
+        assert max(multiplicity) < 1000
 
     def test_default_grids_are_never_refused(self, monkeypatch):
         # S^2 has the smallest eigenvalue at the level limit; the summation is stubbed
-        monkeypatch.setattr(oracle, "_sum_levels", lambda spectrum, t, digits: mp.mpf(1))
+        monkeypatch.setattr(oracle, "_sum_levels", lambda *args: mp.mpf(1))
         for orders in range(9):
             for t in default_grid(orders):
                 for precision in (1, 50, 80):
@@ -167,6 +223,8 @@ class TestHeatTrace:
             heat_trace(2, 1, 501)
         with pytest.raises(SafetyLimitError):
             heat_trace(2, Fraction(1, 10 ** 15), precision=30)
+        with pytest.raises(ValueError):
+            heat_trace(1, 1, 30, eigenvalue=lambda k: k * k)
 
 
 class TestFit:

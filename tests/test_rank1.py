@@ -19,7 +19,14 @@ from heattrace.rank1 import (
 )
 from heattrace.series import APPROXIMATE, EXACT, UNAVAILABLE
 
-from _oracles import bernoulli_recurrence, cp_direct, hp_direct, op2_direct, rank1_tail_reference
+from _oracles import (
+    bernoulli_recurrence,
+    cp_direct,
+    hp_direct,
+    level_hooks,
+    op2_direct,
+    rank1_tail_reference,
+)
 
 
 def A(family, mbar, n):
@@ -275,7 +282,7 @@ class TestOracleCalibrationReport:
             return SpectrumLine(Fraction(k * (k + 2)), (k + 1) ** 3)
 
         fitted, _ = fit_coefficients(4, orders=3, precision=40,
-                                     spectrum=cp2_spectrum)
+                                     **level_hooks(cp2_spectrum))
         a1o, a2o = float(fitted[1]), float(fitted[2])
         a1c, a2c = A("complex_projective", 2, 1), A("complex_projective", 2, 2)
         calib = a1o / float(a1c)  # homothety from closed form to oracle scale
