@@ -134,13 +134,21 @@ def _atom_or_number(token: str) -> dict:
                 raise SpecError(f"complex-group parameter must look like 'A2', got {param!r}")
         elif not param.isdigit():
             raise SpecError(f"{name} parameter must be a positive integer, got {param!r}")
-        return {"kind": "atom", "family": name, "param": param}
+        atom = {"kind": "atom", "family": name, "param": param}
+        if name in _RANK1_ATOMS:
+            _rank1_model(atom)  # refuse an unsupported model before any work
+        return atom
     # bare rational (only valid as the scale argument)
     try:
         Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise SpecError(f"unknown space or value {token!r}") from None
     return {"kind": "atom_or_number", "text": token}
+
+
+def _rank1_model(atom: dict) -> rank1.SpaceModel:
+    mbar = 2 if atom["family"] == "op2" else int(atom["param"])
+    return rank1.SpaceModel(_RANK1_ATOMS[atom["family"]], mbar)
 
 
 def _plancherel_model(atom: dict) -> plancherel.PlancherelModel:
@@ -154,9 +162,7 @@ def evaluate_space(tree: dict, n_max: int, fill: str | None = None,
     if kind == "atom":
         family = tree["family"]
         if family in _RANK1_ATOMS:
-            mbar = 2 if family == "op2" else int(tree["param"])
-            return rank1.rank1_series(rank1.SpaceModel(_RANK1_ATOMS[family], mbar),
-                                      n_max, fill, oracle_precision)
+            return rank1.rank1_series(_rank1_model(tree), n_max, fill, oracle_precision)
         return plancherel.to_series(plancherel.closed_form(_plancherel_model(tree)), n_max)
     if kind == "dual":
         return series.dualize(evaluate_space(tree["child"], n_max, fill,

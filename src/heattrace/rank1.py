@@ -6,13 +6,41 @@ Each coefficient a_n is an exact rational times a fixed power of pi
 (:class:`ScaledRational`); the normalized coefficients A_n = a_n / Vol are
 pure rationals because the pi powers cancel.
 
-Every closed form is a finite "boundary" sum plus a double tail sum whose
-terms all share one sign, so nothing cancels and exact rational accumulation
-is numerically trivial.  The tail sums are only valid from a family-specific
-threshold index onward; requesting a_n below the threshold raises
-:class:`BelowThresholdError` (use the spectral oracle for those indices).
-The same machinery evaluated at n = 0 with empty tail yields the volume
-constant that makes A_0 = 1, which is how :func:`volume` is defined.
+Every family is one row of data (:class:`_Row`), and one builder,
+:func:`_build`, turns a row into two vectors, so that
+
+    a_n = pref * pi^pi_power * (boundary[n] + tail[n]).
+
+* The boundary is the finite sum  sum_j W_j B^(n+s_j) / (n+s_j)!  with
+  W_j = table[j] * j! * h^(j+1) over the family's seed table.  These are the
+  coefficients of e^{B t} times a polynomial, so the whole vector is one
+  :func:`exp_times`.
+* The tail is  sum_k base^k/k! * h^i S(i)/i!  at i = n - start - k, the
+  binomial convolution of e^{base t} with the inner sums
+  S(i) = sum_j (-1)^j table[j] coeff(i + j), taken from i = lo on (zero
+  below), so it is one :func:`exp_times` too.  Every term of every inner sum
+  shares the row's sign, which is asserted term by term; this one check
+  covers every term of every double sum (the no-cancellation invariant).
+
+====== ============== ======================= ========= ======= ====== ==== ======
+family B              W_j / j!                s_j       base    start  lo   sign
+====== ============== ======================= ========= ======= ====== ==== ======
+sphere (2m-1)^2/4     beta_j                  j+1-m     B       m      0    (-1)^(m-1)
+cp     m^2/(4(m+1))   gamma_j (m+1)^(j+1)     j+2-m     B       m-1    0    +1 / -1
+hp     base^2         delta_j                 2m-3-j    q       0      2m-2 -1
+op2    121/72         eta_j                   7-j       B       0      8    -1
+====== ============== ======================= ========= ======= ====== ==== ======
+
+with q = (2m-1)^2/(8(m+1)).  The cp inner sums carry h^i = (m+1)^i and run
+over c-coefficients (odd m) or d-coefficients (even m).  The even-m cp tail is
+the one irregular row: it keeps only the k < m terms of the exponential, with
+base B/(m+1), so it is summed explicitly.
+
+The tail sums are only valid from a family-specific threshold index onward;
+requesting a_n below the threshold raises :class:`BelowThresholdError` (use
+the spectral oracle for those indices).  The tail is zero at n = 0, so
+boundary[0] * pref is the volume constant that makes A_0 = 1
+(:func:`volume`), and A_n = (boundary[n] + tail[n]) / boundary[0].
 
 Normalizations.  The sphere family is the unit-radius round sphere (validated
 against the spectral oracle).  The projective families follow their published
@@ -22,13 +50,24 @@ calibration-and-report only (see README).  The even-mbar complex projective
 branch is eventually negative by construction, while the direct spectral
 expansion of CP^{even} is positive; the discrepancy is inherited from the
 tabulated formula and is surfaced, never patched silently.
+
+The tabulated HP^M boundary raises base^2 where its tail raises base.  It is
+kept as tabulated, as the independent transliteration in the tests reads it,
+until an exact HP^M spectral oracle settles which is right.  With it the
+volume constant boundary[0] * pref is positive only for M = 2, 3 and 5 of
+the M up to 60, so :class:`SpaceModel` refuses an hp model whose n = 0
+boundary entry is not positive.  The other rows need no check: boundary[0]
+is (m-1)! for the sphere, (m+1)^m (m-2)! (m-1) m / 6 for cp, and a fixed
+positive constant for op2.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import BelowThresholdError, InvariantViolation, UnsupportedSpaceError
 from .exactnum import c_coeff, d_coeff
@@ -141,6 +180,13 @@ class SpaceModel:
             raise ValueError(f"{self.family} requires mbar >= {lo}")
         if self.family == "cayley_plane" and self.mbar != 2:
             raise ValueError("the Cayley plane is only defined for mbar = 2")
+        if self.family == "quaternionic_projective":
+            row = _row(self.family, self.mbar)
+            if _boundary(row, row.table(), 0)[0] <= 0:
+                raise UnsupportedSpaceError(
+                    f"the tabulated HP^M closed form has a non-positive volume constant "
+                    f"for M = {self.mbar}, so hp:{self.mbar} cannot be normalized"
+                )
 
     @property
     def dimension(self) -> int:
@@ -156,27 +202,71 @@ class SpaceModel:
         return threshold(self.family, self.mbar)
 
 
-def threshold(family: str, mbar: int) -> int:
-    """First index at which the family's closed form is valid."""
+# --- family rows -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Row:
+    """One family's closed form as data; the fields are named as in the module docstring."""
+
+    table: Callable[[], SignedTable]  # builds the seed table
+    b: Fraction
+    shifts: range                     # s_j, one per table entry
+    base: Fraction
+    lo: int
+    sign: int
+    pref: Fraction
+    pi_power: int
+    thr: int
+    h: int = 1
+    coeff: Callable[[int], Fraction] = c_coeff
+    start: int = 0
+    terms: int | None = None          # exponential terms kept in the tail (None: all)
+
+
+def _row(family: str, m: int) -> _Row:
+    """The row of (family, m); cheap, since the seed table is built only on demand."""
     if family == "sphere":
-        return mbar
+        b = Fraction((2 * m - 1) ** 2, 4)
+        return _Row(table=lambda: beta_table(m), b=b, shifts=range(1 - m, 1), base=b,
+                    lo=0, sign=(-1) ** (m - 1), pref=Fraction(4 ** m, _fact(2 * m - 1)),
+                    pi_power=m, thr=m, start=m)
     if family == "complex_projective":
-        return mbar - 1
+        odd = m % 2 == 1
+        b = Fraction(m * m, 4 * (m + 1))
+        return _Row(table=lambda: gamma_table(m), b=b, shifts=range(2 - m, 2),
+                    base=b if odd else b / (m + 1), lo=0, sign=1 if odd else -1,
+                    pref=Fraction(4 ** (m - 1), _fact(m) * _fact(m - 1)),
+                    pi_power=m - 1, thr=m - 1, h=m + 1, coeff=c_coeff if odd else d_coeff,
+                    start=m - 1, terms=None if odd else m)
     if family == "quaternionic_projective":
-        return 2 * mbar - 2
+        base = Fraction((2 * m - 1) ** 2, 8 * (m + 1))
+        return _Row(table=lambda: delta_table(m), b=base ** 2,
+                    shifts=range(2 * m - 3, -1, -1), base=base, lo=2 * m - 2, sign=-1,
+                    pref=Fraction(4 ** (2 * m - 2), _fact(2 * m - 1) * _fact(2 * m - 3)),
+                    pi_power=2 * m - 2, thr=2 * m - 2)
     if family == "cayley_plane":
-        return 7
+        b = Fraction(121, 72)
+        return _Row(table=eta_table, b=b, shifts=range(7, -1, -1), base=b, lo=8, sign=-1,
+                    pref=Fraction(6 * 4 ** 8, _fact(7) * _fact(11)), pi_power=8, thr=7)
     raise UnsupportedSpaceError(f"unknown rank-one family {family!r}")
 
 
-# --- tail vectors ------------------------------------------------------------
-#
-# Each double tail sum factors as sum_k b^k/k! * S(i - k)/(i - k)!, a binomial
-# convolution of a family inner sum S(i) (c- or d-coefficients against a
-# signed table) with e^{b t}, so the whole tail vector is one
-# :func:`exp_times`.  Every term of every inner sum shares the family sign,
-# which is asserted once per term here; this single check covers every term
-# of every double sum downstream (the no-cancellation invariant).
+def threshold(family: str, mbar: int) -> int:
+    """First index at which the family's closed form is valid."""
+    return _row(family, mbar).thr
+
+
+# --- the builder -------------------------------------------------------------
+
+
+def _boundary(row: _Row, table: SignedTable, n_max: int) -> list[Fraction]:
+    """boundary[0..n_max]; entry n is entry n + max(s) of e^{B t} * sum_j W_j t^(max(s) - s_j)."""
+    top = max(row.shifts)
+    ys = [Fraction(0)] * len(table)
+    for j, (w, s) in enumerate(zip(table.values, row.shifts)):
+        ys[top - s] = w * _fact(j) * row.h ** (j + 1)
+    return exp_times(row.b, ys, n_max + top)[top:]
 
 
 def _inner_sums(table: SignedTable, coeff_fn, lo: int, i_max: int,
@@ -198,138 +288,56 @@ def _inner_sums(table: SignedTable, coeff_fn, lo: int, i_max: int,
     return out
 
 
-def _exp_tail(b: Fraction, inner: list[Fraction]) -> list[Fraction]:
-    """sum_{k <= n} b^k/k! * S(n - k)/(n - k)! for n = 0..len(inner) - 1."""
-    return exp_times(b, [s / _fact(i) for i, s in enumerate(inner)], len(inner) - 1)
+def _tail(row: _Row, table: SignedTable, n_max: int) -> list[Fraction]:
+    """tail[0..n_max], zero below index start + lo."""
+    nu_max = n_max - row.start
+    if nu_max < 0:
+        return [Fraction(0)] * (n_max + 1)
+    inner = _inner_sums(table, row.coeff, row.lo, nu_max, row.sign)
+    ys = [row.h ** i * s / _fact(i) for i, s in enumerate(inner)]
+    if row.terms is None:
+        tail = exp_times(row.base, ys, nu_max)
+    else:  # the even-mbar cp tail keeps only the terms k < row.terms of e^{base t}
+        w = [row.base ** k / _fact(k) for k in range(row.terms)]
+        tail = [sum(map(mul, w, ys[nu::-1]), Fraction(0)) for nu in range(nu_max + 1)]
+    return [Fraction(0)] * row.start + tail
 
 
-def _build_tails(family: str, mbar: int, n_max: int) -> list[Fraction]:
-    """The unprefactored tail sums of a_0..a_{n_max} (zero below the threshold)."""
-    if family == "sphere":
-        nu_max = n_max - mbar
-        if nu_max < 0:
-            return [Fraction(0)] * (n_max + 1)
-        inner = _inner_sums(beta_table(mbar), c_coeff, 0, nu_max, (-1) ** (mbar - 1))
-        return [Fraction(0)] * mbar + _exp_tail(Fraction((2 * mbar - 1) ** 2, 4), inner)
-    if family == "complex_projective":
-        nu_max = n_max - mbar + 1
-        if nu_max < 0:
-            return [Fraction(0)] * (n_max + 1)
-        gamma = gamma_table(mbar)
-        base = Fraction(mbar * mbar, 4 * (mbar + 1) ** 2)
-        if mbar % 2 == 1:
-            tails = _exp_tail(base, _inner_sums(gamma, c_coeff, 0, nu_max, +1))
-        else:
-            inner = _inner_sums(gamma, d_coeff, 0, nu_max, -1)
-            tails = []
-            for nu in range(nu_max + 1):
-                tail = Fraction(0)
-                for k in range(min(mbar, nu + 1)):
-                    tail += (
-                        base ** k
-                        * Fraction(1, (mbar + 1) ** k)
-                        * inner[nu - k]
-                        / (_fact(k) * _fact(nu - k))
-                    )
-                tails.append(tail)
-        return [Fraction(0)] * (mbar - 1) + [t * (mbar + 1) ** nu for nu, t in enumerate(tails)]
-    if family == "quaternionic_projective":
-        inner = _inner_sums(delta_table(mbar), c_coeff, 2 * mbar - 2, n_max, -1)
-        return _exp_tail(Fraction((2 * mbar - 1) ** 2, 8 * (mbar + 1)), inner)
-    if family == "cayley_plane":
-        return _exp_tail(Fraction(121, 72), _inner_sums(eta_table(), c_coeff, 8, n_max, -1))
-    raise UnsupportedSpaceError(f"unknown rank-one family {family!r}")
+def _build(family: str, mbar: int, n_max: int) -> tuple[list[Fraction], list[Fraction]]:
+    """The unprefactored (boundary, tail) vectors of a_0..a_{n_max}, from one seed table."""
+    row = _row(family, mbar)
+    table = row.table()
+    return _boundary(row, table, n_max), _tail(row, table, n_max)
 
 
-_tail_cache: dict[tuple[str, int], list[Fraction]] = {}
+# The one cache: (boundary, tail) per (family, mbar), read by every accessor.
+_tail_cache: dict[tuple[str, int], tuple[list[Fraction], list[Fraction]]] = {}
 
 
-def _tails(family: str, mbar: int, n_max: int) -> list[Fraction]:
-    """The tail vector of (family, mbar) to at least n_max.
+def _vectors(family: str, mbar: int, n_max: int) -> tuple[list[Fraction], list[Fraction]]:
+    """The (boundary, tail) vectors of (family, mbar) to at least n_max.
 
-    A shorter cached vector is rebuilt to exactly n_max rather than grown:
+    A shorter cached pair is rebuilt to exactly n_max rather than grown:
     callers that know their depth (``rank1_series``) request it up front,
-    and the per-index ``_tail`` asks for a doubled depth.
+    and the per-index ``_split`` asks for a doubled depth.
     """
     key = (family, mbar)
     hit = _tail_cache.get(key)
-    if hit is None or len(hit) <= n_max:
-        hit = _build_tails(family, mbar, n_max)
+    if hit is None or len(hit[0]) <= n_max:
+        hit = _build(family, mbar, n_max)
         _tail_cache[key] = hit
     return hit
 
 
-def _tail(family: str, mbar: int, n: int) -> Fraction:
-    """One tail sum.  Past the cached depth the vector is rebuilt to at least
-    twice that depth, so per-index calls at rising n cost O(log n) builds."""
-    depth = len(_tail_cache.get((family, mbar), ())) - 1
-    return _tails(family, mbar, n if n <= depth else max(n, 2 * depth))[n]
+def _split(family: str, mbar: int, n: int) -> tuple[Fraction, Fraction]:
+    """(boundary[n], tail[n]).  Past the cached depth the vectors are rebuilt to
+    at least twice that depth, so per-index calls at rising n cost O(log n) builds."""
+    depth = len(_tail_cache.get((family, mbar), ((),))[0]) - 1
+    boundary, tail = _vectors(family, mbar, n if n <= depth else max(n, 2 * depth))
+    return boundary[n], tail[n]
 
 
-def _sphere_parts(mbar: int, n: int) -> tuple[Fraction, Fraction, Fraction, int]:
-    """(boundary sum, tail sum, rational prefactor, pi power) for S^{2mbar}."""
-    beta = beta_table(mbar)
-    b2 = Fraction((2 * mbar - 1) ** 2, 4)
-    nu = n - mbar
-    first = Fraction(0)
-    for j in range(mbar):
-        e = nu + j + 1
-        if e < 0:
-            continue
-        first += beta[j] * _fact(j) * b2 ** e / _fact(e)
-    pref = Fraction(4 ** mbar, _fact(2 * mbar - 1))
-    return first, _tail("sphere", mbar, n), pref, mbar
-
-
-def _cp_parts(mbar: int, n: int) -> tuple[Fraction, Fraction, Fraction, int]:
-    gamma = gamma_table(mbar)
-    nu = n - mbar + 1
-    m2_4 = Fraction(mbar * mbar, 4)
-    first = Fraction(0)
-    for j in range(mbar):
-        e = nu + j + 1
-        if e < 0:
-            continue
-        first += _fact(j) * gamma[j] * m2_4 ** e / _fact(e)
-    first *= Fraction(mbar + 1) ** (-nu)
-    pref = Fraction(4 ** (mbar - 1), _fact(mbar) * _fact(mbar - 1))
-    return first, _tail("complex_projective", mbar, n), pref, mbar - 1
-
-
-def _hp_parts(mbar: int, n: int) -> tuple[Fraction, Fraction, Fraction, int]:
-    delta = delta_table(mbar)
-    top = 2 * mbar - 3
-    base = Fraction((2 * mbar - 1) ** 2, 8 * (mbar + 1))
-    first = Fraction(0)
-    for k in range(top + 1):
-        e = n + top - k
-        if e < 0:
-            continue
-        first += base ** (2 * e) * _fact(k) * delta[k] / _fact(e)
-    pref = Fraction(4 ** (2 * mbar - 2), _fact(2 * mbar - 1) * _fact(2 * mbar - 3))
-    return first, _tail("quaternionic_projective", mbar, n), pref, 2 * mbar - 2
-
-
-def _op2_parts(n: int) -> tuple[Fraction, Fraction, Fraction, int]:
-    eta = eta_table()
-    base = Fraction(121, 72)
-    first = Fraction(0)
-    for k in range(8):
-        first += base ** (n + 7 - k) * eta[k] * _fact(k) / _fact(n + 7 - k)
-    pref = Fraction(6 * 4 ** 8, _fact(7) * _fact(11))
-    return first, _tail("cayley_plane", 2, n), pref, 8
-
-
-def _parts(family: str, mbar: int, n: int) -> tuple[Fraction, Fraction, Fraction, int]:
-    if family == "sphere":
-        return _sphere_parts(mbar, n)
-    if family == "complex_projective":
-        return _cp_parts(mbar, n)
-    if family == "quaternionic_projective":
-        return _hp_parts(mbar, n)
-    if family == "cayley_plane":
-        return _op2_parts(n)
-    raise UnsupportedSpaceError(f"unknown rank-one family {family!r}")
+# --- accessors ---------------------------------------------------------------
 
 
 def tail_split(family: str, mbar: int, n: int) -> tuple[ScaledRational, ScaledRational]:
@@ -338,25 +346,28 @@ def tail_split(family: str, mbar: int, n: int) -> tuple[ScaledRational, ScaledRa
     Exposed for the decay diagnostics: the boundary part tends to zero while
     the tail part carries the factorial growth.
     """
-    first, tail, pref, power = _parts(family, mbar, n)
-    return ScaledRational(first * pref, power), ScaledRational(tail * pref, power)
+    row = _row(family, mbar)
+    first, tail = _split(family, mbar, n)
+    return (ScaledRational(first * row.pref, row.pi_power),
+            ScaledRational(tail * row.pref, row.pi_power))
 
 
-def _an(family: str, mbar: int, n: int) -> ScaledRational:
-    first, tail, pref, power = _parts(family, mbar, n)
-    return ScaledRational((first + tail) * pref, power)
+def _an(family: str, mbar: int, n: int, name: str) -> ScaledRational:
+    thr = threshold(family, mbar)
+    if n < thr:
+        raise BelowThresholdError(
+            f"{name} closed form needs n >= {thr} (got n={n}); "
+            "use the spectral oracle for lower indices"
+        )
+    first, tail = tail_split(family, mbar, n)
+    return first + tail
 
 
 def even_sphere_an(mbar: int, n: int) -> ScaledRational:
     """a_n of the unit even-dimensional sphere S^{2mbar}, exact, for n >= mbar."""
     if mbar < 1:
         raise ValueError("even_sphere_an requires mbar >= 1")
-    if n < mbar:
-        raise BelowThresholdError(
-            f"sphere closed form needs n >= {mbar} (got n={n}); "
-            "use the spectral oracle for lower indices"
-        )
-    return _an("sphere", mbar, n)
+    return _an("sphere", mbar, n, "sphere")
 
 
 def cp_an(mbar: int, n: int) -> ScaledRational:
@@ -368,54 +379,38 @@ def cp_an(mbar: int, n: int) -> ScaledRational:
     """
     if mbar < 2:
         raise ValueError("cp_an requires mbar >= 2")
-    if n < mbar - 1:
-        raise BelowThresholdError(
-            f"complex projective closed form needs n >= {mbar - 1} (got n={n}); "
-            "use the spectral oracle for lower indices"
-        )
-    return _an("complex_projective", mbar, n)
+    return _an("complex_projective", mbar, n, "complex projective")
 
 
 def hp_an(mbar: int, n: int) -> ScaledRational:
     """a_n of the quaternionic projective family, exact, for n >= 2*mbar - 2."""
     if mbar < 2:
         raise ValueError("hp_an requires mbar >= 2")
-    if n < 2 * mbar - 2:
-        raise BelowThresholdError(
-            f"quaternionic projective closed form needs n >= {2 * mbar - 2} (got n={n}); "
-            "use the spectral oracle for lower indices"
-        )
-    return _an("quaternionic_projective", mbar, n)
+    return _an("quaternionic_projective", mbar, n, "quaternionic projective")
 
 
 def op2_an(n: int) -> ScaledRational:
     """a_n of the Cayley plane, exact, for n >= 7."""
-    if n < 7:
-        raise BelowThresholdError(
-            f"Cayley plane closed form needs n >= 7 (got n={n}); "
-            "use the spectral oracle for lower indices"
-        )
-    return _an("cayley_plane", 2, n)
-
-
-_volume_cache: dict[tuple[str, int], ScaledRational] = {}
+    return _an("cayley_plane", 2, n, "Cayley plane")
 
 
 def volume(family: str, mbar: int) -> ScaledRational:
     """The volume constant of the family's built-in normalization.
 
-    Defined as the n = 0 evaluation of the closed-form machinery (the tail
-    sum is empty there), which is exactly the constant that makes A_0 = 1.
-    For spheres this reproduces the textbook unit-sphere volumes.
+    Defined as the n = 0 boundary entry times the prefactor (the tail sum is
+    empty there), which is exactly the constant that makes A_0 = 1.  For
+    spheres this reproduces the textbook unit-sphere volumes.
     """
-    key = (family, mbar)
-    hit = _volume_cache.get(key)
-    if hit is None:
-        hit = _an(family, mbar, 0)
-        if hit.sign() <= 0:
-            raise InvariantViolation(f"volume of {family}:{mbar} is not positive")
-        _volume_cache[key] = hit
-    return hit
+    value = tail_split(family, mbar, 0)[0]
+    if value.sign() <= 0:
+        raise InvariantViolation(f"volume of {family}:{mbar} is not positive")
+    return value
+
+
+def _normalized(model: SpaceModel, n: int, value: Fraction) -> Fraction:
+    """value * scale^n, sign-flipped at odd n for the noncompact dual."""
+    value *= model.scale ** n
+    return -value if model.signature == "noncompact" and n % 2 == 1 else value
 
 
 def coefficient(model: SpaceModel, n: int) -> Fraction:
@@ -426,13 +421,8 @@ def coefficient(model: SpaceModel, n: int) -> Fraction:
         raise BelowThresholdError(
             f"{model.family}:{model.mbar} closed form needs n >= {model.threshold}"
         )
-    value = _an(model.family, model.mbar, n) / volume(model.family, model.mbar)
-    if value.pi_power != 0 and value.rational != 0:
-        raise InvariantViolation("pi powers failed to cancel in A_n")
-    out = value.as_fraction() * model.scale ** n
-    if model.signature == "noncompact" and n % 2 == 1:
-        out = -out
-    return out
+    first, tail = _split(model.family, model.mbar, n)
+    return _normalized(model, n, (first + tail) / _split(model.family, model.mbar, 0)[0])
 
 
 def rank1_series(model: SpaceModel, n_max: int, fill: str | None = None,
@@ -449,7 +439,7 @@ def rank1_series(model: SpaceModel, n_max: int, fill: str | None = None,
     if fill not in (None, "oracle"):
         raise ValueError("fill must be None or 'oracle'")
     thr = model.threshold
-    _tails(model.family, model.mbar, n_max)
+    boundary, tail = _vectors(model.family, model.mbar, n_max)
     coeffs: list[Fraction] = [Fraction(1)]
     flags: list[str] = [EXACT]
     gap = range(1, min(thr, n_max + 1))
@@ -466,10 +456,8 @@ def rank1_series(model: SpaceModel, n_max: int, fill: str | None = None,
         fitted, _errors = fit_coefficients(model.dimension, orders=thr - 1,
                                            precision=oracle_precision)
         for n in gap:
-            approx = Fraction(*mp.libmp.to_rational(fitted[n]._mpf_)) * model.scale ** n
-            if model.signature == "noncompact" and n % 2 == 1:
-                approx = -approx
-            fill_values[n] = approx
+            fill_values[n] = _normalized(
+                model, n, Fraction(*mp.libmp.to_rational(fitted[n]._mpf_)))
     for n in range(1, n_max + 1):
         if n < thr:
             if n in fill_values:
@@ -479,7 +467,7 @@ def rank1_series(model: SpaceModel, n_max: int, fill: str | None = None,
                 coeffs.append(Fraction(0))
                 flags.append(UNAVAILABLE)
         else:
-            coeffs.append(coefficient(model, n))
+            coeffs.append(_normalized(model, n, (boundary[n] + tail[n]) / boundary[0]))
             flags.append(EXACT)
     tag = f"{model.family}:{model.mbar}"
     if model.signature == "noncompact":

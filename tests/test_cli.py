@@ -136,6 +136,16 @@ class TestCoeffsCommand:
         assert abs(float(gap["decimal"]) - 2.0) < 1e-8
         assert doc["coefficients"][2]["validity"] == "exact"
 
+    def test_refuses_hp_without_a_positive_volume(self, capsys):
+        for spec in ("hp:4", "product(hp:6, sphere:1)"):
+            code, out, err = run(capsys, "coeffs", "--space", spec, "--n-max", "30")
+            assert code == 2 and out == ""
+            assert "non-positive volume constant" in err
+        for spec in ("hp:2", "hp:3", "hp:5"):
+            code, out, _ = run(capsys, "coeffs", "--space", spec, "--n-max", "30",
+                               "--format", "csv")
+            assert code == 0 and out.count("\n") == 32
+
     def test_usage_errors(self, capsys):
         code, _, err = run(capsys, "coeffs", "--space", "nonsense:1", "--n-max", "3")
         assert code == 2 and "error" in err

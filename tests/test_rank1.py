@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from heattrace import rank1
-from heattrace.errors import BelowThresholdError, UnsupportedSpaceError
+from heattrace.errors import BelowThresholdError, InvariantViolation, UnsupportedSpaceError
 from heattrace.rank1 import (
     ScaledRational,
     SpaceModel,
@@ -130,6 +130,21 @@ class TestQuaternionicProjective:
         first, tail = tail_split("quaternionic_projective", 2, 2)
         assert tail.sign() == -1
 
+    def test_non_positive_volume_refused_before_any_build(self, monkeypatch):
+        def no_build(family, mbar, n_max):
+            raise AssertionError("a refused model built its vectors")
+
+        monkeypatch.setattr(rank1, "_build", no_build)
+        for mbar in (4, 6, 7):
+            with pytest.raises(UnsupportedSpaceError, match="non-positive volume constant"):
+                SpaceModel("quaternionic_projective", mbar)
+        monkeypatch.undo()
+        for mbar in (2, 3, 5):
+            SpaceModel("quaternionic_projective", mbar)
+            assert volume("quaternionic_projective", mbar).sign() == 1
+        with pytest.raises(InvariantViolation):
+            volume("quaternionic_projective", 4)
+
     def test_matches_independent_transliteration(self):
         for mbar, n in [(2, 2), (2, 3), (2, 15), (3, 4), (3, 12), (4, 6)]:
             assert hp_an(mbar, n).rational == Fraction(4 ** (2 * mbar - 2)) * hp_direct(mbar, n)
@@ -199,14 +214,14 @@ class TestTailKernel:
 
     def test_rising_per_index_calls_rebuild_logarithmically(self, monkeypatch):
         builds = []
-        build = rank1._build_tails
+        build = rank1._build
 
         def counting(family, mbar, n_max):
             builds.append(n_max)
             return build(family, mbar, n_max)
 
         monkeypatch.setattr(rank1, "_tail_cache", {})
-        monkeypatch.setattr(rank1, "_build_tails", counting)
+        monkeypatch.setattr(rank1, "_build", counting)
         for n in range(7, 201):
             op2_an(n)
         assert builds == [7, 14, 28, 56, 112, 224]
@@ -217,6 +232,20 @@ class TestSeriesAssembly:
         s = rank1_series(SpaceModel("sphere", 1), 0)
         assert s.coeffs == [Fraction(1)]
         assert s.validity == [EXACT]
+
+    def test_one_seed_table_per_build(self, monkeypatch):
+        calls = []
+        table = rank1.beta_table
+
+        def counting(mbar):
+            calls.append(mbar)
+            return table(mbar)
+
+        monkeypatch.setattr(rank1, "_tail_cache", {})
+        monkeypatch.setattr(rank1, "beta_table", counting)
+        s = rank1_series(SpaceModel("sphere", 50), 300)
+        assert calls == [50]
+        assert s.n_max == 300 and s[300] != 0
 
     def test_gap_flags(self):
         s = rank1_series(SpaceModel("cayley_plane", 2), 10)

@@ -3,23 +3,32 @@
 ``_oracles.sphere_exact`` builds the unit S^{2 mbar} coefficients from the
 Hurwitz-zeta form of the spectrum (Cahn & Wolf 1976), on the independent
 Bernoulli recurrence; the package's closed forms must equal it at every exact
-index up to 300, and its growth must sit in the eps = 0.2 band around 1/pi^2,
-the constant ``verify.GROWTH_LAW_TABLE`` uses for the spheres.
+index up to 300 for mbar 1 and 2, and up to 120 for mbar 5 and 10, where the
+mbar-term boundary sum carries the low orders.  Its growth must sit in the
+eps = 0.2 band around 1/pi^2, the constant ``verify.GROWTH_LAW_TABLE`` uses
+for the spheres.
 """
 
 import math
 
 import pytest
 
+from heattrace.rank1 import SpaceModel, rank1_series
+
 from _oracles import bernoulli_recurrence, sphere_exact
 
 N_MAX = 300
+DEEP_N_MAX = 120
 
 
 @pytest.fixture(scope="module")
-def spectral():
-    Bs = bernoulli_recurrence(2 * N_MAX)
-    return {mbar: sphere_exact(mbar, N_MAX, Bs) for mbar in (1, 2)}
+def bernoulli():
+    return bernoulli_recurrence(2 * N_MAX)
+
+
+@pytest.fixture(scope="module")
+def spectral(bernoulli):
+    return {mbar: sphere_exact(mbar, N_MAX, bernoulli) for mbar in (1, 2)}
 
 
 @pytest.mark.parametrize("mbar", [1, 2])
@@ -28,6 +37,16 @@ def test_closed_form_equals_spectral_zeta(mbar, spectral, series300):
     exact = [n for n in range(N_MAX + 1) if s.validity[n] == "exact"]
     assert len(exact) == N_MAX + 1 - (mbar - 1)  # only 0 < n < mbar is unavailable
     bad = [n for n in exact if s[n] != spectral[mbar][n]]
+    assert not bad, f"closed form departs from the spectrum at n = {bad[:5]}"
+
+
+@pytest.mark.parametrize("mbar", [5, 10])
+def test_boundary_dominated_spheres_equal_spectral_zeta(mbar, bernoulli):
+    s = rank1_series(SpaceModel("sphere", mbar), DEEP_N_MAX)
+    spectral = sphere_exact(mbar, DEEP_N_MAX, bernoulli)
+    exact = [n for n in range(DEEP_N_MAX + 1) if s.validity[n] == "exact"]
+    assert len(exact) == DEEP_N_MAX + 1 - (mbar - 1)
+    bad = [n for n in exact if s[n] != spectral[n]]
     assert not bad, f"closed form departs from the spectrum at n = {bad[:5]}"
 
 
