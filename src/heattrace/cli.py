@@ -379,6 +379,16 @@ def cmd_verify(args) -> int:
 # --- entry point ------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heattrace",
@@ -390,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the generated_at field (deterministic output)")
-        p.add_argument("--decimal", type=int, default=None, metavar="D",
+        p.add_argument("--decimal", type=_positive_int, default=None, metavar="D",
                        help="add decimal renderings with D significant digits")
         p.add_argument("-o", "--output", dest="out", type=argparse.FileType("w"),
                        default=sys.stdout, help="write to a file instead of stdout")

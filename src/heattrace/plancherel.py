@@ -2,17 +2,24 @@
 
 A :class:`PlancherelModel` packages the data that determines the heat-trace
 series of a noncompact symmetric space whose spherical density is polynomial:
-the rank r, the dimension m, the density polynomial p in r coordinates, the
-inner-product Gram matrix on those coordinates, and the squared norm of the
-half-sum of positive restricted roots.  :func:`closed_form` converts the
-model to the pair (kappa, P) with trace series e^{kappa*t} * P(t), by exact
-Gaussian-moment integration: diagonalize the form by a unit upper-triangular
-rational congruence, substitute it into the density as a sequence of shears,
-drop monomials with an odd exponent (they integrate to zero), apply the
-half-integer Gamma moments with the diagonal scale factors, and normalize so
-P(0) = 1.  Every surviving constant (the sqrt(pi) powers, the Jacobian, the
-common product of d_j^{-1/2}) cancels in that normalization, so the output
-coefficients are exact rationals.
+the rank r, the dimension m, the density polynomial p in N >= r coordinates,
+the inner-product Gram matrix on those coordinates (N = len(form)), and the
+squared norm of the half-sum of positive restricted roots.  :func:`closed_form`
+converts the model to the pair (kappa, P) with trace series
+e^{kappa*t} * P(t), by exact Gaussian-moment integration: diagonalize the
+form by a unit upper-triangular rational congruence, substitute it into the
+density as a sequence of shears, drop monomials with an odd exponent (they
+integrate to zero), apply the half-integer Gamma moments with the diagonal
+scale factors, and normalize so P(0) = 1.  Every surviving constant (the
+sqrt(pi) powers, the Jacobian, the common product of d_j^{-1/2}, and the
+Gaussian factor of any direction the density is constant along) cancels in
+that normalization, so the output coefficients are exact rationals.
+
+Every built-in model is written in its N ambient root coordinates, where the
+form is a multiple of the identity and the density has integer coefficients:
+the congruence is T = I and no shear runs.  The A-type families live on the
+sum-zero hyperplane, so there N = r + 1 and the density is constant along
+(1, ..., 1).  The shears serve model files with a non-diagonal form.
 
 All inner products use the Killing normalization <X,Y> = -B(X, theta Y); the
 Gram matrices and rho_sq values are derived from restricted root data, never
@@ -25,6 +32,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 
 from .errors import DegenerateModelError, InvariantViolation, NotPositiveDefiniteError, UnsupportedSpaceError
@@ -42,7 +50,7 @@ __all__ = [
 ]
 
 Monomial = tuple[int, ...]
-Poly = dict[Monomial, Fraction]
+Poly = dict[Monomial, Fraction | int]
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
@@ -53,8 +61,8 @@ def _poly_mul(p: Poly, q: Poly) -> Poly:
     out: Poly = {}
     for e1, a1 in p.items():
         for e2, a2 in q.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            v = out.get(e, Fraction(0)) + a1 * a2
+            e = tuple(map(add, e1, e2))
+            v = out.get(e, 0) + a1 * a2
             if v:
                 out[e] = v
             else:
@@ -96,16 +104,21 @@ class PlancherelModel:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ValueError("rank must be >= 1")
+        n = len(self.form)
+        if any(len(row) != n for row in self.form):
+            raise ValueError("form matrix must be square")
+        if not 1 <= self.r <= n:
+            raise ValueError(f"rank must be between 1 and the form's {n} coordinates")
+        if any(len(e) != n for e in self.p):
+            raise ValueError(f"each monomial needs exactly {n} exponents, one per form coordinate")
         if (self.m - self.r) % 2 != 0:
             raise InvariantViolation("m - r must be even for a polynomial density")
         if _poly_degree(self.p) != self.m - self.r:
             raise InvariantViolation(
                 f"density degree {_poly_degree(self.p)} != m - r = {self.m - self.r}"
             )
-        for i in range(self.r):
-            for j in range(self.r):
+        for i in range(n):
+            for j in range(i):
                 if self.form[i][j] != self.form[j][i]:
                     raise InvariantViolation("form matrix must be symmetric")
 
@@ -172,68 +185,22 @@ def _bcd_positive_roots(kind: str, rank: int) -> list[tuple[int, ...]]:
     return roots
 
 
-def _killing_scalar(roots: list[tuple[int, ...]], mults: list[int], sum_zero: bool) -> Fraction:
+def _killing_scalar(roots: list[tuple[int, ...]], mult: int, r: int) -> Fraction:
     """The constant c with B|a = c * (euclidean) on the realization subspace.
 
-    Computed from M = 2 * sum mult * alpha alpha^T, asserting that M acts as
-    c * Id on the subspace (sum-zero hyperplane or the full space).
+    The realization is all of the N ambient coordinates when r = N and the
+    sum-zero hyperplane when r = N - 1; its orthogonal projector is
+    I - (N - r)/N * J.  M = 2 * mult * sum alpha alpha^T must equal c times
+    that projector, so c = trace(M) / r.
     """
     n = len(roots[0])
-    M = [[Fraction(0)] * n for _ in range(n)]
-    for alpha, mult in zip(roots, mults):
-        for i in range(n):
-            if alpha[i] == 0:
-                continue
-            for j in range(n):
-                if alpha[j]:
-                    M[i][j] += 2 * mult * alpha[i] * alpha[j]
-    if sum_zero:
-        tests = []
-        for a in range(n - 1):
-            v = [Fraction(0)] * n
-            v[a], v[a + 1] = Fraction(1), Fraction(-1)
-            tests.append(v)
-    else:
-        tests = [[Fraction(int(i == a)) for i in range(n)] for a in range(n)]
-    c: Fraction | None = None
-    for v in tests:
-        Mv = [sum(M[i][j] * v[j] for j in range(n)) for i in range(n)]
-        for i in range(n):
-            if v[i] == 0:
-                continue
-            ratio = Mv[i] / v[i]
-            if c is None:
-                c = ratio
-            elif ratio != c:
+    c = Fraction(2 * mult * sum(a * a for alpha in roots for a in alpha), r)
+    for i in range(n):
+        for j in range(n):
+            m_ij = 2 * mult * sum(alpha[i] * alpha[j] for alpha in roots)
+            if m_ij != c * (int(i == j) - Fraction(n - r, n)):
                 raise InvariantViolation("Killing form is not scalar on the realization")
-        # also require Mv parallel to v on zero slots
-        for i in range(n):
-            if v[i] == 0 and Mv[i] != 0:
-                raise InvariantViolation("Killing form is not scalar on the realization")
-    assert c is not None and c > 0
     return c
-
-
-def _model_gram(c: Fraction, sigma: int, r: int, sum_zero: bool) -> Matrix:
-    """Dual Gram matrix in model coordinates (ambient = sigma * model)."""
-    s2 = Fraction(sigma * sigma)
-    rows = []
-    for a in range(r):
-        row = []
-        for b in range(r):
-            base = Fraction(1 if a == b else 0) + (Fraction(1) if sum_zero else Fraction(0))
-            row.append(s2 * base / c)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _rho_sq(rho_model: list[Fraction], form: Matrix) -> Fraction:
-    r = len(rho_model)
-    total = Fraction(0)
-    for a in range(r):
-        for b in range(r):
-            total += rho_model[a] * form[a][b] * rho_model[b]
-    return total
 
 
 _ROOT_NOTE = "rho_sq derived from restricted root data (Killing normalization)"
@@ -243,26 +210,30 @@ def _from_roots(family: str, label: str, roots: list[tuple[int, ...]], mult: int
                 sum_zero: bool, sigma: int, shifts: range, notes: str) -> PlancherelModel:
     """The model of the restricted roots ``roots``, each of multiplicity ``mult``.
 
-    Roots are given in N ambient coordinates.  On the sum-zero realization the
-    model coordinates are the first r = N - 1 (the last is minus their sum),
-    so <alpha, lambda> has coefficients alpha_i - alpha_N; otherwise r = N.
-    The ambient dual is sigma times the model dual.  The density is
-    prod_alpha prod_{h in shifts} (<alpha, lambda>^2 + h^2), of degree
-    m - r with m = r + sum of multiplicities.
+    The roots and the dual variable lambda share the N ambient coordinates,
+    with lambda in units of 1/sigma of the ambient dual.  So <alpha, lambda> =
+    sum_i alpha_i lambda_i, and the density prod_alpha prod_{h in shifts}
+    (<alpha, lambda>^2 + h^2) has integer coefficients and degree m - r, with
+    m = r + sum of multiplicities.  The form is (sigma^2 / c) * I_N and
+    rho = mult * sum(alpha) / (2 sigma), so rho_sq = (sigma^2 / c) * |rho|^2.
+    On the sum-zero realization (the A-type families) r = N - 1: the density
+    depends on differences only, so it is constant along (1, ..., 1), and
+    that direction's Gaussian factor is common to every moment and cancels
+    when P(0) is set to 1.  Otherwise r = N.
     """
-    r = len(roots[0]) - 1 if sum_zero else len(roots[0])
-    form = _model_gram(_killing_scalar(roots, [mult] * len(roots), sum_zero), sigma, r, sum_zero)
-    rho_model = [Fraction(mult * sum(alpha[i] for alpha in roots), 2 * sigma) for i in range(r)]
-    p: Poly = {(0,) * r: Fraction(1)}
+    n = len(roots[0])
+    r = n - 1 if sum_zero else n
+    scale = sigma * sigma / _killing_scalar(roots, mult, r)
+    form = tuple(tuple(scale if i == j else Fraction(0) for j in range(n)) for i in range(n))
+    rho = [Fraction(mult * sum(alpha[i] for alpha in roots), 2 * sigma) for i in range(n)]
+    p: Poly = {(0,) * n: 1}
     for alpha in roots:
-        last = alpha[-1] if sum_zero else 0
-        pairing = {tuple(int(k == i) for k in range(r)): Fraction(alpha[i] - last)
-                   for i in range(r) if alpha[i] != last}
+        pairing = {tuple(int(k == i) for k in range(n)): a for i, a in enumerate(alpha) if a}
         square = _poly_mul(pairing, pairing)
         for h in shifts:
-            p = _poly_mul(p, {**square, (0,) * r: Fraction(h * h)} if h else square)
+            p = _poly_mul(p, {**square, (0,) * n: h * h} if h else square)
     return PlancherelModel(family, label, r, r + mult * len(roots), p, form,
-                           _rho_sq(rho_model, form), notes=(notes,))
+                           scale * sum(x * x for x in rho), notes=(notes,))
 
 
 def build_family(family: str, param: int | str | None = None) -> PlancherelModel:
@@ -271,9 +242,10 @@ def build_family(family: str, param: int | str | None = None) -> PlancherelModel
     Families: ``hyperbolic_odd`` (param mbar >= 1, the space H^{2 mbar + 1}),
     ``su_star`` (param 2 <= mbar <= 5), ``e6_f4`` (no param), and
     ``complex_group`` (param like ``"A2"``; classical types A (rank <= 5) and
-    B/C/D (rank <= 6)).  The upper ranks are where :func:`closed_form` still
-    finishes in about a minute; the next ones (su_star:6, A6, B7, D7) run for
-    minutes, so they are refused here.
+    B/C/D (rank <= 6)).  At the upper ranks the CLI ``closed-form`` takes
+    about 5 s (su_star:5 and B6/C6/D6; A5 under 1 s).  The next ones are
+    refused here: A6 expands a 1.39-million-term density (about 22 s and
+    nearly 500 MiB in process) and su_star:6 runs for minutes.
     """
     if family == "hyperbolic_odd":
         mbar = int(param)  # type: ignore[arg-type]
@@ -379,7 +351,7 @@ def closed_form(model: PlancherelModel) -> ExpPolyForm:
     # p(T y) for unit upper-triangular T: T is the product of its columns'
     # shears x_i -> x_i + T_ij x_j taken from the last column to the first.
     p_diag = model.p
-    for j in range(model.r - 1, 0, -1):
+    for j in range(len(T) - 1, 0, -1):
         for i in range(j):
             if T[i][j]:
                 p_diag = _shear(p_diag, i, j, T[i][j])
@@ -434,13 +406,11 @@ def load_model_file(path: str | Path) -> PlancherelModel:
     form = tuple(
         tuple(Fraction(str(x)) for x in row) for row in raw["form"]
     )
-    if len(form) != r or any(len(row) != r for row in form):
+    if len(form) != r:
         raise ValueError("form matrix must be r x r")
     p: Poly = {}
     for mono in raw["p"]:
         exps = tuple(int(e) for e in mono["exponents"])
-        if len(exps) != r:
-            raise ValueError("each monomial needs exactly r exponents")
         coeff = Fraction(str(mono["coeff"]))
         if coeff:
             p[exps] = p.get(exps, Fraction(0)) + coeff

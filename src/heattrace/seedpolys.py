@@ -1,10 +1,11 @@
 """Generating-polynomial coefficient tables for the rank-one closed forms.
 
 Each table lists the even-power coefficients of a product of exact monic
-quadratics (s^2 - j^2) over a family-specific set of roots j, expanded with
-exact rational arithmetic.  The tables obey strict alternating-sign laws that
-the downstream no-cancellation arguments rely on; :func:`expected_signs`
-exposes those laws so both the evaluators and the test suite can assert them.
+quadratics (s^2 - j^2) over a family-specific set of integer or half-integer
+roots j, expanded in Python ints over the doubled roots 2j.  The tables obey
+strict alternating-sign laws that the downstream no-cancellation arguments
+rely on; :func:`expected_signs` exposes those laws so both the evaluators and
+the test suite can assert them.
 """
 
 from __future__ import annotations
@@ -48,18 +49,21 @@ class SignedTable:
         return acc
 
 
-def _mul_quadratic(coeffs: list[Fraction], root_sq: Fraction) -> list[Fraction]:
-    # multiply sum c_k x^k by (x - root_sq), working in x = s^2
-    out = [Fraction(0)] * (len(coeffs) + 1)
-    for k, c in enumerate(coeffs):
-        out[k + 1] += c
-        out[k] -= c * root_sq
-    return out
+def _table(doubled_roots: list[int], family: Family, mbar: int) -> SignedTable:
+    """The coefficients c_k of prod_i (s^2 - (i/2)^2) over the doubled roots i.
 
-
-def _half_integers(count: int) -> list[Fraction]:
-    """The first ``count`` positive half-integers 1/2, 3/2, ..."""
-    return [Fraction(2 * i + 1, 2) for i in range(count)]
+    With y = 4 s^2 the product is 4^-K prod_i (y - i^2), K = len(doubled_roots),
+    so c_k = e_k / 4^(K-k) where prod_i (y - i^2) = sum_k e_k y^k is expanded
+    in Python ints.
+    """
+    e = [1]
+    for i in doubled_roots:
+        out = [0] + e  # y * e
+        for k, c in enumerate(e):
+            out[k] -= i * i * c
+        e = out
+    top = len(doubled_roots)
+    return SignedTable(tuple(Fraction(c, 4 ** (top - k)) for k, c in enumerate(e)), family, mbar)
 
 
 def beta_table(mbar: int) -> SignedTable:
@@ -71,34 +75,23 @@ def beta_table(mbar: int) -> SignedTable:
     """
     if mbar < 1:
         raise ValueError("beta_table requires mbar >= 1")
-    coeffs = [Fraction(1)]
-    for j in _half_integers(mbar - 1):
-        coeffs = _mul_quadratic(coeffs, j * j)
-    return SignedTable(tuple(coeffs), "beta", mbar)
+    return _table(list(range(1, 2 * mbar - 2, 2)), "beta", mbar)
 
 
 def gamma_table(mbar: int) -> SignedTable:
     """Coefficients of the squared shifted-index multiplicity product.
 
-    For odd mbar this is prod_{j in {1/2,...,mbar/2-1}} (s^2 - j^2)^2 (the
-    j run over half-integers); for even mbar the shifted linear product picks
-    up the root 0, and its square is s^2 * prod_{j=1}^{mbar/2-1} (s^2 - j^2)^2.
-    Both cases have degree 2(mbar-1), hence a table of length mbar.
+    This is prod_{k=1}^{mbar-1} (s + k - mbar/2)^2, whose linear factors pair
+    into the quadratics (s^2 - (k - mbar/2)^2).  For odd mbar it is
+    prod_{j in {1/2,...,mbar/2-1}} (s^2 - j^2)^2 (the j run over
+    half-integers); for even mbar the shifted linear product picks up the root
+    0, and its square is s^2 * prod_{j=1}^{mbar/2-1} (s^2 - j^2)^2, so
+    gamma[0] = 0.  Both cases have degree 2(mbar-1), hence a table of length
+    mbar.
     """
     if mbar < 2:
         raise ValueError("gamma_table requires mbar >= 2")
-    coeffs = [Fraction(1)]
-    if mbar % 2 == 1:
-        for j in _half_integers((mbar - 1) // 2):
-            coeffs = _mul_quadratic(coeffs, j * j)
-            coeffs = _mul_quadratic(coeffs, j * j)
-    else:
-        for i in range(1, mbar // 2):
-            j = Fraction(i)
-            coeffs = _mul_quadratic(coeffs, j * j)
-            coeffs = _mul_quadratic(coeffs, j * j)
-        coeffs = [Fraction(0)] + coeffs  # the s^2 factor
-    return SignedTable(tuple(coeffs), "gamma", mbar)
+    return _table([abs(2 * k - mbar) for k in range(1, mbar)], "gamma", mbar)
 
 
 def delta_table(mbar: int) -> SignedTable:
@@ -110,12 +103,8 @@ def delta_table(mbar: int) -> SignedTable:
     """
     if mbar < 2:
         raise ValueError("delta_table requires mbar >= 2")
-    coeffs = [Fraction(1)]
-    for j in _half_integers(mbar - 1):
-        coeffs = _mul_quadratic(coeffs, j * j)
-    for j in _half_integers(mbar - 2):
-        coeffs = _mul_quadratic(coeffs, j * j)
-    return SignedTable(tuple(coeffs), "delta", mbar)
+    return _table(list(range(1, 2 * mbar - 2, 2)) + list(range(1, 2 * mbar - 4, 2)),
+                  "delta", mbar)
 
 
 _ETA = (

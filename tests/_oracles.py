@@ -11,6 +11,10 @@ the package's weight recurrence and tail bound.  The one exception is
 :func:`closed_form_reference`, which takes its diagonalizing congruence from
 ``heattrace.plancherel.diagonalize_form`` and differs from the package in how
 it substitutes: it expands every monomial of p(T y) in full.
+:func:`model_coordinate_model` writes the sum-zero families in r model
+coordinates, where the form is not diagonal, so that reference runs their
+densities through a nontrivial congruence; the package builds them in N = r + 1
+ambient coordinates.
 """
 
 from __future__ import annotations
@@ -18,11 +22,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import add
 
 import mpmath as mp
 
 from heattrace.errors import DegenerateModelError
-from heattrace.plancherel import diagonalize_form
+from heattrace.plancherel import PlancherelModel, diagonalize_form
 
 
 def bernoulli_recurrence(n_top: int) -> list[Fraction]:
@@ -342,29 +347,79 @@ def _poly_mul(p: dict, q: dict) -> dict:
     out: dict = {}
     for e1, a1 in p.items():
         for e2, a2 in q.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            out[e] = out.get(e, Fraction(0)) + a1 * a2
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + a1 * a2
     return {e: a for e, a in out.items() if a}
 
 
 def poly_substitute(p: dict, columns: list[list[Fraction]]) -> dict:
-    """Substitute x_i = sum_j columns[i][j] * y_j into p, expanding every monomial."""
+    """Substitute x_i = sum_j columns[i][j] * y_j into p, expanding every monomial.
+
+    The expansion runs in ints: row i is scaled by the lcm D_i of its
+    denominators and p by the lcm of its own, and every monomial's expansion
+    is brought to the one denominator lcm(p) * prod_i D_i^top_i, top_i the
+    largest exponent of x_i in p, before it is added in.
+    """
     nvars = len(columns[0]) if columns else 0
     one = (0,) * nvars
-    lin = [{tuple(int(k == j) for k in range(nvars)): Fraction(c) for j, c in enumerate(col) if c}
-           for col in columns]
-    pow_cache = [[{one: Fraction(1)}] for _ in lin]
+    dens = [math.lcm(*(Fraction(c).denominator for c in col)) for col in columns]
+    lin = [{tuple(int(k == j) for k in range(nvars)): int(c * den) for j, c in enumerate(col) if c}
+           for col, den in zip(columns, dens)]
+    top = [max((e[i] for e in p), default=0) for i in range(len(columns))]
+    p_den = math.lcm(*(Fraction(a).denominator for a in p.values()))
+    pow_cache = [[{one: 1}] for _ in lin]
     out: dict = {}
     for exps, a in p.items():
-        term = {one: Fraction(a)}
+        term = {one: 1}
+        scale = int(a * p_den)
         for i, e in enumerate(exps):
             while len(pow_cache[i]) <= e:
                 pow_cache[i].append(_poly_mul(pow_cache[i][-1], lin[i]))
             if e:
                 term = _poly_mul(term, pow_cache[i][e])
+            scale *= dens[i] ** (top[i] - e)
         for e, c in term.items():
-            out[e] = out.get(e, Fraction(0)) + c
-    return {e: a for e, a in out.items() if a}
+            out[e] = out.get(e, 0) + scale * c
+    den = p_den * math.prod(d ** t for d, t in zip(dens, top))
+    return {e: Fraction(a, den) for e, a in out.items() if a}
+
+
+def model_coordinate_model(family: str, param=None):
+    """A sum-zero built-in family (su_star, e6_f4, complex_group A) in r model coordinates.
+
+    The realization is the sum-zero hyperplane of N = r + 1 ambient
+    coordinates, parametrized by the first r of them (the last is minus their
+    sum), so each root e_i - e_j pairs with lambda through the coefficients
+    alpha_k - alpha_N, k < r.  With every root of multiplicity ``mult`` the
+    Killing matrix is 2 * mult * (N I - J), which is c = 2 * mult * N times the
+    identity on the hyperplane, and the dual Gram in model coordinates is the
+    non-diagonal (sigma^2 / c) * (I + J).  The density is
+    prod_alpha prod_{h < shifts} (<alpha, lambda>^2 + h^2) in Fractions.
+    """
+    if family == "su_star":
+        n, mult, sigma, shifts = int(param), 4, 2, 2
+    elif family == "e6_f4":
+        n, mult, sigma, shifts = 3, 8, 2, 4
+    else:
+        assert family == "complex_group" and str(param)[0] == "A"
+        n, mult, sigma, shifts = int(str(param)[1:]) + 1, 2, 1, 1
+    r = n - 1
+    one = (0,) * r
+    p = {one: Fraction(1)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            alpha = [int(k == i) - int(k == j) for k in range(n)]
+            pairing = {tuple(int(l == k) for l in range(r)): Fraction(alpha[k] - alpha[-1])
+                       for k in range(r) if alpha[k] != alpha[-1]}
+            square = _poly_mul(pairing, pairing)
+            for h in range(shifts):
+                p = _poly_mul(p, {**square, one: Fraction(h * h)} if h else square)
+    scale = Fraction(sigma * sigma, 2 * mult * n)
+    form = tuple(tuple(scale * (1 + int(a == b)) for b in range(r)) for a in range(r))
+    rho = [Fraction(mult * (n - 1 - 2 * k), 2 * sigma) for k in range(r)]
+    rho_sq = sum(rho[a] * form[a][b] * rho[b] for a in range(r) for b in range(r))
+    return PlancherelModel(family, f"{family}:{param}:model-coordinates", r,
+                           r + mult * n * (n - 1) // 2, p, form, rho_sq)
 
 
 def closed_form_reference(model) -> tuple[Fraction, tuple[Fraction, ...]]:

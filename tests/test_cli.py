@@ -125,6 +125,14 @@ class TestCoeffsCommand:
         doc = json.loads(out)
         assert doc["coefficients"][1]["decimal"].startswith("0.33333")
 
+    def test_decimal_below_one_refused(self, capsys):
+        for argv in (("coeffs", "--space", "sphere:1", "--n-max", "2"),
+                     ("closed-form", "--family", "hyperbolic-odd:2")):
+            for digits in ("0", "-3"):
+                code, out, err = run(capsys, *argv, "--no-timestamp", f"--decimal={digits}")
+                assert code == 2 and out == ""
+                assert "--decimal" in err
+
     def test_oracle_fill_through_cli(self, capsys):
         code, out, _ = run(capsys, "coeffs", "--space", "sphere:2", "--n-max", "3",
                            "--oracle-fill", "--oracle-precision", "30",

@@ -23,7 +23,7 @@ from heattrace.plancherel import (
 )
 from heattrace.series import dualize, product
 
-from _oracles import closed_form_reference
+from _oracles import closed_form_reference, model_coordinate_model
 
 
 class TestBuildFamily:
@@ -102,7 +102,9 @@ class TestDiagonalize:
         assert d == (Fraction(3, 7),)
 
     def test_sum_zero_gram_by_remultiplication(self):
-        form = build_family("e6_f4").form
+        # the package builds e6_f4 in ambient coordinates with a diagonal form;
+        # the r-coordinate form (sigma^2 / c)(I + J) is the nontrivial case
+        form = model_coordinate_model("e6_f4").form
         T, d = diagonalize_form(form)
         r = len(form)
         for a in range(r):
@@ -157,6 +159,18 @@ class TestClosedForm:
             lead = mp.gamma(mp.mpf(5) / 2) * (t / 8) ** (-mp.mpf(5) / 2)
             assert abs(integral / lead - (1 + t / 12)) < 1e-12
 
+    def test_bad_shapes_rejected(self):
+        form = ((Fraction(1), Fraction(1, 2)), (Fraction(1, 2), Fraction(1)))
+        for p in ({(2,): Fraction(1)}, {(2, 0, 0): Fraction(1)}):
+            with pytest.raises(ValueError, match="exponents"):
+                PlancherelModel("custom", "x", 2, 4, p, form, Fraction(1))
+        with pytest.raises(ValueError, match="square"):
+            PlancherelModel("custom", "x", 1, 3, {(2,): Fraction(1)},
+                            ((Fraction(1), Fraction(0)),), Fraction(1))
+        with pytest.raises(ValueError, match="rank"):
+            PlancherelModel("custom", "x", 2, 4, {(2,): Fraction(1)}, ((Fraction(1),),),
+                            Fraction(1))
+
     def test_pure_gaussian_model(self):
         # p = 1 with r = m: trivial polynomial part
         from heattrace.plancherel import PlancherelModel
@@ -205,7 +219,8 @@ class TestClosedForm:
         assert a.kappa == b.kappa and a.poly == b.poly
 
     def test_su_star_4_rank_three_pipeline(self):
-        # exercises a nontrivial 3x3 congruence diagonalization end to end
+        # rank three in four ambient coordinates: the density is constant
+        # along (1, 1, 1, 1), whose Gaussian factor cancels in P(0) = 1
         model = build_family("su_star", 4)
         assert (model.r, model.m) == (3, 27)
         assert model.rho_sq == Fraction(15, 6)
@@ -276,6 +291,28 @@ class TestShearAgainstReference:
         model = build_family(family, param)
         form = closed_form(model)
         assert (form.kappa, form.poly) == closed_form_reference(model)
+
+    @pytest.mark.parametrize("family,param", [("su_star", 2), ("su_star", 3), ("su_star", 4),
+                                              ("e6_f4", None), ("complex_group", "A1"),
+                                              ("complex_group", "A2"), ("complex_group", "A3"),
+                                              ("complex_group", "A4")])
+    def test_sum_zero_families_in_model_coordinates(self, family, param):
+        # the same density and Gaussian in r coordinates with the non-diagonal
+        # form (sigma^2 / c)(I + J), integrated through the full congruence;
+        # closed_form takes that model through its shears
+        model = model_coordinate_model(family, param)
+        want = closed_form_reference(model)
+        for form in (closed_form(build_family(family, param)), closed_form(model)):
+            assert (form.kappa, form.poly) == want
+
+    def test_built_ins_run_no_shear(self, monkeypatch):
+        # every built-in form is diagonal in ambient coordinates, so T = I
+        def shear(*args):
+            raise AssertionError("a built-in family reached the shear")
+
+        monkeypatch.setattr("heattrace.plancherel._shear", shear)
+        for family, param in BUILT_IN:
+            closed_form(build_family(family, param))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 3), st.data())
