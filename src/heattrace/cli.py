@@ -292,10 +292,15 @@ def render_csv(s: series.HeatSeries) -> str:
 # --- subcommands ----------------------------------------------------------------
 
 
-def cmd_coeffs(args) -> int:
+def _check_n_max(args) -> None:
+    """Refuse an n_max over --n-max-limit before any parsing or building."""
     if args.n_max > args.n_max_limit:
         raise SpecError(f"n_max {args.n_max} exceeds the limit {args.n_max_limit} "
                         "(raise it with --n-max-limit)")
+
+
+def cmd_coeffs(args) -> int:
+    _check_n_max(args)
     tree = parse_space(args.space)
     s = evaluate_space(tree, args.n_max, "oracle" if args.oracle_fill else None,
                        args.oracle_precision)
@@ -343,6 +348,7 @@ def cmd_closed_form(args) -> int:
 
 
 def cmd_growth(args) -> int:
+    _check_n_max(args)
     tree = parse_space(args.space)
     s = evaluate_space(tree, args.n_max)
     report = growth_report(s, n_min=args.n_min, epsilons=tuple(args.epsilon))
@@ -405,11 +411,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", dest="out", type=argparse.FileType("w"),
                        default=sys.stdout, help="write to a file instead of stdout")
 
+    def n_max(p, **kwargs):
+        p.add_argument("--n-max", type=int, **kwargs)
+        p.add_argument("--n-max-limit", type=int, default=1000,
+                       help="refuse any --n-max above this (default 1000)")
+
     p = sub.add_parser("coeffs", help="coefficient table of a space spec")
     p.add_argument("--space", required=True, help="space spec, e.g. 'sphere:1' or "
                    "'product(hyperbolic-odd:1, dual(hyperbolic-odd:1))'")
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--n-max-limit", type=int, default=1000)
+    n_max(p, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--oracle-fill", action="store_true",
                    help="fill below-threshold indices from the spectral oracle "
@@ -426,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("growth", help="growth diagnostics of a space spec")
     p.add_argument("--space", required=True)
-    p.add_argument("--n-max", type=int, default=300)
+    n_max(p, default=300)
     p.add_argument("--n-min", type=int, default=50)
     p.add_argument("--epsilon", type=float, action="append", default=None)
     common(p)

@@ -9,11 +9,12 @@ converts the model to the pair (kappa, P) with trace series
 e^{kappa*t} * P(t), by exact Gaussian-moment integration: diagonalize the
 form by a unit upper-triangular rational congruence, substitute it into the
 density as a sequence of shears, drop monomials with an odd exponent (they
-integrate to zero), apply the half-integer Gamma moments with the diagonal
-scale factors, and normalize so P(0) = 1.  Every surviving constant (the
-sqrt(pi) powers, the Jacobian, the common product of d_j^{-1/2}, and the
-Gaussian factor of any direction the density is constant along) cancels in
-that normalization, so the output coefficients are exact rationals.
+integrate to zero), sum the half-integer Gamma moments with the diagonal
+scale factors as integers over one shared denominator, and normalize so
+P(0) = 1.  Every surviving constant (the sqrt(pi) powers, the Jacobian, the
+common product of d_j^{-1/2}, and the Gaussian factor of any direction the
+density is constant along) cancels in that normalization, so the output
+coefficients are exact rationals.
 
 Every built-in model is written in its N ambient root coordinates, where the
 form is a multiple of the identity and the density has integer coefficients:
@@ -32,11 +33,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from itertools import accumulate
+from operator import add, mul
 from pathlib import Path
 
 from .errors import DegenerateModelError, InvariantViolation, NotPositiveDefiniteError, UnsupportedSpaceError
-from .exactnum import gauss_moment
 from .series import EXACT, HeatSeries, dualize as _dualize_series, exp_times
 
 __all__ = [
@@ -243,7 +244,8 @@ def build_family(family: str, param: int | str | None = None) -> PlancherelModel
     ``su_star`` (param 2 <= mbar <= 5), ``e6_f4`` (no param), and
     ``complex_group`` (param like ``"A2"``; classical types A (rank <= 5) and
     B/C/D (rank <= 6)).  At the upper ranks the CLI ``closed-form`` takes
-    about 5 s (su_star:5 and B6/C6/D6; A5 under 1 s).  The next ones are
+    about 4 s on su_star:5, 2 s on B6/C6/D6 and under 1 s on A5, mostly the
+    density build.  The next ones are
     refused here: A6 expands a 1.39-million-term density (about 22 s and
     nearly 500 MiB in process) and su_star:6 runs for minutes.
     """
@@ -355,36 +357,47 @@ def closed_form(model: PlancherelModel) -> ExpPolyForm:
         for i in range(j):
             if T[i][j]:
                 p_diag = _shear(p_diag, i, j, T[i][j])
+    # The moment of x^(2e) under weight e^{-d x^2} is g(e) d^(-e), with
+    # g(e) = (2e-1)!!/2^e up to the common sqrt(pi/d).  With d_j = u_j/v_j,
+    # a monomial of total degree 2h contributes a * prod_j (2e_j-1)!! v_j^e_j
+    # u_j^(-e_j) / 2^h; times the common prod_j u_j^H and the lcm of the
+    # density's denominators, every I_h below is an integer.
     H = (model.m - model.r) // 2
-    moments = [Fraction(0)] * (H + 1)
+    dfact = list(accumulate(range(1, 2 * H, 2), mul, initial=1))  # (2e-1)!!, e <= H
+    factors = [[dfact[e] * dj.denominator ** e * dj.numerator ** (H - e) for e in range(H + 1)]
+               for dj in d]
+    scale = math.lcm(*(a.denominator for a in p_diag.values()))
+    sums = [0] * (H + 1)
     for exps, a in p_diag.items():
         if any(e % 2 for e in exps):
             continue  # odd in some coordinate: integrates to zero
-        h = sum(e // 2 for e in exps)
-        contrib = a
-        for j, e in enumerate(exps):
-            hj = e // 2
-            contrib *= gauss_moment(hj) * d[j] ** (-hj)
-        moments[h] += contrib
-    lead = moments[H]
+        term = a.numerator * (scale // a.denominator)
+        for row, e in zip(factors, exps):
+            term *= row[e >> 1]
+        sums[sum(exps) >> 1] += term
+    lead = sums[H]
     if lead == 0:
         raise DegenerateModelError(
             "density has zero leading moment; cannot normalize P(0) = 1"
         )
-    poly = tuple(moments[H - h] / lead for h in range(H + 1))
+    # moment_h = I_h / (2^h * common), so P_h = moment_(H-h) / moment_H = I_(H-h) 2^h / I_H
+    poly = tuple(Fraction(sums[H - h] << h, lead) for h in range(H + 1))
     return ExpPolyForm(-model.rho_sq, poly, model.m, model.r)
 
 
 def to_series(form: ExpPolyForm, n_max: int, dual: bool = False) -> HeatSeries:
     """Expand e^{kappa t} P(t) into coefficients A_0..A_{n_max}, exactly.
 
-    With ``dual=True`` the compact-signature series e^{-kappa t} P(-t) is
-    returned (coefficient sign flip at odd indices).
+    The series carries ``exppoly = (kappa, P)``, so products with it run on
+    the short polynomial P (see :func:`heattrace.series.product`).  With
+    ``dual=True`` the compact-signature series e^{-kappa t} P(-t) is returned
+    (coefficient sign flip at odd indices).
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     coeffs = exp_times(form.kappa, list(form.poly), n_max)
-    out = HeatSeries(coeffs, [EXACT] * (n_max + 1), f"exppoly(kappa={form.kappa})")
+    out = HeatSeries(coeffs, [EXACT] * (n_max + 1), f"exppoly(kappa={form.kappa})",
+                     (form.kappa, form.poly))
     return _dualize_series(out) if dual else out
 
 

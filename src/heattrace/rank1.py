@@ -182,7 +182,7 @@ class SpaceModel:
             raise ValueError("the Cayley plane is only defined for mbar = 2")
         if self.family == "quaternionic_projective":
             row = _row(self.family, self.mbar)
-            if _boundary(row, row.table(), 0)[0] <= 0:
+            if _boundary_at_zero(row, row.table()) <= 0:
                 raise UnsupportedSpaceError(
                     f"the tabulated HP^M closed form has a non-positive volume constant "
                     f"for M = {self.mbar}, so hp:{self.mbar} cannot be normalized"
@@ -267,6 +267,26 @@ def _boundary(row: _Row, table: SignedTable, n_max: int) -> list[Fraction]:
     for j, (w, s) in enumerate(zip(table.values, row.shifts)):
         ys[top - s] = w * _fact(j) * row.h ** (j + 1)
     return exp_times(row.b, ys, n_max + top)[top:]
+
+
+def _boundary_at_zero(row: _Row, table: SignedTable) -> Fraction:
+    """boundary[0] = sum of W_j B^(s_j) / s_j! over the s_j >= 0, as one integer sum.
+
+    Equals ``_boundary(row, table, 0)[0]`` without running the exponential to
+    max(s): with B = p/q and D = lcm(den W), term j is D W_j g[s_j] over
+    D g[0], where g[s] = p^s q^(top-s) top!/s! is an integer and
+    g[s] = g[s-1] p / (q s) exactly.
+    """
+    top = max(row.shifts)
+    p, q = row.b.numerator, row.b.denominator
+    g = [q ** top * _fact(top)]
+    for s in range(1, top + 1):
+        g.append(g[-1] * p // (q * s))
+    ws = [w * _fact(j) * row.h ** (j + 1) for j, w in enumerate(table.values)]
+    den = math.lcm(*(w.denominator for w in ws))
+    total = sum(w.numerator * (den // w.denominator) * g[s]
+                for w, s in zip(ws, row.shifts) if s >= 0)
+    return Fraction(total, den * g[0])
 
 
 def _inner_sums(table: SignedTable, coeff_fn, lo: int, i_max: int,

@@ -6,10 +6,18 @@ mirror how the underlying spaces combine: Cauchy product (Riemannian
 products), coefficient sign flip (compact/noncompact duality, t -> -t), and
 geometric rescaling (homothety, t -> c2*t).
 
-The two whole-series kernels, :func:`product` and :func:`exp_times`, work on
-integer numerators over one shared denominator and reduce each output
-coefficient to lowest terms once, instead of paying a ``gcd`` on every term
-of an O(n^2) Fraction sum.
+The two whole-series kernels, :func:`exp_times` and the Cauchy convolution
+behind :func:`product`, work on integer numerators over one shared
+denominator and reduce each output coefficient to lowest terms once, instead
+of paying a ``gcd`` on every term of an O(n^2) Fraction sum.
+
+A series may remember its closed form: ``exppoly = (kappa, P)`` states that
+its coefficients are those of e^{kappa t} * P(t), with P a short polynomial
+(the Plancherel families, see :func:`heattrace.plancherel.to_series`).
+Duality and homothety map the pair, and :func:`product` uses it: the product
+of two such series is e^{(ka + kb) t} * (Pa * Pb), and a general series A
+times one is e^{kappa t} * (A * P), so neither pays a convolution of two full
+series.
 
 Validity flags propagate pessimistically: an operation never upgrades a
 flag, and a product coefficient is only as trustworthy as the weakest flag
@@ -50,6 +58,9 @@ class HeatSeries:
     coeffs: list[Fraction]
     validity: list[str] = field(default_factory=list)
     provenance: str = ""
+    # (kappa, P) with coeffs == exp_times(kappa, P, n_max), when known
+    exppoly: tuple[Fraction, tuple[Fraction, ...]] | None = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.coeffs = [Fraction(c) for c in self.coeffs]
@@ -77,7 +88,8 @@ class HeatSeries:
         if n_max > self.n_max:
             raise ValueError("cannot extend a series by truncation")
         return HeatSeries(
-            self.coeffs[: n_max + 1], self.validity[: n_max + 1], self.provenance
+            self.coeffs[: n_max + 1], self.validity[: n_max + 1], self.provenance,
+            self.exppoly,
         )
 
 
@@ -87,23 +99,53 @@ def _over_common_denominator(values: list[Fraction | int]) -> tuple[list[int], i
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+def _convolve(xs: list[Fraction | int], ys: list[Fraction | int], n_max: int) -> list[Fraction]:
+    """Entries 0..n_max of the Cauchy product of xs and ys (zero past their ends).
+
+    A schoolbook convolution of the integer numerators over
+    ``lcm(den xs) * lcm(den ys)``; entry n pairs xs[i] with ys[n - i] only
+    where both exist, so a short ``ys`` costs O(n_max * len(ys)).
+    """
+    xs, dx = _over_common_denominator(xs)
+    ys, dy = _over_common_denominator(ys)
+    den = dx * dy
+    rev = ys[::-1]
+    top = len(ys) - 1
+    out = []
+    for n in range(n_max + 1):
+        lo = max(0, n - top)
+        out.append(Fraction(sum(map(mul, xs[lo : n + 1], rev[top - n + lo :])), den))
+    return out
+
+
 def product(a: HeatSeries, b: HeatSeries) -> HeatSeries:
     """Exact Cauchy product, truncated to the shorter operand.
 
-    A schoolbook convolution of the integer numerators over
-    ``lcm(den a) * lcm(den b)``.  Each pair (i, n - i) with i <= n lies in
-    0..n on both sides, so the flag at n is the weaker of the two operands'
-    prefix-minimum flags at n.
+    When both operands carry ``exppoly`` the result is
+    ``exp_times(ka + kb, Pa * Pb)`` and carries that pair; when one does, it
+    is ``exp_times(kappa, A * P)``, which holds for any A (flags and all) as an
+    identity of formal series.  Only two general series pay the O(n^2)
+    convolution.  Each pair (i, n - i) with i <= n lies in 0..n on both
+    sides, so the flag at n is the weaker of the two operands' prefix-minimum
+    flags at n.
     """
     n_max = min(a.n_max, b.n_max)
-    xs, dx = _over_common_denominator(a.coeffs[: n_max + 1])
-    ys, dy = _over_common_denominator(b.coeffs[: n_max + 1])
-    den = dx * dy
-    coeffs = [Fraction(sum(map(mul, xs[: n + 1], ys[n::-1])), den) for n in range(n_max + 1)]
     ranks_a = accumulate((_RANK[f] for f in a.validity[: n_max + 1]), min)
     ranks_b = accumulate((_RANK[f] for f in b.validity[: n_max + 1]), min)
     flags = [_BY_RANK[min(ra, rb)] for ra, rb in zip(ranks_a, ranks_b)]
-    return HeatSeries(coeffs, flags, f"product({a.provenance}, {b.provenance})")
+    provenance = f"product({a.provenance}, {b.provenance})"
+    if a.exppoly and b.exppoly:
+        (ka, pa), (kb, pb) = a.exppoly, b.exppoly
+        kappa = ka + kb
+        poly = tuple(_convolve(pa, pb, min(n_max, len(pa) + len(pb) - 2)))
+        return HeatSeries(exp_times(kappa, list(poly), n_max), flags, provenance,
+                          (kappa, poly))
+    if a.exppoly or b.exppoly:
+        (kappa, poly), other = (a.exppoly, b) if a.exppoly else (b.exppoly, a)
+        ys = _convolve(other.coeffs[: n_max + 1], poly, n_max)
+        return HeatSeries(exp_times(kappa, ys, n_max), flags, provenance)
+    return HeatSeries(_convolve(a.coeffs[: n_max + 1], b.coeffs[: n_max + 1], n_max),
+                      flags, provenance)
 
 
 def exp_times(b: Fraction | int, ys: list[Fraction | int], n_max: int) -> list[Fraction]:
@@ -137,13 +179,23 @@ def exp_times(b: Fraction | int, ys: list[Fraction | int], n_max: int) -> list[F
 
 
 def dualize(a: HeatSeries) -> HeatSeries:
-    """Sign flip A_n -> (-1)^n A_n (series of the curvature-flipped dual)."""
+    """Sign flip A_n -> (-1)^n A_n (series of the curvature-flipped dual).
+
+    A closed form (kappa, P(t)) becomes (-kappa, P(-t)).
+    """
     coeffs = [c if n % 2 == 0 else -c for n, c in enumerate(a.coeffs)]
-    return HeatSeries(coeffs, list(a.validity), f"dual({a.provenance})")
+    exppoly = None
+    if a.exppoly:
+        kappa, poly = a.exppoly
+        exppoly = (-kappa, tuple(c if h % 2 == 0 else -c for h, c in enumerate(poly)))
+    return HeatSeries(coeffs, list(a.validity), f"dual({a.provenance})", exppoly)
 
 
 def rescale(a: HeatSeries, c2: Fraction | int) -> HeatSeries:
-    """Homothety action A_n -> c2^n A_n for a positive rational c2."""
+    """Homothety action A_n -> c2^n A_n for a positive rational c2.
+
+    A closed form (kappa, P(t)) becomes (c2 * kappa, P(c2 * t)).
+    """
     c2 = Fraction(c2)
     if c2 <= 0:
         raise ValueError("rescale factor must be positive")
@@ -152,4 +204,8 @@ def rescale(a: HeatSeries, c2: Fraction | int) -> HeatSeries:
     for c in a.coeffs:
         coeffs.append(c * power)
         power *= c2
-    return HeatSeries(coeffs, list(a.validity), f"scale({a.provenance}, {c2})")
+    exppoly = None
+    if a.exppoly:
+        kappa, poly = a.exppoly
+        exppoly = (c2 * kappa, tuple(c * c2 ** h for h, c in enumerate(poly)))
+    return HeatSeries(coeffs, list(a.validity), f"scale({a.provenance}, {c2})", exppoly)

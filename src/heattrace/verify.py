@@ -85,18 +85,27 @@ def series_300(key: str) -> series.HeatSeries:
 
 
 def check_corollary_vanishing() -> list[CheckResult]:
-    """Product of the rank-one hyperbolic model with its dual vanishes exactly."""
+    """Product of the rank-one hyperbolic model with its dual vanishes exactly.
+
+    The closed-form product gives e^0 * 1 by construction, so the schoolbook
+    product of generator-free copies is checked too, as an independent
+    numeric check of the corollary.
+    """
     form = plancherel.closed_form(plancherel.build_family("hyperbolic_odd", 1))
     s = plancherel.to_series(form, 100)
-    prod = series.product(s, series.dualize(s))
-    bad = [n for n in range(1, 101) if prod[n] != 0]
-    return [
-        CheckResult(
-            "corollary-1.7/product-vanishes",
+    dual = series.dualize(s)
+    plain = [series.HeatSeries(x.coeffs, x.validity, x.provenance) for x in (s, dual)]
+    out = []
+    for name, (a, b) in (("product-vanishes", (s, dual)),
+                         ("schoolbook-product-vanishes", plain)):
+        prod = series.product(a, b)
+        bad = [n for n in range(1, 101) if prod[n] != 0]
+        out.append(CheckResult(
+            f"corollary-1.7/{name}",
             not bad and prod[0] == 1,
             "A_n = 0 exactly for 1 <= n <= 100" if not bad else f"nonzero at {bad[:5]}",
-        )
-    ]
+        ))
+    return out
 
 
 def check_anchors() -> list[CheckResult]:

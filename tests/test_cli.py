@@ -231,11 +231,52 @@ class TestGrowthCommand:
         assert doc["growth"]["classification"] == "vanishing"
 
 
+class TestNMaxLimit:
+    @pytest.mark.parametrize("command", ["coeffs", "growth"])
+    def test_refused_before_any_build(self, capsys, monkeypatch, command):
+        import heattrace.cli as cli
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("an over-limit request built a series")
+
+        monkeypatch.setattr(cli, "evaluate_space", no_build)
+        code, out, err = run(capsys, command, "--space", "sphere:1", "--n-max", "5000")
+        assert code == 2 and out == ""
+        assert "--n-max-limit" in err
+
+    def test_limit_can_be_raised(self, capsys):
+        code, out, err = run(capsys, "growth", "--space", "hyperbolic-odd:1", "--n-max", "60",
+                             "--n-max-limit", "59")
+        assert code == 2 and "--n-max-limit" in err
+        code, out, err = run(capsys, "growth", "--space", "hyperbolic-odd:1", "--n-max", "60",
+                             "--n-max-limit", "60", "--n-min", "10", "--no-timestamp")
+        assert code == 0, err
+
+
+def test_plancherel_products_skip_the_full_convolution(monkeypatch):
+    # every operand carries its closed form, so only the short polynomials
+    # are convolved and each product is one exp_times
+    from heattrace import series
+
+    convolve = series._convolve
+
+    def short_only(xs, ys, n_max):
+        assert max(len(xs), len(ys)) <= 20, "a full series was convolved"
+        return convolve(xs, ys, n_max)
+
+    monkeypatch.setattr(series, "_convolve", short_only)
+    for spec in ("product(su-star:3, e6-f4, dual(hyperbolic-odd:4))",
+                 "product(hyperbolic-odd:1, dual(hyperbolic-odd:1))"):
+        s = evaluate_space(parse_space(spec), 300)
+        assert s.exppoly is not None and s.n_max == 300
+
+
 class TestVerifyCommand:
     def test_corollary_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "corollary-1.7")
         assert code == 0
-        assert "[PASS]" in out
+        assert "[PASS] corollary-1.7/product-vanishes" in out
+        assert "[PASS] corollary-1.7/schoolbook-product-vanishes" in out
 
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "nope")

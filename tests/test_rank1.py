@@ -134,7 +134,11 @@ class TestQuaternionicProjective:
         def no_build(family, mbar, n_max):
             raise AssertionError("a refused model built its vectors")
 
+        def no_exp_times(*args):
+            raise AssertionError("the volume-sign check ran an exponential")
+
         monkeypatch.setattr(rank1, "_build", no_build)
+        monkeypatch.setattr(rank1, "exp_times", no_exp_times)
         for mbar in (4, 6, 7):
             with pytest.raises(UnsupportedSpaceError, match="non-positive volume constant"):
                 SpaceModel("quaternionic_projective", mbar)
@@ -144,6 +148,15 @@ class TestQuaternionicProjective:
             assert volume("quaternionic_projective", mbar).sign() == 1
         with pytest.raises(InvariantViolation):
             volume("quaternionic_projective", 4)
+
+    def test_boundary_at_zero_matches_the_boundary_vector(self):
+        rows = ([("quaternionic_projective", m) for m in range(2, 31)]
+                + [("sphere", m) for m in range(1, 8)]
+                + [("complex_projective", m) for m in range(2, 8)] + [("cayley_plane", 2)])
+        for family, mbar in rows:
+            row = rank1._row(family, mbar)
+            table = row.table()
+            assert rank1._boundary_at_zero(row, table) == rank1._boundary(row, table, 0)[0]
 
     def test_matches_independent_transliteration(self):
         for mbar, n in [(2, 2), (2, 3), (2, 15), (3, 4), (3, 12), (4, 6)]:

@@ -159,3 +159,77 @@ def test_exp_times_of_one_is_the_exponential():
     assert exp_times(Fraction(-1, 4), [Fraction(1)], 30) == exp_series(Fraction(-1, 4), 30).coeffs
     with pytest.raises(ValueError):
         exp_times(1, [Fraction(1)], -1)
+
+
+# --- series that carry their closed form e^{kappa t} P(t) ----------------------
+
+def closed_form_series(kappa, poly, n_max):
+    return HeatSeries(exp_times(kappa, poly, n_max), provenance="e",
+                      exppoly=(Fraction(kappa), tuple(Fraction(c) for c in poly)))
+
+
+def plain(s):
+    """The generator-free copy of s: same values, flags and provenance, no exppoly."""
+    return HeatSeries(s.coeffs, s.validity, s.provenance)
+
+
+def assert_generator_holds(s):
+    if s.exppoly is not None:
+        kappa, poly = s.exppoly
+        assert s.coeffs == exp_times(kappa, list(poly), s.n_max)
+
+
+closed_form_strategy = st.builds(
+    closed_form_series, frac, st.lists(frac, min_size=1, max_size=4), st.integers(0, 10))
+any_series = st.one_of(closed_form_strategy, flagged_series)
+
+
+@given(any_series, any_series,
+       st.fractions(min_value=Fraction(1, 20), max_value=20, max_denominator=40),
+       st.integers(0, 10))
+def test_closed_form_algebra_equals_naive_product(a, b, c2, k):
+    for op in (lambda s: s, dualize, lambda s: rescale(s, c2),
+               lambda s: s.truncated(min(k, s.n_max))):
+        x = op(a)
+        assert (x.coeffs, x.validity) == (op(plain(a)).coeffs, op(plain(a)).validity)
+        assert_generator_holds(x)
+        for p, q in ((x, b), (b, x)):
+            out = product(p, q)
+            assert (out.coeffs, out.validity) == naive_product(plain(p), plain(q))
+            assert out.provenance == product(plain(p), plain(q)).provenance
+            assert_generator_holds(out)
+
+
+@given(closed_form_strategy, closed_form_strategy, closed_form_strategy)
+def test_closed_form_products_keep_their_generator(a, b, c):
+    out = product(product(a, dualize(b)), rescale(c, 3))
+    assert out.exppoly is not None
+    assert_generator_holds(out)
+    assert out == product(product(plain(a), dualize(plain(b))), rescale(plain(c), 3))
+
+
+def test_closed_form_product_of_dual_pair_is_finite():
+    h3 = closed_form_series(Fraction(-1, 4), [1], 100)
+    prod = product(h3, dualize(h3))
+    assert prod.exppoly == (0, (1,))
+    assert prod.coeffs == [1] + [0] * 100
+
+
+def test_one_closed_form_operand_skips_the_full_convolution(monkeypatch):
+    import heattrace.series as series_mod
+
+    a = HeatSeries([Fraction(k + 1, k + 2) for k in range(40)],
+                   [EXACT] * 3 + [UNAVAILABLE] + [APPROXIMATE] * 36)
+    b = closed_form_series(Fraction(5, 3), [1, Fraction(-2, 7), Fraction(1, 9)], 50)
+    expected = naive_product(a, plain(b))
+    convolve = series_mod._convolve
+
+    def short_only(xs, ys, n_max):
+        assert min(len(xs), len(ys)) <= 3, "two full series were convolved"
+        return convolve(xs, ys, n_max)
+
+    monkeypatch.setattr(series_mod, "_convolve", short_only)
+    for p, q in ((a, b), (b, a)):
+        out = product(p, q)
+        assert (out.coeffs, out.validity) == expected
+        assert out.exppoly is None
