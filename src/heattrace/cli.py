@@ -395,6 +395,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _epsilon(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heattrace",
@@ -437,8 +447,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("growth", help="growth diagnostics of a space spec")
     p.add_argument("--space", required=True)
     n_max(p, default=300)
-    p.add_argument("--n-min", type=int, default=50)
-    p.add_argument("--epsilon", type=float, action="append", default=None)
+    p.add_argument("--n-min", type=_positive_int, default=50)
+    p.add_argument("--epsilon", type=_epsilon, action="append", default=None)
     common(p)
     p.set_defaults(fn=cmd_growth)
 

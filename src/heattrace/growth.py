@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 from .exactnum import log_abs
-from .series import HeatSeries
+from .series import EXACT, HeatSeries
 
 __all__ = [
     "GrowthReport",
@@ -71,14 +71,18 @@ def estimate_growth_constant(s: HeatSeries, n_min: int, with_diagnostics: bool =
     return c_est, {"tail": tail, "stabilized": stabilized}
 
 
+def _require_unit_eps(eps: float) -> None:
+    if not 0 < eps < 1:  # also false for nan
+        raise ValueError(f"eps must be in (0, 1), got {eps}")
+
+
 def equiv_check(s: HeatSeries, C: float, eps: float, N: int):
     """Two-sided factorial band check on [N, n_max]; returns (ok, report).
 
     True iff (C(1-eps))^n n! < |A_n| < (C(1+eps))^n n! at every n in range,
     evaluated in log space.  A zero coefficient in range fails the band.
     """
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0, 1)")
+    _require_unit_eps(eps)
     if C <= 0:
         raise ValueError("C must be positive")
     if N < 1 or N > s.n_max:
@@ -139,27 +143,40 @@ def factorial_bound_witness(s: HeatSeries) -> float:
     return best
 
 
+def _require_exact_window(s: HeatSeries, n_min: int) -> None:
+    """Raise ValueError unless n_min >= 1 and A_{n_min}..A_{n_max} are all exact."""
+    if n_min < 1:
+        raise ValueError(f"n_min must be at least 1, got {n_min}")
+    if not s.is_exact_on(n_min, s.n_max):
+        n = next(n for n in range(n_min, s.n_max + 1) if s.validity[n] != EXACT)
+        raise ValueError(
+            f"A_{n} is {s.validity[n]}: growth diagnostics need exact coefficients "
+            f"on [n_min, n_max] = [{n_min}, {s.n_max}]")
+
+
 def classify(s: HeatSeries, n_min: int = 50) -> str:
     """One of 'vanishing', 'factorial_decay', 'factorial_growth', 'polynomial_exponential'.
 
-    A series is vanishing when all coefficients beyond some index are exactly
-    zero; factorially decaying when the n-th root ratio drops below 1e-3 by
-    n_max; factorially growing when that ratio stabilizes within 5% over the
-    last 20% of the window.  Anything else reports polynomial_exponential.
+    Raises ValueError unless every coefficient on [n_min, n_max] is exact.
+    A series is vanishing when all coefficients beyond some index, or one
+    inside the window, are exactly zero (the zero placeholder of a
+    non-exact entry does not count); factorially decaying when the n-th
+    root ratio drops below 1e-3 by n_max; factorially growing when that
+    ratio stabilizes within 5% over the last 20% of the window.  Anything
+    else reports polynomial_exponential.
     """
+    _require_exact_window(s, n_min)
     last_nonzero = 0
-    for n, c in enumerate(s.coeffs):
-        if c != 0:
+    for n, (c, flag) in enumerate(zip(s.coeffs, s.validity)):
+        if c != 0 or flag != EXACT:
             last_nonzero = n
     if last_nonzero < s.n_max - max(10, s.n_max // 10):
         return "vanishing"
     if s.n_max < n_min + 50:
         raise ValueError("need n_max >= n_min + 50 to classify a non-vanishing series")
-    try:
-        c_est, diag = estimate_growth_constant(s, n_min, with_diagnostics=True)
-    except ValueError:
-        # a zero coefficient inside the window signals vanishing behavior
+    if any(s.coeffs[n] == 0 for n in range(n_min, s.n_max + 1)):
         return "vanishing"
+    c_est, diag = estimate_growth_constant(s, n_min, with_diagnostics=True)
     if c_est < 1e-3:
         tail = diag["tail"]
         if all(tail[i + 1][1] <= tail[i][1] for i in range(len(tail) - 1)):
@@ -181,7 +198,13 @@ class GrowthReport:
 
 
 def growth_report(s: HeatSeries, n_min: int = 50, epsilons: tuple[float, ...] = (0.2,)) -> GrowthReport:
-    """Full growth report: classification, C estimate, verified (eps, N) pairs, C1."""
+    """Full growth report: classification, C estimate, verified (eps, N) pairs, C1.
+
+    Raises ValueError unless every epsilon lies in (0, 1) and every
+    coefficient on [n_min, n_max] is exact.
+    """
+    for eps in epsilons:
+        _require_unit_eps(eps)
     cls = classify(s, n_min)
     c1 = factorial_bound_witness(s)
     if cls == "factorial_growth":

@@ -34,7 +34,8 @@ op2    121/72         eta_j                   7-j       B       0      8    -1
 with q = (2m-1)^2/(8(m+1)).  The cp inner sums carry h^i = (m+1)^i and run
 over c-coefficients (odd m) or d-coefficients (even m).  The even-m cp tail is
 the one irregular row: it keeps only the k < m terms of the exponential, with
-base B/(m+1), so it is summed explicitly.
+base B/(m+1), so it is the truncated Cauchy product of those m terms with
+h^i S(i)/i!, one :func:`~heattrace.series.convolve`.
 
 The tail sums are only valid from a family-specific threshold index onward;
 requesting a_n below the threshold raises :class:`BelowThresholdError` (use
@@ -67,12 +68,11 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from .errors import BelowThresholdError, InvariantViolation, UnsupportedSpaceError
 from .exactnum import c_coeff, d_coeff
 from .seedpolys import SignedTable, beta_table, delta_table, eta_table, gamma_table
-from .series import APPROXIMATE, EXACT, UNAVAILABLE, HeatSeries, exp_times
+from .series import APPROXIMATE, EXACT, UNAVAILABLE, HeatSeries, convolve, exp_times
 
 __all__ = [
     "ScaledRational",
@@ -318,8 +318,7 @@ def _tail(row: _Row, table: SignedTable, n_max: int) -> list[Fraction]:
     if row.terms is None:
         tail = exp_times(row.base, ys, nu_max)
     else:  # the even-mbar cp tail keeps only the terms k < row.terms of e^{base t}
-        w = [row.base ** k / _fact(k) for k in range(row.terms)]
-        tail = [sum(map(mul, w, ys[nu::-1]), Fraction(0)) for nu in range(nu_max + 1)]
+        tail = convolve(ys, [row.base ** k / _fact(k) for k in range(row.terms)], nu_max)
     return [Fraction(0)] * row.start + tail
 
 

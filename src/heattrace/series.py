@@ -7,17 +7,20 @@ products), coefficient sign flip (compact/noncompact duality, t -> -t), and
 geometric rescaling (homothety, t -> c2*t).
 
 The two whole-series kernels, :func:`exp_times` and the Cauchy convolution
-behind :func:`product`, work on integer numerators over one shared
-denominator and reduce each output coefficient to lowest terms once, instead
-of paying a ``gcd`` on every term of an O(n^2) Fraction sum.
+:func:`convolve`, work on integer numerators over one shared denominator and
+reduce each output coefficient to lowest terms once, instead of paying a
+``gcd`` on every term of an O(n^2) Fraction sum.  :func:`convolve` is the one
+exact convolution: :func:`product` and the even-mbar CP tail in
+:mod:`heattrace.rank1` both call it.  It multiplies by Karatsuba on the
+coefficient index, so two full series of length n cost O(n^1.58) big-integer
+products instead of n^2/2.
 
 A series may remember its closed form: ``exppoly = (kappa, P)`` states that
 its coefficients are those of e^{kappa t} * P(t), with P a short polynomial
 (the Plancherel families, see :func:`heattrace.plancherel.to_series`).
 Duality and homothety map the pair, and :func:`product` uses it: the product
 of two such series is e^{(ka + kb) t} * (Pa * Pb), and a general series A
-times one is e^{kappa t} * (A * P), so neither pays a convolution of two full
-series.
+times one is e^{kappa t} * (A * P), so neither convolves two full series.
 
 Validity flags propagate pessimistically: an operation never upgrades a
 flag, and a product coefficient is only as trustworthy as the weakest flag
@@ -29,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from operator import mul
 
 EXACT = "exact"
@@ -42,6 +45,7 @@ _BY_RANK = {v: k for k, v in _RANK.items()}
 __all__ = [
     "HeatSeries",
     "product",
+    "convolve",
     "exp_times",
     "dualize",
     "rescale",
@@ -99,22 +103,66 @@ def _over_common_denominator(values: list[Fraction | int]) -> tuple[list[int], i
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _convolve(xs: list[Fraction | int], ys: list[Fraction | int], n_max: int) -> list[Fraction]:
+# Below this length of the shorter operand the schoolbook loop beats a split.
+_LEAF = 4
+
+
+def _cauchy(a: list[int], b: list[int], n: int) -> list[int]:
+    """Entries 0..n of the Cauchy product of the integer lists a and b (fewer
+    if the product is shorter).
+
+    Karatsuba on the coefficient index: with a = a0 + t^h a1 and
+    b = b0 + t^h b1,
+
+        a b = z0 + t^h ((a0 + a1)(b0 + b1) - z0 - z2) + t^(2h) z2,
+
+    z0 = a0 b0 and z2 = a1 b1, so three half-size products replace four, and
+    each is taken only to the entries that land at index <= n.  z0 becomes
+    the output list; z2 and the middle product are added into it and
+    dropped.  When the shorter operand has at most ``_LEAF`` entries, or
+    fits twice into the longer one, the schoolbook loop runs, so a short
+    operand costs O(n len(b)).
+    """
+    a, b = a[: n + 1], b[: n + 1]
+    if len(a) < len(b):
+        a, b = b, a
+    la, lb = len(a), len(b)
+    size = min(n + 1, la + lb - 1)
+    if lb <= _LEAF or 2 * lb <= la:
+        rev = b[::-1]
+        top = lb - 1
+        return [sum(map(mul, a[max(0, k - top) : k + 1], rev[max(0, top - k) :]))
+                for k in range(size)]
+    h = la // 2  # lb > h, so a1 and b1 are both non-empty
+    out = _cauchy(a[:h], b[:h], n)
+    z0_len = len(out)
+    out += [0] * (size - z0_len)
+    for k in range(min(z0_len - 1, n - h), -1, -1):  # downwards: out[k] is still z0[k]
+        out[h + k] -= out[k]
+    for k, v in enumerate(_cauchy(a[h:], b[h:], n - h)):
+        out[h + k] -= v
+        if k <= n - 2 * h:
+            out[2 * h + k] += v
+    a = [x + y for x, y in zip_longest(a[:h], a[h:], fillvalue=0)]
+    b = [x + y for x, y in zip_longest(b[:h], b[h:], fillvalue=0)]
+    for k, v in enumerate(_cauchy(a, b, n - h), h):
+        out[k] += v
+    return out
+
+
+def convolve(xs: list[Fraction | int], ys: list[Fraction | int], n_max: int) -> list[Fraction]:
     """Entries 0..n_max of the Cauchy product of xs and ys (zero past their ends).
 
-    A schoolbook convolution of the integer numerators over
-    ``lcm(den xs) * lcm(den ys)``; entry n pairs xs[i] with ys[n - i] only
-    where both exist, so a short ``ys`` costs O(n_max * len(ys)).
+    The integer numerators over ``lcm(den xs) * lcm(den ys)`` go through the
+    Karatsuba kernel :func:`_cauchy`, and each entry is reduced once.
     """
     xs, dx = _over_common_denominator(xs)
     ys, dy = _over_common_denominator(ys)
     den = dx * dy
-    rev = ys[::-1]
-    top = len(ys) - 1
-    out = []
-    for n in range(n_max + 1):
-        lo = max(0, n - top)
-        out.append(Fraction(sum(map(mul, xs[lo : n + 1], rev[top - n + lo :])), den))
+    out = _cauchy(xs, ys, n_max)
+    out += [0] * (n_max + 1 - len(out))
+    for n, v in enumerate(out):
+        out[n] = Fraction(v, den)
     return out
 
 
@@ -124,8 +172,8 @@ def product(a: HeatSeries, b: HeatSeries) -> HeatSeries:
     When both operands carry ``exppoly`` the result is
     ``exp_times(ka + kb, Pa * Pb)`` and carries that pair; when one does, it
     is ``exp_times(kappa, A * P)``, which holds for any A (flags and all) as an
-    identity of formal series.  Only two general series pay the O(n^2)
-    convolution.  Each pair (i, n - i) with i <= n lies in 0..n on both
+    identity of formal series.  Two general series go through the full
+    :func:`convolve`.  Each pair (i, n - i) with i <= n lies in 0..n on both
     sides, so the flag at n is the weaker of the two operands' prefix-minimum
     flags at n.
     """
@@ -137,14 +185,14 @@ def product(a: HeatSeries, b: HeatSeries) -> HeatSeries:
     if a.exppoly and b.exppoly:
         (ka, pa), (kb, pb) = a.exppoly, b.exppoly
         kappa = ka + kb
-        poly = tuple(_convolve(pa, pb, min(n_max, len(pa) + len(pb) - 2)))
+        poly = tuple(convolve(pa, pb, min(n_max, len(pa) + len(pb) - 2)))
         return HeatSeries(exp_times(kappa, list(poly), n_max), flags, provenance,
                           (kappa, poly))
     if a.exppoly or b.exppoly:
         (kappa, poly), other = (a.exppoly, b) if a.exppoly else (b.exppoly, a)
-        ys = _convolve(other.coeffs[: n_max + 1], poly, n_max)
+        ys = convolve(other.coeffs[: n_max + 1], poly, n_max)
         return HeatSeries(exp_times(kappa, ys, n_max), flags, provenance)
-    return HeatSeries(_convolve(a.coeffs[: n_max + 1], b.coeffs[: n_max + 1], n_max),
+    return HeatSeries(convolve(a.coeffs[: n_max + 1], b.coeffs[: n_max + 1], n_max),
                       flags, provenance)
 
 

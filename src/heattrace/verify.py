@@ -87,9 +87,9 @@ def series_300(key: str) -> series.HeatSeries:
 def check_corollary_vanishing() -> list[CheckResult]:
     """Product of the rank-one hyperbolic model with its dual vanishes exactly.
 
-    The closed-form product gives e^0 * 1 by construction, so the schoolbook
-    product of generator-free copies is checked too, as an independent
-    numeric check of the corollary.
+    The closed-form product gives e^0 * 1 by construction, so the product of
+    generator-free copies, which runs the general convolution, is checked
+    too, as an independent numeric check of the corollary.
     """
     form = plancherel.closed_form(plancherel.build_family("hyperbolic_odd", 1))
     s = plancherel.to_series(form, 100)

@@ -7,8 +7,10 @@ dimensions come from an exact kernel computation of the Laplacian on monomials,
 and the unit-sphere coefficients come from the Hurwitz-zeta form of the
 spectrum rather than from the closed-form tail sums.  Heat traces are summed
 with one exponential per level out to a generous fixed cutoff instead of
-the package's weight recurrence and tail bound.  The one exception is
-:func:`closed_form_reference`, which takes its diagonalizing congruence from
+the package's weight recurrence and tail bound.  Cauchy products come from
+the plain O(n^2) loop (:func:`schoolbook_convolve`) instead of the package's
+Karatsuba split.  The one exception is :func:`closed_form_reference`, which
+takes its diagonalizing congruence from
 ``heattrace.plancherel.diagonalize_form`` and differs from the package in how
 it substitutes: it expands every monomial of p(T y) in full.
 :func:`model_coordinate_model` writes the sum-zero families in r model
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from operator import add
+from operator import add, mul
 
 import mpmath as mp
 
@@ -68,6 +70,25 @@ def level_hooks(spectrum) -> dict:
     """``heat_trace``'s eigenvalue and multiplicity hooks from one SpectrumLine callable."""
     return {"eigenvalue": lambda k: spectrum(k).eigenvalue,
             "multiplicity": lambda k: spectrum(k).multiplicity}
+
+
+def schoolbook_convolve(xs: list[Fraction], ys: list[Fraction], n_max: int) -> list[Fraction]:
+    """Entries 0..n_max of the Cauchy product of xs and ys, by the schoolbook loop.
+
+    The integer numerators over lcm(den xs) * lcm(den ys); entry n sums
+    xs[i] * ys[n - i] over the i where both exist, in one ``sum(map(mul))``.
+    """
+    dx = math.lcm(*(Fraction(x).denominator for x in xs))
+    dy = math.lcm(*(Fraction(y).denominator for y in ys))
+    nx = [Fraction(x).numerator * (dx // Fraction(x).denominator) for x in xs]
+    ny = [Fraction(y).numerator * (dy // Fraction(y).denominator) for y in ys]
+    rev = ny[::-1]
+    top = len(ny) - 1
+    out = []
+    for n in range(n_max + 1):
+        lo = max(0, n - top)
+        out.append(Fraction(sum(map(mul, nx[lo : n + 1], rev[top - n + lo :])), dx * dy))
+    return out
 
 
 def expand_linear_product(roots: list[Fraction]) -> list[Fraction]:

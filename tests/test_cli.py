@@ -231,6 +231,35 @@ class TestGrowthCommand:
         assert doc["growth"]["classification"] == "vanishing"
 
 
+class TestGrowthRefusals:
+    @pytest.mark.parametrize("spec, index", [("product(sphere:2, sphere:1)", 50),
+                                             ("product(hp:2, op2)", 50)])
+    def test_unavailable_coefficients_are_not_vanishing(self, capsys, spec, index):
+        code, out, err = run(capsys, "growth", "--space", spec)
+        assert code == 2 and out == ""
+        assert f"A_{index} is unavailable" in err
+
+    def test_n_min_below_the_threshold(self, capsys):
+        code, out, err = run(capsys, "growth", "--space", "sphere:2", "--n-min", "1")
+        assert code == 2 and out == ""
+        assert "A_1 is unavailable" in err
+
+    @pytest.mark.parametrize("flag, value", [("--n-min", "-40"), ("--n-min", "0"),
+                                             ("--epsilon", "1.5"), ("--epsilon", "0"),
+                                             ("--epsilon", "-0.5"), ("--epsilon", "nan")])
+    def test_bad_window_or_epsilon_refused_before_any_build(self, capsys, monkeypatch,
+                                                            flag, value):
+        import heattrace.cli as cli
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a refused request built a series")
+
+        monkeypatch.setattr(cli, "evaluate_space", no_build)
+        code, out, err = run(capsys, "growth", "--space", "sphere:2", flag, value)
+        assert code == 2 and out == ""
+        assert flag in err
+
+
 class TestNMaxLimit:
     @pytest.mark.parametrize("command", ["coeffs", "growth"])
     def test_refused_before_any_build(self, capsys, monkeypatch, command):
@@ -258,13 +287,13 @@ def test_plancherel_products_skip_the_full_convolution(monkeypatch):
     # are convolved and each product is one exp_times
     from heattrace import series
 
-    convolve = series._convolve
+    convolve = series.convolve
 
     def short_only(xs, ys, n_max):
         assert max(len(xs), len(ys)) <= 20, "a full series was convolved"
         return convolve(xs, ys, n_max)
 
-    monkeypatch.setattr(series, "_convolve", short_only)
+    monkeypatch.setattr(series, "convolve", short_only)
     for spec in ("product(su-star:3, e6-f4, dual(hyperbolic-odd:4))",
                  "product(hyperbolic-odd:1, dual(hyperbolic-odd:1))"):
         s = evaluate_space(parse_space(spec), 300)

@@ -137,6 +137,47 @@ class TestClassifyAndReport:
         assert all(n >= 50 for _, n in rep.epsilon_band)
 
 
+class TestExactWindow:
+    """classify and growth_report read only exact coefficients on [n_min, n_max]."""
+
+    def unavailable_tail(self, n_max=300):
+        # the shape of a product with an unavailable factor: zero placeholders past A_0
+        return HeatSeries([Fraction(1)] + [Fraction(0)] * n_max,
+                          ["exact"] + ["unavailable"] * n_max)
+
+    def test_placeholders_are_not_vanishing(self):
+        for fn in (classify, growth_report):
+            with pytest.raises(ValueError, match="A_50 is unavailable"):
+                fn(self.unavailable_tail())
+
+    def test_first_non_exact_index_is_named(self):
+        s = factorial_series(Fraction(1, 3), 300)
+        s.validity[1] = s.validity[2] = "unavailable"
+        assert classify(s, n_min=50) == "factorial_growth"
+        with pytest.raises(ValueError, match="A_1 is unavailable"):
+            classify(s, n_min=1)
+        s.validity[60] = s.validity[120] = "approximate"
+        with pytest.raises(ValueError, match="A_60 is approximate"):
+            growth_report(s, n_min=50)
+
+    def test_non_positive_n_min_refused(self):
+        s = factorial_series(Fraction(1, 3), 120)
+        for n_min in (0, -40):
+            with pytest.raises(ValueError, match="n_min"):
+                classify(s, n_min=n_min)
+
+    def test_exact_zero_tail_still_vanishes(self):
+        s = HeatSeries([Fraction(1), Fraction(1, 2)] + [Fraction(0)] * 100,
+                       ["exact", "unavailable"] + ["exact"] * 100)
+        assert classify(s) == "vanishing"
+
+    @pytest.mark.parametrize("eps", [1.5, 1.0, 0.0, -0.5, float("nan")])
+    def test_epsilon_outside_unit_interval_refused(self, eps):
+        s = factorial_series(Fraction(1, 3), 300)
+        with pytest.raises(ValueError, match=r"eps must be in \(0, 1\)"):
+            growth_report(s, epsilons=(0.2, eps))
+
+
 class TestInvariances:
     def test_scale_equivariance(self, series300):
         s = series300("sphere:1")

@@ -2,14 +2,16 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import schoolbook_convolve
 from heattrace.series import (
     APPROXIMATE,
     EXACT,
     UNAVAILABLE,
     HeatSeries,
+    convolve,
     dualize,
     exp_times,
     product,
@@ -222,14 +224,76 @@ def test_one_closed_form_operand_skips_the_full_convolution(monkeypatch):
                    [EXACT] * 3 + [UNAVAILABLE] + [APPROXIMATE] * 36)
     b = closed_form_series(Fraction(5, 3), [1, Fraction(-2, 7), Fraction(1, 9)], 50)
     expected = naive_product(a, plain(b))
-    convolve = series_mod._convolve
+    convolve = series_mod.convolve
 
     def short_only(xs, ys, n_max):
         assert min(len(xs), len(ys)) <= 3, "two full series were convolved"
         return convolve(xs, ys, n_max)
 
-    monkeypatch.setattr(series_mod, "_convolve", short_only)
+    monkeypatch.setattr(series_mod, "convolve", short_only)
     for p, q in ((a, b), (b, a)):
         out = product(p, q)
         assert (out.coeffs, out.validity) == expected
         assert out.exppoly is None
+
+
+# --- the one convolution: Karatsuba on the coefficient index -------------------
+
+big = st.fractions(min_value=-10 ** 30, max_value=10 ** 30, max_denominator=10 ** 6)
+# runs of nonzero entries of both signs and runs of zeros, up to about 80 entries
+runs = st.lists(st.one_of(st.lists(st.one_of(frac, big), min_size=1, max_size=12),
+                          st.integers(1, 20).map(lambda k: [Fraction(0)] * k)),
+                min_size=1, max_size=12)
+operand = runs.map(lambda parts: [x for part in parts for x in part][:81])
+
+
+def naive_cauchy(xs, ys, n_max):
+    return [sum((xs[i] * ys[n - i] for i in range(n + 1) if i < len(xs) and n - i < len(ys)),
+                Fraction(0)) for n in range(n_max + 1)]
+
+
+@settings(max_examples=60)
+@given(operand, operand, st.integers(0, 170))
+def test_convolve_equals_naive_cauchy_sum(xs, ys, n_max):
+    assert convolve(xs, ys, n_max) == naive_cauchy(xs, ys, n_max)
+
+
+@pytest.mark.parametrize("la, lb", [(1, 80), (5, 5), (5, 6), (9, 80), (40, 81), (79, 80),
+                                    (81, 81), (33, 17)])
+def test_convolve_split_shapes(la, lb):
+    xs = [Fraction((-1) ** k * (k * k + 1), k + 3) for k in range(la)]
+    ys = [Fraction((-3) ** k, 2 * k + 1) for k in range(lb)]
+    for n_max in {0, 1, min(la, lb) - 1, max(la, lb) - 1, la + lb - 2, la + lb + 3}:
+        assert convolve(xs, ys, n_max) == naive_cauchy(xs, ys, n_max)
+
+
+@pytest.fixture(scope="module")
+def rank1_product_operands():
+    """The operands of the benchmark's rank-one products to n = 300."""
+    from heattrace.cli import evaluate_space, parse_space
+
+    cp2 = evaluate_space(parse_space("cp:2"), 300)
+    return cp2, {m: evaluate_space(parse_space(f"dual(sphere:{m})"), 300) for m in (1, 2, 3)}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_rank1_products_equal_the_schoolbook_loop(rank1_product_operands, m):
+    cp2, duals = rank1_product_operands
+    assert product(cp2, duals[m]).coeffs == schoolbook_convolve(cp2.coeffs, duals[m].coeffs, 300)
+
+
+def test_full_product_makes_under_half_the_schoolbook_multiplies(rank1_product_operands,
+                                                                  monkeypatch):
+    import heattrace.series as series_mod
+
+    count = 0
+
+    def counting_mul(x, y):
+        nonlocal count
+        count += 1
+        return x * y
+
+    cp2, duals = rank1_product_operands
+    monkeypatch.setattr(series_mod, "mul", counting_mul)
+    product(cp2, duals[2])
+    assert 0 < count < 45_451 // 2  # the schoolbook loop makes 301 * 302 / 2
