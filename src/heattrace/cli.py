@@ -146,9 +146,13 @@ def _atom_or_number(token: str) -> dict:
     return {"kind": "atom_or_number", "text": token}
 
 
+def _rank1_args(atom: dict) -> tuple[str, int]:
+    """The (family, mbar) of a rank-one atom."""
+    return _RANK1_ATOMS[atom["family"]], 2 if atom["family"] == "op2" else int(atom["param"])
+
+
 def _rank1_model(atom: dict) -> rank1.SpaceModel:
-    mbar = 2 if atom["family"] == "op2" else int(atom["param"])
-    return rank1.SpaceModel(_RANK1_ATOMS[atom["family"]], mbar)
+    return rank1.SpaceModel(*_rank1_args(atom))
 
 
 def _plancherel_model(atom: dict) -> plancherel.PlancherelModel:
@@ -180,6 +184,24 @@ def evaluate_space(tree: dict, n_max: int, fill: str | None = None,
             out = series.product(out, p)
         return out
     raise SpecError(f"cannot evaluate node kind {kind!r}")
+
+
+def _gap(tree: dict, n_max: int) -> range:
+    """The indices in 0..n_max that ``evaluate_space(tree, n_max)`` flags unavailable.
+
+    A rank-one atom leaves 1..threshold-1 open, dual and scale keep their
+    child's gap, and a product's flag is the prefix minimum of its factors',
+    so one gapped factor leaves every index from its first gap on open.
+    """
+    kind = tree["kind"]
+    if kind == "atom":
+        if tree["family"] in _RANK1_ATOMS:
+            return range(1, min(rank1.threshold(*_rank1_args(tree)), n_max + 1))
+        return range(0)
+    if kind in ("dual", "scale"):
+        return _gap(tree["child"], n_max)
+    starts = [g.start for g in (_gap(c, n_max) for c in tree["children"]) if g]
+    return range(min(starts), n_max + 1) if starts else range(0)
 
 
 def _normalization(tree: dict) -> dict:
@@ -350,6 +372,11 @@ def cmd_closed_form(args) -> int:
 def cmd_growth(args) -> int:
     _check_n_max(args)
     tree = parse_space(args.space)
+    gap = _gap(tree, args.n_max)
+    n = max(gap.start, args.n_min)
+    if n in gap:  # refused here, before any series is built
+        raise SpecError(f"A_{n} is unavailable: growth diagnostics need exact coefficients "
+                        f"on [n_min, n_max] = [{args.n_min}, {args.n_max}]")
     s = evaluate_space(tree, args.n_max)
     report = growth_report(s, n_min=args.n_min, epsilons=tuple(args.epsilon))
     doc = {

@@ -85,20 +85,17 @@ def c_coeff(n: int) -> Fraction:
 
         sum_{s in N0+1/2} s e^{-t s^2}  ~  1/(2t) + (1/2) sum_n c_n t^n / n!,
 
-    namely c_n = (-1)^n B_{2n+2} (1 - 2^{-2n-1}) / (n+1).  All c_n > 0.
+    namely c_n = (-1)^n B_{2n+2} (1 - 2^{-2n-1}) / (n+1) = d_n (1 - 2^{-2n-1}).
+    All c_n > 0.
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
     if len(_c_cache) <= n:
-        _extend_tangent(n + 1)  # B_2..B_(2n+2) from one triangle, not one per doubling
+        _extend_tangent(n + 1)  # T_1..T_(n+1) from one triangle, not one per doubling
     while len(_c_cache) <= n:
         i = len(_c_cache)
-        value = (
-            Fraction((-1) ** i, i + 1)
-            * bernoulli(2 * i + 2)
-            * (1 - Fraction(1, 1 << (2 * i + 1)))
-        )
-        _c_cache.append(value)
+        half = 1 << (2 * i + 1)  # 2^(2i+1), so 4^(i+1) = 2 * half
+        _c_cache.append(Fraction(_tangent[i + 1] * (half - 1), half * half * (2 * half - 1)))
     return _c_cache[n]
 
 
@@ -109,15 +106,18 @@ def d_coeff(n: int) -> Fraction:
 
         sum_{s >= 1} s e^{-t s^2}  ~  1/(2t) - (1/2) sum_n d_n t^n / n!,
 
-    namely d_n = (-1)^n B_{2n+2} / (n+1).  All d_n > 0.
+    namely d_n = (-1)^n B_{2n+2} / (n+1).  All d_n > 0.  With
+    B_{2m} = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)) this is the one exact
+    division d_n = 2 T_{n+1} / (4^(n+1) (4^(n+1) - 1)) of a tangent number.
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
     if len(_d_cache) <= n:
-        _extend_tangent(n + 1)  # B_2..B_(2n+2) from one triangle, not one per doubling
+        _extend_tangent(n + 1)  # T_1..T_(n+1) from one triangle, not one per doubling
     while len(_d_cache) <= n:
         i = len(_d_cache)
-        _d_cache.append(Fraction((-1) ** i, i + 1) * bernoulli(2 * i + 2))
+        four = 1 << (2 * i + 2)
+        _d_cache.append(Fraction(2 * _tangent[i + 1], four * (four - 1)))
     return _d_cache[n]
 
 

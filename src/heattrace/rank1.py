@@ -18,9 +18,12 @@ Every family is one row of data (:class:`_Row`), and one builder,
 * The tail is  sum_k base^k/k! * h^i S(i)/i!  at i = n - start - k, the
   binomial convolution of e^{base t} with the inner sums
   S(i) = sum_j (-1)^j table[j] coeff(i + j), taken from i = lo on (zero
-  below), so it is one :func:`exp_times` too.  Every term of every inner sum
-  shares the row's sign, which is asserted term by term; this one check
-  covers every term of every double sum (the no-cancellation invariant).
+  below), so it is one :func:`exp_times` too.  The inner sums are the
+  correlation of the signed table with the coefficient vector, one
+  :func:`~heattrace.series.convolve`.  Every term of every inner sum shares
+  the row's sign (the no-cancellation invariant).  It is checked once per
+  table, against the table's sign law, and once per coefficient vector, for
+  positivity; together these cover every term of every double sum.
 
 ====== ============== ======================= ========= ======= ====== ==== ======
 family B              W_j / j!                s_j       base    start  lo   sign
@@ -71,7 +74,8 @@ from fractions import Fraction
 
 from .errors import BelowThresholdError, InvariantViolation, UnsupportedSpaceError
 from .exactnum import c_coeff, d_coeff
-from .seedpolys import SignedTable, beta_table, delta_table, eta_table, gamma_table
+from .seedpolys import (SignedTable, beta_table, delta_table, eta_table, expected_signs,
+                        gamma_table)
 from .series import APPROXIMATE, EXACT, UNAVAILABLE, HeatSeries, convolve, exp_times
 
 __all__ = [
@@ -291,21 +295,28 @@ def _boundary_at_zero(row: _Row, table: SignedTable) -> Fraction:
 
 def _inner_sums(table: SignedTable, coeff_fn, lo: int, i_max: int,
                 expect_sign: int) -> list[Fraction]:
-    """S(0..i_max), S(i) = sum_j (-1)^j table[j] coeff_fn(i + j) from i = lo on, else 0."""
-    if i_max >= lo:
-        coeff_fn(i_max + len(table) - 1)  # size the coefficient caches once
-    out = [Fraction(0)] * min(lo, i_max + 1)
-    for i in range(lo, i_max + 1):
-        total = Fraction(0)
-        for j, w in enumerate(table.values):
-            term = (-1) ** j * w * coeff_fn(i + j)
-            if term != 0 and (term > 0) != (expect_sign > 0):
-                raise InvariantViolation(
-                    f"tail term sign violated for {table.family} at i={i}, j={j}"
-                )
-            total += term
-        out.append(total)
-    return out
+    """S(0..i_max), S(i) = sum_j (-1)^j table[j] coeff_fn(i + j) from i = lo on, else 0.
+
+    With K = len(table) and u[K - 1 - j] = (-1)^j table[j], S(i) is entry
+    i - lo + K - 1 of the Cauchy product of u with coeff_fn(lo..i_max + K - 1),
+    so the whole vector is one :func:`convolve`.  Every term has
+    ``expect_sign`` exactly when the table obeys its sign law, (-1)^j times
+    that law is ``expect_sign`` on every nonzero entry, and every coefficient
+    read is positive; both checks run once here.
+    """
+    if i_max < lo:
+        return [Fraction(0)] * (i_max + 1)
+    k = len(table)
+    for j, (w, sign) in enumerate(zip(table.values, expected_signs(table))):
+        if (w > 0) - (w < 0) != sign or (sign != 0 and (-1) ** j * sign != expect_sign):
+            raise InvariantViolation(f"tail term sign violated for {table.family} at j={j}")
+    coeff_fn(i_max + k - 1)  # size the coefficient caches once
+    cs = [coeff_fn(i) for i in range(lo, i_max + k)]
+    bad = next((i for i, c in enumerate(cs, lo) if c <= 0), None)
+    if bad is not None:
+        raise InvariantViolation(f"lattice coefficient {bad} of {table.family} is not positive")
+    u = [(-1) ** j * w for j, w in enumerate(table.values)][::-1]
+    return [Fraction(0)] * lo + convolve(u, cs, i_max - lo + k - 1)[k - 1:]
 
 
 def _tail(row: _Row, table: SignedTable, n_max: int) -> list[Fraction]:

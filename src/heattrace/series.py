@@ -10,10 +10,11 @@ The two whole-series kernels, :func:`exp_times` and the Cauchy convolution
 :func:`convolve`, work on integer numerators over one shared denominator and
 reduce each output coefficient to lowest terms once, instead of paying a
 ``gcd`` on every term of an O(n^2) Fraction sum.  :func:`convolve` is the one
-exact convolution: :func:`product` and the even-mbar CP tail in
-:mod:`heattrace.rank1` both call it.  It multiplies by Karatsuba on the
-coefficient index, so two full series of length n cost O(n^1.58) big-integer
-products instead of n^2/2.
+exact convolution: :func:`product` calls it, and so do the inner sums of
+every tail in :mod:`heattrace.rank1` (a correlation of the seed table with
+the lattice coefficients) and its even-mbar CP tail.  It multiplies by
+Karatsuba on the coefficient index, so two full series of length n cost
+O(n^1.58) big-integer products instead of n^2/2.
 
 A series may remember its closed form: ``exppoly = (kappa, P)`` states that
 its coefficients are those of e^{kappa t} * P(t), with P a short polynomial

@@ -232,14 +232,25 @@ class TestGrowthCommand:
 
 
 class TestGrowthRefusals:
+    @pytest.fixture
+    def no_build(self, monkeypatch):
+        import heattrace.cli as cli
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a refused request built a series")
+
+        monkeypatch.setattr(cli, "evaluate_space", no_build)
+
     @pytest.mark.parametrize("spec, index", [("product(sphere:2, sphere:1)", 50),
-                                             ("product(hp:2, op2)", 50)])
-    def test_unavailable_coefficients_are_not_vanishing(self, capsys, spec, index):
+                                             ("product(hp:2, op2)", 50),
+                                             ("product(sphere:50, cp:200, op2)", 50),
+                                             ("product(dual(scale(op2, 2)), cp:2)", 50)])
+    def test_unavailable_coefficients_are_not_vanishing(self, capsys, no_build, spec, index):
         code, out, err = run(capsys, "growth", "--space", spec)
         assert code == 2 and out == ""
         assert f"A_{index} is unavailable" in err
 
-    def test_n_min_below_the_threshold(self, capsys):
+    def test_n_min_below_the_threshold(self, capsys, no_build):
         code, out, err = run(capsys, "growth", "--space", "sphere:2", "--n-min", "1")
         assert code == 2 and out == ""
         assert "A_1 is unavailable" in err
@@ -247,17 +258,25 @@ class TestGrowthRefusals:
     @pytest.mark.parametrize("flag, value", [("--n-min", "-40"), ("--n-min", "0"),
                                              ("--epsilon", "1.5"), ("--epsilon", "0"),
                                              ("--epsilon", "-0.5"), ("--epsilon", "nan")])
-    def test_bad_window_or_epsilon_refused_before_any_build(self, capsys, monkeypatch,
+    def test_bad_window_or_epsilon_refused_before_any_build(self, capsys, no_build,
                                                             flag, value):
-        import heattrace.cli as cli
-
-        def no_build(*args, **kwargs):
-            raise AssertionError("a refused request built a series")
-
-        monkeypatch.setattr(cli, "evaluate_space", no_build)
         code, out, err = run(capsys, "growth", "--space", "sphere:2", flag, value)
         assert code == 2 and out == ""
         assert flag in err
+
+    @pytest.mark.parametrize("spec", ["sphere:1", "product(sphere:1, cp:2)"])
+    def test_exact_window_reaches_the_build(self, monkeypatch, spec):
+        import heattrace.cli as cli
+
+        class Built(Exception):
+            pass
+
+        def build(*args, **kwargs):
+            raise Built
+
+        monkeypatch.setattr(cli, "evaluate_space", build)
+        with pytest.raises(Built):
+            main(["growth", "--space", spec])
 
 
 class TestNMaxLimit:

@@ -69,6 +69,14 @@ def test_d_coeff_values():
     assert d_coeff(1) == Fraction(1, 60)
 
 
+def test_cd_equal_their_bernoulli_definitions_to_100():
+    ref = bernoulli_recurrence(202)
+    for n in range(101):
+        d = Fraction((-1) ** n, n + 1) * ref[2 * n + 2]
+        assert d_coeff(n) == d
+        assert c_coeff(n) == d * (1 - Fraction(1, 2 ** (2 * n + 1)))
+
+
 def test_cd_positivity_to_300():
     for n in range(301):
         assert c_coeff(n) > 0

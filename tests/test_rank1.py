@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from heattrace import rank1
+from heattrace import rank1, series
 from heattrace.errors import BelowThresholdError, InvariantViolation, UnsupportedSpaceError
+from heattrace.exactnum import c_coeff
 from heattrace.rank1 import (
     ScaledRational,
     SpaceModel,
@@ -17,6 +19,7 @@ from heattrace.rank1 import (
     tail_split,
     volume,
 )
+from heattrace.seedpolys import SignedTable
 from heattrace.series import APPROXIMATE, EXACT, UNAVAILABLE
 
 from _oracles import (
@@ -225,6 +228,33 @@ class TestTailKernel:
             _first, tail = tail_split(family, mbar, n)
             assert tail.rational == rank1_tail_reference(family, mbar, n, bernoulli), n
 
+    @pytest.mark.parametrize("family, mbar, ns", [
+        ("sphere", 30, (31, 30)),
+        ("sphere", 50, (60, 50, 55)),
+        ("complex_projective", 40, (45, 39)),
+        ("complex_projective", 41, (44, 40)),
+        ("quaternionic_projective", 20, (45, 38)),
+    ])
+    def test_big_table_at_shallow_depth(self, monkeypatch, family, mbar, ns, bernoulli):
+        # more table entries than inner sums, so the correlation splits by Karatsuba
+        depth = [0, 0]
+        cauchy = series._cauchy
+
+        def tracking(a, b, n):
+            depth[0] += 1
+            depth[1] = max(depth)
+            try:
+                return cauchy(a, b, n)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(rank1, "_tail_cache", {})
+        monkeypatch.setattr(series, "_cauchy", tracking)
+        for n in ns:  # the first, deepest index builds the vectors
+            _first, tail = tail_split(family, mbar, n)
+            assert tail.rational == rank1_tail_reference(family, mbar, n, bernoulli), n
+        assert depth[1] > 1
+
     def test_rising_per_index_calls_rebuild_logarithmically(self, monkeypatch):
         builds = []
         build = rank1._build
@@ -238,6 +268,32 @@ class TestTailKernel:
         for n in range(7, 201):
             op2_an(n)
         assert builds == [7, 14, 28, 56, 112, 224]
+
+
+class TestSignInvariant:
+    """The no-cancellation invariant is checked on the table and on the coefficients."""
+
+    def test_broken_table_sign_law_raises(self, monkeypatch):
+        table = rank1.beta_table
+
+        def flipped(mbar):
+            t = table(mbar)
+            return SignedTable((t[0], -t[1], *t.values[2:]), t.family, t.param)
+
+        monkeypatch.setattr(rank1, "beta_table", flipped)
+        with pytest.raises(InvariantViolation):
+            rank1._build("sphere", 3, 10)
+
+    @pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1, 7)])
+    def test_non_positive_lattice_coefficient_raises(self, monkeypatch, bad):
+        row = rank1._row
+
+        def coeff(i):
+            return bad if i == 12 else c_coeff(i)  # op2 reads c(8..17) to n = 10
+
+        monkeypatch.setattr(rank1, "_row", lambda f, m: replace(row(f, m), coeff=coeff))
+        with pytest.raises(InvariantViolation):
+            rank1._build("cayley_plane", 2, 10)
 
 
 class TestSeriesAssembly:
