@@ -38,12 +38,6 @@ from .growth import growth_report
 
 SCHEMA_VERSION = "1.0"
 
-_RANK1_ATOMS = {
-    "sphere": "sphere",
-    "cp": "complex_projective",
-    "hp": "quaternionic_projective",
-    "op2": "cayley_plane",
-}
 _PLANCHEREL_ATOMS = {"hyperbolic-odd", "su-star", "e6-f4", "complex-group"}
 
 
@@ -107,7 +101,7 @@ def _parse_expr(tokens: list[str], pos: int):
         if head == "scale":
             if len(args) != 2 or args[1].get("kind") != "atom_or_number":
                 raise SpecError("scale(SPEC, C2) takes a space and a positive rational")
-            c2 = Fraction(args[1]["text"])
+            c2 = _number(args[1]["text"])
             if c2 <= 0:
                 raise SpecError("scale factor must be positive")
             return {"kind": "scale", "c2": str(c2), "child": args[0]}, pos
@@ -122,7 +116,7 @@ def _atom_or_number(token: str) -> dict:
     name, _, param = token.partition(":")
     name = name.strip()
     param = param.strip()
-    if name in _RANK1_ATOMS or name in _PLANCHEREL_ATOMS:
+    if name in rank1.ATOMS or name in _PLANCHEREL_ATOMS:
         if name in ("op2", "e6-f4"):
             if param:
                 raise SpecError(f"{name} takes no parameter")
@@ -134,25 +128,32 @@ def _atom_or_number(token: str) -> dict:
                 raise SpecError(f"complex-group parameter must look like 'A2', got {param!r}")
         elif not param.isdigit():
             raise SpecError(f"{name} parameter must be a positive integer, got {param!r}")
-        atom = {"kind": "atom", "family": name, "param": param}
-        if name in _RANK1_ATOMS:
-            _rank1_model(atom)  # refuse an unsupported model before any work
-        return atom
-    # bare rational (only valid as the scale argument)
-    try:
-        Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise SpecError(f"unknown space or value {token!r}") from None
+        if name in rank1.ATOMS:
+            rank1.atom_model(name, param)  # refuse an unsupported model before any work
+        return {"kind": "atom", "family": name, "param": param}
+    _number(token)  # a bare rational, only valid as the scale argument
     return {"kind": "atom_or_number", "text": token}
 
 
-def _rank1_args(atom: dict) -> tuple[str, int]:
-    """The (family, mbar) of a rank-one atom."""
-    return _RANK1_ATOMS[atom["family"]], 2 if atom["family"] == "op2" else int(atom["param"])
+_MAX_DIGITS = 4300  # the interpreter's default limit on int <-> str conversion
 
 
-def _rank1_model(atom: dict) -> rank1.SpaceModel:
-    return rank1.SpaceModel(*_rank1_args(atom))
+def _number(token: str) -> Fraction:
+    """The rational a bare token spells, refused past _MAX_DIGITS digits in its
+    reduced numerator or denominator.  ``Fraction`` refuses a mantissa of more
+    than 2 * _MAX_DIGITS digits, so a nonzero value with an exponent past
+    3 * _MAX_DIGITS is refused before its power of ten is built."""
+    mantissa, _, exp = token.lower().partition("e")
+    try:
+        digits = exp.strip().lstrip("+-").replace("_", "")
+        huge = digits.isdigit() and abs(int(exp)) > 3 * _MAX_DIGITS
+        value = Fraction(mantissa if huge else token)
+    except (ValueError, ZeroDivisionError):
+        raise SpecError(f"unknown space or value {token!r}") from None
+    if value and (huge or max(value.numerator, value.denominator) >= 10 ** _MAX_DIGITS):
+        raise SpecError(f"scale factor {token!r} has more than {_MAX_DIGITS} digits "
+                        "in its numerator or denominator")
+    return value
 
 
 def _plancherel_model(atom: dict) -> plancherel.PlancherelModel:
@@ -165,8 +166,9 @@ def evaluate_space(tree: dict, n_max: int, fill: str | None = None,
     kind = tree["kind"]
     if kind == "atom":
         family = tree["family"]
-        if family in _RANK1_ATOMS:
-            return rank1.rank1_series(_rank1_model(tree), n_max, fill, oracle_precision)
+        if family in rank1.ATOMS:
+            return rank1.rank1_series(rank1.atom_model(family, tree["param"]), n_max, fill,
+                                      oracle_precision)
         return plancherel.to_series(plancherel.closed_form(_plancherel_model(tree)), n_max)
     if kind == "dual":
         return series.dualize(evaluate_space(tree["child"], n_max, fill,
@@ -195,8 +197,9 @@ def _gap(tree: dict, n_max: int) -> range:
     """
     kind = tree["kind"]
     if kind == "atom":
-        if tree["family"] in _RANK1_ATOMS:
-            return range(1, min(rank1.threshold(*_rank1_args(tree)), n_max + 1))
+        if tree["family"] in rank1.ATOMS:
+            thr = rank1.atom_model(tree["family"], tree["param"]).threshold
+            return range(1, min(thr, n_max + 1))
         return range(0)
     if kind in ("dual", "scale"):
         return _gap(tree["child"], n_max)
@@ -248,18 +251,23 @@ def _any_int_digits():
         sys.set_int_max_str_digits(old)
 
 
-def _frac_fields(value: Fraction, pi_power: int = 0) -> dict:
+def _frac_fields(value: Fraction) -> dict:
     with _any_int_digits():
-        return {"num": str(value.numerator), "den": str(value.denominator),
-                "pi_power": pi_power}
+        return {"num": str(value.numerator), "den": str(value.denominator), "pi_power": 0}
 
 
-def _decimal(value: Fraction, pi_power: int, digits: int) -> str:
+def _decimal(value: Fraction, digits: int) -> str:
     import mpmath as mp
 
     with mp.workdps(digits + 10):
-        x = mp.mpf(value.numerator) / value.denominator * mp.pi ** pi_power
-        return mp.nstr(x, digits)
+        return mp.nstr(mp.mpf(value.numerator) / value.denominator, digits)
+
+
+def _stamped(doc: dict, timestamp: bool) -> dict:
+    """doc, with a generated_at field unless the output must be deterministic."""
+    if timestamp:
+        doc["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return doc
 
 
 def coefficients_document(spec: str, tree: dict, s: series.HeatSeries,
@@ -275,11 +283,9 @@ def coefficients_document(spec: str, tree: dict, s: series.HeatSeries,
     for n, (value, flag) in enumerate(zip(s.coeffs, s.validity)):
         entry = {"n": n, **_frac_fields(value), "validity": flag}
         if decimal is not None:
-            entry["decimal"] = _decimal(value, 0, decimal)
+            entry["decimal"] = _decimal(value, decimal)
         doc["coefficients"].append(entry)
-    if timestamp:
-        doc["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return doc
+    return _stamped(doc, timestamp)
 
 
 def parse_document(text: str) -> tuple[dict, series.HeatSeries]:
@@ -360,12 +366,10 @@ def cmd_closed_form(args) -> int:
         "provenance": list(model.notes),
     }
     if args.decimal is not None:
-        doc["kappa"]["decimal"] = _decimal(form.kappa, 0, args.decimal)
+        doc["kappa"]["decimal"] = _decimal(form.kappa, args.decimal)
         for entry, c in zip(doc["poly"], form.poly):
-            entry["decimal"] = _decimal(c, 0, args.decimal)
-    if not args.no_timestamp:
-        doc["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    args.out.write(render_json(doc))
+            entry["decimal"] = _decimal(c, args.decimal)
+    args.out.write(render_json(_stamped(doc, not args.no_timestamp)))
     return 0
 
 
@@ -392,9 +396,7 @@ def cmd_growth(args) -> int:
         },
         "provenance": [s.provenance],
     }
-    if not args.no_timestamp:
-        doc["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    args.out.write(render_json(doc))
+    args.out.write(render_json(_stamped(doc, not args.no_timestamp)))
     return 0
 
 

@@ -40,6 +40,12 @@ the one irregular row: it keeps only the k < m terms of the exponential, with
 base B/(m+1), so it is the truncated Cauchy product of those m terms with
 h^i S(i)/i!, one :func:`~heattrace.series.convolve`.
 
+Every accessor (:func:`rank1_series`, :func:`coefficient`, :func:`volume`,
+:func:`tail_split`, the ``*_an`` functions) is a view of one cache of these
+vectors per (family, mbar), behind the one check of (family, mbar) in
+:func:`_row`.  A request past the cached depth rebuilds to the larger of that
+index and twice the depth, so per-index calls at rising n cost O(log n) builds.
+
 The tail sums are only valid from a family-specific threshold index onward;
 requesting a_n below the threshold raises :class:`BelowThresholdError` (use
 the spectral oracle for those indices).  The tail is zero at n = 0, so
@@ -60,8 +66,11 @@ kept as tabulated, as the independent transliteration in the tests reads it,
 until an exact HP^M spectral oracle settles which is right.  With it the
 volume constant boundary[0] * pref is positive only for M = 2, 3 and 5 of
 the M up to 60, so :class:`SpaceModel` refuses an hp model whose n = 0
-boundary entry is not positive.  The other rows need no check: boundary[0]
-is (m-1)! for the sphere, (m+1)^m (m-2)! (m-1) m / 6 for cp, and a fixed
+boundary entry is not positive.  It reads that entry alone, as one integer
+sum (:func:`_boundary_at_zero`), not through the cache, so the refusal stays
+cheap: hp:500 takes about 0.7 s, against 7 s for the boundary vector to
+n = 0 (a shared 2-core box).  The other rows need no check: boundary[0] is
+(m-1)! for the sphere, (m+1)^m (m-2)! (m-1) m / 6 for cp, and a fixed
 positive constant for op2.
 """
 
@@ -100,11 +109,7 @@ _fact = math.factorial
 
 @dataclass(frozen=True)
 class ScaledRational:
-    """An exact value rational * pi^pi_power.
-
-    Addition is only defined between compatible pi powers (or with zero);
-    the closed forms keep a single pi power per space so this never bites.
-    """
+    """An exact value rational * pi^pi_power; zero carries pi^0."""
 
     rational: Fraction
     pi_power: int = 0
@@ -113,35 +118,6 @@ class ScaledRational:
         object.__setattr__(self, "rational", Fraction(self.rational))
         if self.rational == 0:
             object.__setattr__(self, "pi_power", 0)
-
-    def __add__(self, other: "ScaledRational") -> "ScaledRational":
-        if self.rational == 0:
-            return other
-        if other.rational == 0:
-            return self
-        if self.pi_power != other.pi_power:
-            raise ValueError("cannot add values with different pi powers exactly")
-        return ScaledRational(self.rational + other.rational, self.pi_power)
-
-    def __neg__(self) -> "ScaledRational":
-        return ScaledRational(-self.rational, self.pi_power)
-
-    def __sub__(self, other: "ScaledRational") -> "ScaledRational":
-        return self + (-other)
-
-    def __mul__(self, other: "ScaledRational | Fraction | int") -> "ScaledRational":
-        if isinstance(other, ScaledRational):
-            return ScaledRational(self.rational * other.rational, self.pi_power + other.pi_power)
-        return ScaledRational(self.rational * other, self.pi_power)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "ScaledRational | Fraction | int") -> "ScaledRational":
-        if isinstance(other, ScaledRational):
-            if other.rational == 0:
-                raise ZeroDivisionError
-            return ScaledRational(self.rational / other.rational, self.pi_power - other.pi_power)
-        return ScaledRational(self.rational / Fraction(other), self.pi_power)
 
     def sign(self) -> int:
         if self.rational > 0:
@@ -173,24 +149,16 @@ class SpaceModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scale", Fraction(self.scale))
-        if self.family not in FAMILIES:
-            raise UnsupportedSpaceError(f"unknown rank-one family {self.family!r}")
+        row = _row(self.family, self.mbar)
         if self.signature not in ("compact", "noncompact"):
             raise ValueError("signature must be 'compact' or 'noncompact'")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-        lo = {"sphere": 1, "complex_projective": 2, "quaternionic_projective": 2}.get(self.family)
-        if lo is not None and self.mbar < lo:
-            raise ValueError(f"{self.family} requires mbar >= {lo}")
-        if self.family == "cayley_plane" and self.mbar != 2:
-            raise ValueError("the Cayley plane is only defined for mbar = 2")
-        if self.family == "quaternionic_projective":
-            row = _row(self.family, self.mbar)
-            if _boundary_at_zero(row, row.table()) <= 0:
-                raise UnsupportedSpaceError(
-                    f"the tabulated HP^M closed form has a non-positive volume constant "
-                    f"for M = {self.mbar}, so hp:{self.mbar} cannot be normalized"
-                )
+        if self.family == "quaternionic_projective" and _boundary_at_zero(row, row.table()) <= 0:
+            raise UnsupportedSpaceError(
+                f"the tabulated HP^M closed form has a non-positive volume constant "
+                f"for M = {self.mbar}, so hp:{self.mbar} cannot be normalized"
+            )
 
     @property
     def dimension(self) -> int:
@@ -228,8 +196,26 @@ class _Row:
     terms: int | None = None          # exponential terms kept in the tail (None: all)
 
 
+# Spec atom names ("sphere:M", "cp:M", "hp:M", "op2"), as the CLI and verify read them.
+ATOMS = {"sphere": "sphere", "cp": "complex_projective", "hp": "quaternionic_projective",
+         "op2": "cayley_plane"}
+
+
+def atom_model(name: str, param: str | None) -> SpaceModel:
+    """The model of the spec atom ``name:param``; op2 takes no parameter."""
+    return SpaceModel(ATOMS[name], 2 if name == "op2" else int(param))
+
+
 def _row(family: str, m: int) -> _Row:
-    """The row of (family, m); cheap, since the seed table is built only on demand."""
+    """The row of (family, m), after the one check of the pair; cheap, since the
+    seed table is built only on demand."""
+    if family not in FAMILIES:
+        raise UnsupportedSpaceError(f"unknown rank-one family {family!r}")
+    if family == "cayley_plane" and m != 2:
+        raise ValueError("the Cayley plane is only defined for mbar = 2")
+    lo = 1 if family == "sphere" else 2
+    if m < lo:
+        raise ValueError(f"{family} requires mbar >= {lo}")
     if family == "sphere":
         b = Fraction((2 * m - 1) ** 2, 4)
         return _Row(table=lambda: beta_table(m), b=b, shifts=range(1 - m, 1), base=b,
@@ -249,11 +235,9 @@ def _row(family: str, m: int) -> _Row:
                     shifts=range(2 * m - 3, -1, -1), base=base, lo=2 * m - 2, sign=-1,
                     pref=Fraction(4 ** (2 * m - 2), _fact(2 * m - 1) * _fact(2 * m - 3)),
                     pi_power=2 * m - 2, thr=2 * m - 2)
-    if family == "cayley_plane":
-        b = Fraction(121, 72)
-        return _Row(table=eta_table, b=b, shifts=range(7, -1, -1), base=b, lo=8, sign=-1,
-                    pref=Fraction(6 * 4 ** 8, _fact(7) * _fact(11)), pi_power=8, thr=7)
-    raise UnsupportedSpaceError(f"unknown rank-one family {family!r}")
+    b = Fraction(121, 72)  # the Cayley plane
+    return _Row(table=eta_table, b=b, shifts=range(7, -1, -1), base=b, lo=8, sign=-1,
+                pref=Fraction(6 * 4 ** 8, _fact(7) * _fact(11)), pi_power=8, thr=7)
 
 
 def threshold(family: str, mbar: int) -> int:
@@ -340,31 +324,23 @@ def _build(family: str, mbar: int, n_max: int) -> tuple[list[Fraction], list[Fra
     return _boundary(row, table, n_max), _tail(row, table, n_max)
 
 
-# The one cache: (boundary, tail) per (family, mbar), read by every accessor.
+# The one cache: (boundary, tail) per (family, mbar), read and written only by _vectors.
 _tail_cache: dict[tuple[str, int], tuple[list[Fraction], list[Fraction]]] = {}
 
 
 def _vectors(family: str, mbar: int, n_max: int) -> tuple[list[Fraction], list[Fraction]]:
     """The (boundary, tail) vectors of (family, mbar) to at least n_max.
 
-    A shorter cached pair is rebuilt to exactly n_max rather than grown:
-    callers that know their depth (``rank1_series``) request it up front,
-    and the per-index ``_split`` asks for a doubled depth.
+    A miss rebuilds to max(n_max, 2 * cached depth): a first build is exactly
+    as deep as asked (``rank1_series`` knows its depth), and per-index calls
+    at rising n cost O(log n) builds.
     """
     key = (family, mbar)
     hit = _tail_cache.get(key)
-    if hit is None or len(hit[0]) <= n_max:
-        hit = _build(family, mbar, n_max)
-        _tail_cache[key] = hit
+    depth = -1 if hit is None else len(hit[0]) - 1
+    if n_max > depth:
+        hit = _tail_cache[key] = _build(family, mbar, max(n_max, 2 * depth))
     return hit
-
-
-def _split(family: str, mbar: int, n: int) -> tuple[Fraction, Fraction]:
-    """(boundary[n], tail[n]).  Past the cached depth the vectors are rebuilt to
-    at least twice that depth, so per-index calls at rising n cost O(log n) builds."""
-    depth = len(_tail_cache.get((family, mbar), ((),))[0]) - 1
-    boundary, tail = _vectors(family, mbar, n if n <= depth else max(n, 2 * depth))
-    return boundary[n], tail[n]
 
 
 # --- accessors ---------------------------------------------------------------
@@ -377,27 +353,27 @@ def tail_split(family: str, mbar: int, n: int) -> tuple[ScaledRational, ScaledRa
     the tail part carries the factorial growth.
     """
     row = _row(family, mbar)
-    first, tail = _split(family, mbar, n)
-    return (ScaledRational(first * row.pref, row.pi_power),
-            ScaledRational(tail * row.pref, row.pi_power))
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    boundary, tail = _vectors(family, mbar, n)
+    return (ScaledRational(boundary[n] * row.pref, row.pi_power),
+            ScaledRational(tail[n] * row.pref, row.pi_power))
 
 
-def _an(family: str, mbar: int, n: int, name: str) -> ScaledRational:
-    thr = threshold(family, mbar)
-    if n < thr:
+def _an(family: str, mbar: int, n: int) -> ScaledRational:
+    row = _row(family, mbar)
+    if n < row.thr:
         raise BelowThresholdError(
-            f"{name} closed form needs n >= {thr} (got n={n}); "
+            f"{family}:{mbar} closed form needs n >= {row.thr} (got n={n}); "
             "use the spectral oracle for lower indices"
         )
-    first, tail = tail_split(family, mbar, n)
-    return first + tail
+    boundary, tail = _vectors(family, mbar, n)
+    return ScaledRational((boundary[n] + tail[n]) * row.pref, row.pi_power)
 
 
 def even_sphere_an(mbar: int, n: int) -> ScaledRational:
     """a_n of the unit even-dimensional sphere S^{2mbar}, exact, for n >= mbar."""
-    if mbar < 1:
-        raise ValueError("even_sphere_an requires mbar >= 1")
-    return _an("sphere", mbar, n, "sphere")
+    return _an("sphere", mbar, n)
 
 
 def cp_an(mbar: int, n: int) -> ScaledRational:
@@ -407,21 +383,17 @@ def cp_an(mbar: int, n: int) -> ScaledRational:
     tail coefficients (terms all positive), even mbar integer-lattice ones
     (terms all negative).
     """
-    if mbar < 2:
-        raise ValueError("cp_an requires mbar >= 2")
-    return _an("complex_projective", mbar, n, "complex projective")
+    return _an("complex_projective", mbar, n)
 
 
 def hp_an(mbar: int, n: int) -> ScaledRational:
     """a_n of the quaternionic projective family, exact, for n >= 2*mbar - 2."""
-    if mbar < 2:
-        raise ValueError("hp_an requires mbar >= 2")
-    return _an("quaternionic_projective", mbar, n, "quaternionic projective")
+    return _an("quaternionic_projective", mbar, n)
 
 
 def op2_an(n: int) -> ScaledRational:
     """a_n of the Cayley plane, exact, for n >= 7."""
-    return _an("cayley_plane", 2, n, "Cayley plane")
+    return _an("cayley_plane", 2, n)
 
 
 def volume(family: str, mbar: int) -> ScaledRational:
@@ -444,15 +416,11 @@ def _normalized(model: SpaceModel, n: int, value: Fraction) -> Fraction:
 
 
 def coefficient(model: SpaceModel, n: int) -> Fraction:
-    """Normalized coefficient A_n of the model, exact (n = 0 or n >= threshold)."""
+    """Normalized coefficient A_n = a_n / Vol of the model, exact (n = 0 or n >= threshold)."""
     if n == 0:
         return Fraction(1)
-    if n < model.threshold:
-        raise BelowThresholdError(
-            f"{model.family}:{model.mbar} closed form needs n >= {model.threshold}"
-        )
-    first, tail = _split(model.family, model.mbar, n)
-    return _normalized(model, n, (first + tail) / _split(model.family, model.mbar, 0)[0])
+    a = _an(model.family, model.mbar, n)
+    return _normalized(model, n, a.rational / volume(model.family, model.mbar).rational)
 
 
 def rank1_series(model: SpaceModel, n_max: int, fill: str | None = None,

@@ -33,15 +33,6 @@ class CheckResult:
 
 _series_cache: dict[tuple[str, int], series.HeatSeries] = {}
 
-_RANK1_SPECS = {
-    "sphere:1": ("sphere", 1),
-    "sphere:2": ("sphere", 2),
-    "cp:2": ("complex_projective", 2),
-    "cp:3": ("complex_projective", 3),
-    "hp:2": ("quaternionic_projective", 2),
-    "op2": ("cayley_plane", 2),
-}
-
 # (series key, growth constant C, expected coefficient sign for 50 <= n <= 300,
 #  band depth: the n_max up to which the eps = 0.2 band is checked)
 #
@@ -70,8 +61,8 @@ def reference_series(key: str, n_max: int) -> series.HeatSeries:
     """The exact coefficient series of one reference space to n_max (cached)."""
     hit = _series_cache.get((key, n_max))
     if hit is None:
-        family, mbar = _RANK1_SPECS[key]
-        hit = rank1.rank1_series(rank1.SpaceModel(family, mbar), n_max)
+        name, _, param = key.partition(":")
+        hit = rank1.rank1_series(rank1.atom_model(name, param), n_max)
         _series_cache[(key, n_max)] = hit
     return hit
 
@@ -251,8 +242,7 @@ def check_cross_family() -> list[CheckResult]:
 def check_factorial_bound() -> list[CheckResult]:
     """Finite factorial bound witness, verified index by index."""
     out = []
-    targets = list(_RANK1_SPECS)
-    for key in targets:
+    for key, *_ in GROWTH_LAW_TABLE:
         s = series_300(key)
         c1 = growth.factorial_bound_witness(s)
         ok = math.isfinite(c1) and c1 > 0

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,27 @@ class TestCoeffsCommand:
             code, out, _ = run(capsys, "coeffs", "--space", spec, "--n-max", "30",
                                "--format", "csv")
             assert code == 0 and out.count("\n") == 32
+
+    @pytest.mark.parametrize("c2", ["1e5000", "1e10000000", "1E+99_999_999", "5e-5000",
+                                    "1e-10000000"])
+    def test_oversized_scale_factor_refused_quickly(self, capsys, c2):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "coeffs", "--space", f"scale(sphere:1, {c2})",
+                             "--n-max", "3")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert f"scale factor {c2!r} has more than 4300 digits" in err
+
+    def test_scale_factor_under_the_digit_limit(self, capsys):
+        code, out, _ = run(capsys, "coeffs", "--space", "scale(sphere:1, 1e4000)",
+                           "--n-max", "3", "--no-timestamp")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["space"]["tree"]["c2"] == "1" + "0" * 4000
+        assert doc["coefficients"][1]["num"] == "1" + "0" * 4000
+        code, _, err = run(capsys, "coeffs", "--space", "scale(sphere:1, 0e10000000)",
+                           "--n-max", "3")
+        assert code == 2 and "scale factor must be positive" in err
 
     def test_usage_errors(self, capsys):
         code, _, err = run(capsys, "coeffs", "--space", "nonsense:1", "--n-max", "3")

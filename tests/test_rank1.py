@@ -17,6 +17,7 @@ from heattrace.rank1 import (
     op2_an,
     rank1_series,
     tail_split,
+    threshold,
     volume,
 )
 from heattrace.seedpolys import SignedTable
@@ -37,19 +38,14 @@ def A(family, mbar, n):
 
 
 class TestScaledRational:
-    def test_normalization_and_arithmetic(self):
-        z = ScaledRational(Fraction(0), 5)
-        assert z.pi_power == 0
-        x = ScaledRational(Fraction(3, 4), 2)
-        y = ScaledRational(Fraction(1, 4), 2)
-        assert (x + y).rational == 1
-        assert (x * y) == ScaledRational(Fraction(3, 16), 4)
-        assert (x / y) == ScaledRational(Fraction(3), 0)
+    def test_zero_carries_no_pi_power_and_float(self):
+        assert ScaledRational(Fraction(0), 5).pi_power == 0
+        assert ScaledRational(Fraction(0), 5) == ScaledRational(Fraction(0))
         assert float(ScaledRational(Fraction(2), 1)) == pytest.approx(2 * math.pi)
 
-    def test_mixed_powers_rejected(self):
-        with pytest.raises(ValueError):
-            ScaledRational(Fraction(1), 1) + ScaledRational(Fraction(1), 2)
+    def test_as_fraction_refuses_a_pi_power(self):
+        assert ScaledRational(Fraction(3, 4)).as_fraction() == Fraction(3, 4)
+        assert ScaledRational(Fraction(0), 2).as_fraction() == 0
         with pytest.raises(ValueError):
             ScaledRational(Fraction(1), 1).as_fraction()
 
@@ -268,6 +264,62 @@ class TestTailKernel:
         for n in range(7, 201):
             op2_an(n)
         assert builds == [7, 14, 28, 56, 112, 224]
+
+
+class TestOnePath:
+    """Every accessor is a view of the one cached build, behind the one row check."""
+
+    def test_accessors_read_the_series_build(self, monkeypatch):
+        monkeypatch.setattr(rank1, "_tail_cache", {})
+        model = SpaceModel("cayley_plane", 2)
+        s = rank1_series(model, 300)
+
+        def no_build(family, mbar, n_max):
+            raise AssertionError(f"rebuilt {family}:{mbar} to {n_max}")
+
+        monkeypatch.setattr(rank1, "_build", no_build)
+        vol = volume("cayley_plane", 2)
+        for n in (7, 8, 150, 299, 300):
+            a = op2_an(n)
+            first, tail = tail_split("cayley_plane", 2, n)
+            assert a.rational == first.rational + tail.rational
+            assert a.rational / vol.rational == s[n] == coefficient(model, n)
+
+    AN = {"sphere": even_sphere_an, "complex_projective": cp_an, "quaternionic_projective": hp_an,
+          "cayley_plane": lambda mbar, n: rank1._an("cayley_plane", mbar, n)}
+
+    @pytest.mark.parametrize("family, mbar", [
+        ("cayley_plane", 3), ("cayley_plane", 1), ("sphere", 0), ("complex_projective", 1),
+        ("quaternionic_projective", 1), ("quaternionic_projective", 0)])
+    def test_bad_parameters_refused_by_every_entry_point(self, monkeypatch, family, mbar):
+        monkeypatch.setattr(rank1, "_tail_cache", {})
+        with pytest.raises(ValueError) as expected:
+            rank1._row(family, mbar)
+        for call in (lambda: threshold(family, mbar), lambda: tail_split(family, mbar, 7),
+                     lambda: volume(family, mbar), lambda: SpaceModel(family, mbar),
+                     lambda: self.AN[family](mbar, 7)):
+            with pytest.raises(ValueError) as got:
+                call()
+            assert str(got.value) == str(expected.value)
+        assert rank1._tail_cache == {}
+
+    def test_negative_index_refused_cold_or_warm(self, monkeypatch):
+        monkeypatch.setattr(rank1, "_tail_cache", {})
+        for _ in range(2):  # the second call finds the vectors cached by the first
+            with pytest.raises(ValueError, match="nonnegative"):
+                tail_split("sphere", 1, -1)
+            tail_split("sphere", 1, 5)
+
+    def test_unknown_family_refused_by_every_entry_point(self):
+        for call in (lambda: threshold("klein_bottle", 2), lambda: volume("klein_bottle", 2),
+                     lambda: tail_split("klein_bottle", 2, 3)):
+            with pytest.raises(UnsupportedSpaceError, match="unknown rank-one family"):
+                call()
+
+    def test_atom_table(self):
+        assert rank1.atom_model("cp", "3") == SpaceModel("complex_projective", 3)
+        assert rank1.atom_model("op2", None) == SpaceModel("cayley_plane", 2)
+        assert set(rank1.ATOMS.values()) == set(rank1.FAMILIES)
 
 
 class TestSignInvariant:
