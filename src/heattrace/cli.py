@@ -51,7 +51,7 @@ class SpecError(ValueError):
 def parse_space(text: str) -> dict:
     """Parse a space spec into a tree of dicts (see module docstring)."""
     tokens = _tokenize(text)
-    tree, pos = _parse_expr(tokens, 0)
+    tree, pos = _parse_expr(tokens, 0, _atom)
     if pos != len(tokens):
         raise SpecError(f"trailing input in space spec: {tokens[pos:]}")
     return tree
@@ -73,7 +73,9 @@ def _tokenize(text: str) -> list[str]:
     return out
 
 
-def _parse_expr(tokens: list[str], pos: int):
+def _parse_expr(tokens: list[str], pos: int, leaf):
+    """The expression at ``pos`` and the position after it; ``leaf`` reads a bare
+    token there: :func:`_atom` for a space, :func:`_number` for scale's factor."""
     if pos >= len(tokens):
         raise SpecError("unexpected end of space spec")
     head = tokens[pos]
@@ -83,7 +85,7 @@ def _parse_expr(tokens: list[str], pos: int):
         args = []
         pos += 2
         while True:
-            child, pos = _parse_expr(tokens, pos)
+            child, pos = _parse_expr(tokens, pos, _number if head == "scale" and args else _atom)
             args.append(child)
             if pos >= len(tokens):
                 raise SpecError("unclosed combinator")
@@ -99,42 +101,40 @@ def _parse_expr(tokens: list[str], pos: int):
                 raise SpecError("dual(...) takes exactly one space")
             return {"kind": "dual", "child": args[0]}, pos
         if head == "scale":
-            if len(args) != 2 or args[1].get("kind") != "atom_or_number":
-                raise SpecError("scale(SPEC, C2) takes a space and a positive rational")
-            c2 = _number(args[1]["text"])
-            if c2 <= 0:
+            if len(args) != 2 or not isinstance(args[1], Fraction):
+                raise SpecError(_SCALE_USAGE)
+            if args[1] <= 0:
                 raise SpecError("scale factor must be positive")
-            return {"kind": "scale", "c2": str(c2), "child": args[0]}, pos
+            return {"kind": "scale", "c2": str(args[1]), "child": args[0]}, pos
         if len(args) < 2:
             raise SpecError("product(...) takes at least two spaces")
         return {"kind": "product", "children": args}, pos
-    pos += 1
-    return _atom_or_number(head), pos
+    return leaf(head), pos + 1
 
 
-def _atom_or_number(token: str) -> dict:
+def _atom(token: str) -> dict:
     name, _, param = token.partition(":")
     name = name.strip()
     param = param.strip()
-    if name in rank1.ATOMS or name in _PLANCHEREL_ATOMS:
-        if name in ("op2", "e6-f4"):
-            if param:
-                raise SpecError(f"{name} takes no parameter")
-            return {"kind": "atom", "family": name, "param": None}
-        if not param:
-            raise SpecError(f"{name} needs a parameter, e.g. {name}:2")
-        if name == "complex-group":
-            if not (param[:1].isalpha() and param[1:].isdigit()):
-                raise SpecError(f"complex-group parameter must look like 'A2', got {param!r}")
-        elif not param.isdigit():
-            raise SpecError(f"{name} parameter must be a positive integer, got {param!r}")
-        if name in rank1.ATOMS:
-            rank1.atom_model(name, param)  # refuse an unsupported model before any work
-        return {"kind": "atom", "family": name, "param": param}
-    _number(token)  # a bare rational, only valid as the scale argument
-    return {"kind": "atom_or_number", "text": token}
+    if name not in rank1.ATOMS and name not in _PLANCHEREL_ATOMS:
+        raise SpecError(f"unknown space {token!r}")
+    if name in ("op2", "e6-f4"):
+        if param:
+            raise SpecError(f"{name} takes no parameter")
+        return {"kind": "atom", "family": name, "param": None}
+    if not param:
+        raise SpecError(f"{name} needs a parameter, e.g. {name}:2")
+    if name == "complex-group":
+        if not (param[:1].isalpha() and param[1:].isdigit()):
+            raise SpecError(f"complex-group parameter must look like 'A2', got {param!r}")
+    elif not param.isdigit():
+        raise SpecError(f"{name} parameter must be a positive integer, got {param!r}")
+    if name in rank1.ATOMS:
+        rank1.atom_model(name, param)  # refuse an unsupported model before any work
+    return {"kind": "atom", "family": name, "param": param}
 
 
+_SCALE_USAGE = "scale(SPEC, C2) takes a space and a positive rational"
 _MAX_DIGITS = 4300  # the interpreter's default limit on int <-> str conversion
 
 
@@ -149,7 +149,7 @@ def _number(token: str) -> Fraction:
         huge = digits.isdigit() and abs(int(exp)) > 3 * _MAX_DIGITS
         value = Fraction(mantissa if huge else token)
     except (ValueError, ZeroDivisionError):
-        raise SpecError(f"unknown space or value {token!r}") from None
+        raise SpecError(_SCALE_USAGE) from None
     if value and (huge or max(value.numerator, value.denominator) >= 10 ** _MAX_DIGITS):
         raise SpecError(f"scale factor {token!r} has more than {_MAX_DIGITS} digits "
                         "in its numerator or denominator")

@@ -38,7 +38,7 @@ from operator import add, mul
 from pathlib import Path
 
 from .errors import DegenerateModelError, InvariantViolation, NotPositiveDefiniteError, UnsupportedSpaceError
-from .series import EXACT, HeatSeries, dualize as _dualize_series, exp_times
+from .series import EXACT, HeatSeries, exp_times
 
 __all__ = [
     "PlancherelModel",
@@ -305,13 +305,11 @@ def build_family(family: str, param: int | str | None = None) -> PlancherelModel
 # --- diagonalization and moments -----------------------------------------------
 
 
-def diagonalize_form(model_or_matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
+def diagonalize_form(form: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
     """Rational congruence T, diag d with T^T * form * T = diag(d), all d_j > 0.
 
-    Accepts a model or a bare symmetric matrix.  Raises
-    :class:`NotPositiveDefiniteError` when a pivot fails to be positive.
+    Raises :class:`NotPositiveDefiniteError` when a pivot fails to be positive.
     """
-    form = model_or_matrix.form if isinstance(model_or_matrix, PlancherelModel) else model_or_matrix
     n = len(form)
     A = [[Fraction(form[i][j]) for j in range(n)] for i in range(n)]
     # unit lower-triangular L with form = L diag(d) L^T; T = L^{-T}.  Plain
@@ -349,7 +347,7 @@ def closed_form(model: PlancherelModel) -> ExpPolyForm:
     monomials of degree (m - r) - 2h, so the polynomial is the *reversal* of
     the moment array, and its constant term is the leading Weyl moment.
     """
-    T, d = diagonalize_form(model)
+    T, d = diagonalize_form(model.form)
     # p(T y) for unit upper-triangular T: T is the product of its columns'
     # shears x_i -> x_i + T_ij x_j taken from the last column to the first.
     p_diag = model.p
@@ -385,20 +383,19 @@ def closed_form(model: PlancherelModel) -> ExpPolyForm:
     return ExpPolyForm(-model.rho_sq, poly, model.m, model.r)
 
 
-def to_series(form: ExpPolyForm, n_max: int, dual: bool = False) -> HeatSeries:
+def to_series(form: ExpPolyForm, n_max: int) -> HeatSeries:
     """Expand e^{kappa t} P(t) into coefficients A_0..A_{n_max}, exactly.
 
     The series carries ``exppoly = (kappa, P)``, so products with it run on
-    the short polynomial P (see :func:`heattrace.series.product`).  With
-    ``dual=True`` the compact-signature series e^{-kappa t} P(-t) is returned
-    (coefficient sign flip at odd indices).
+    the short polynomial P (see :func:`heattrace.series.product`).  The
+    compact dual's series e^{-kappa t} P(-t) is
+    :func:`~heattrace.series.dualize` of this one.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     coeffs = exp_times(form.kappa, list(form.poly), n_max)
-    out = HeatSeries(coeffs, [EXACT] * (n_max + 1), f"exppoly(kappa={form.kappa})",
-                     (form.kappa, form.poly))
-    return _dualize_series(out) if dual else out
+    return HeatSeries(coeffs, [EXACT] * (n_max + 1), f"exppoly(kappa={form.kappa})",
+                      (form.kappa, form.poly))
 
 
 # --- user-supplied models --------------------------------------------------------
@@ -407,24 +404,32 @@ def to_series(form: ExpPolyForm, n_max: int, dual: bool = False) -> HeatSeries:
 def load_model_file(path: str | Path) -> PlancherelModel:
     """Read a model description from JSON (see README for the schema).
 
-    Expected keys: ``r``, ``m``, ``rho_sq`` ("num/den" string or numberling),
+    Expected keys: ``r``, ``m``, ``rho_sq`` ("num/den" string or number),
     ``form`` (r x r nested lists of rational strings), and ``p`` (list of
     ``{"exponents": [...], "coeff": "num/den"}`` monomials).  Optional
-    ``label``.
+    ``label``.  A missing key or a value of the wrong shape raises a
+    ``ValueError`` that names the file and the key.
     """
     raw = json.loads(Path(path).read_text())
-    r = int(raw["r"])
-    m = int(raw["m"])
-    rho_sq = Fraction(str(raw["rho_sq"]))
-    form = tuple(
-        tuple(Fraction(str(x)) for x in row) for row in raw["form"]
-    )
+
+    def read(obj, key: str, convert):
+        try:
+            return convert(obj[key])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"model file {path}: cannot read key {key!r} "
+                             f"({type(exc).__name__}: {exc})") from None
+
+    r = read(raw, "r", int)
+    m = read(raw, "m", int)
+    rho_sq = read(raw, "rho_sq", lambda x: Fraction(str(x)))
+    form = read(raw, "form",
+                lambda rows: tuple(tuple(Fraction(str(x)) for x in row) for row in rows))
     if len(form) != r:
         raise ValueError("form matrix must be r x r")
     p: Poly = {}
-    for mono in raw["p"]:
-        exps = tuple(int(e) for e in mono["exponents"])
-        coeff = Fraction(str(mono["coeff"]))
+    for mono in read(raw, "p", list):
+        exps = read(mono, "exponents", lambda es: tuple(int(e) for e in es))
+        coeff = read(mono, "coeff", lambda c: Fraction(str(c)))
         if coeff:
             p[exps] = p.get(exps, Fraction(0)) + coeff
     label = str(raw.get("label", "custom"))

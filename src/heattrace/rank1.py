@@ -135,25 +135,18 @@ class ScaledRational:
 
 @dataclass(frozen=True)
 class SpaceModel:
-    """A rank-one space: family, size parameter, curvature sign, homothety.
+    """A compact rank-one space in its family's built-in normalization.
 
-    ``scale`` is the homothety factor c^2 applied to the family's built-in
-    normalization (coefficients pick up c^(2n) ... i.e. A_n -> scale^n A_n);
-    ``signature`` selects the compact model or its noncompact dual.
+    The noncompact dual and the homotheties are operations on the coefficient
+    series, :func:`~heattrace.series.dualize` and
+    :func:`~heattrace.series.rescale`, applied to :func:`rank1_series`.
     """
 
     family: str
     mbar: int
-    signature: str = "compact"
-    scale: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scale", Fraction(self.scale))
         row = _row(self.family, self.mbar)
-        if self.signature not in ("compact", "noncompact"):
-            raise ValueError("signature must be 'compact' or 'noncompact'")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
         if self.family == "quaternionic_projective" and _boundary_at_zero(row, row.table()) <= 0:
             raise UnsupportedSpaceError(
                 f"the tabulated HP^M closed form has a non-positive volume constant "
@@ -409,18 +402,11 @@ def volume(family: str, mbar: int) -> ScaledRational:
     return value
 
 
-def _normalized(model: SpaceModel, n: int, value: Fraction) -> Fraction:
-    """value * scale^n, sign-flipped at odd n for the noncompact dual."""
-    value *= model.scale ** n
-    return -value if model.signature == "noncompact" and n % 2 == 1 else value
-
-
 def coefficient(model: SpaceModel, n: int) -> Fraction:
     """Normalized coefficient A_n = a_n / Vol of the model, exact (n = 0 or n >= threshold)."""
     if n == 0:
         return Fraction(1)
-    a = _an(model.family, model.mbar, n)
-    return _normalized(model, n, a.rational / volume(model.family, model.mbar).rational)
+    return _an(model.family, model.mbar, n).rational / volume(model.family, model.mbar).rational
 
 
 def rank1_series(model: SpaceModel, n_max: int, fill: str | None = None,
@@ -453,9 +439,7 @@ def rank1_series(model: SpaceModel, n_max: int, fill: str | None = None,
 
         fitted, _errors = fit_coefficients(model.dimension, orders=thr - 1,
                                            precision=oracle_precision)
-        for n in gap:
-            fill_values[n] = _normalized(
-                model, n, Fraction(*mp.libmp.to_rational(fitted[n]._mpf_)))
+        fill_values = {n: Fraction(*mp.libmp.to_rational(fitted[n]._mpf_)) for n in gap}
     for n in range(1, n_max + 1):
         if n < thr:
             if n in fill_values:
@@ -465,11 +449,6 @@ def rank1_series(model: SpaceModel, n_max: int, fill: str | None = None,
                 coeffs.append(Fraction(0))
                 flags.append(UNAVAILABLE)
         else:
-            coeffs.append(_normalized(model, n, (boundary[n] + tail[n]) / boundary[0]))
+            coeffs.append((boundary[n] + tail[n]) / boundary[0])
             flags.append(EXACT)
-    tag = f"{model.family}:{model.mbar}"
-    if model.signature == "noncompact":
-        tag = f"dual({tag})"
-    if model.scale != 1:
-        tag = f"scale({tag}, {model.scale})"
-    return HeatSeries(coeffs, flags, tag)
+    return HeatSeries(coeffs, flags, f"{model.family}:{model.mbar}")

@@ -19,8 +19,7 @@ from . import growth, oracle, plancherel, rank1, seedpolys, series
 from .exactnum import bernoulli, c_coeff, d_coeff, log_abs
 
 __all__ = [
-    "CheckResult", "run_suite", "suite_names", "reference_series", "series_300",
-    "GROWTH_LAW_TABLE",
+    "CheckResult", "run_suite", "suite_names", "reference_series", "GROWTH_LAW_TABLE",
 ]
 
 
@@ -30,8 +29,6 @@ class CheckResult:
     ok: bool
     detail: str = ""
 
-
-_series_cache: dict[tuple[str, int], series.HeatSeries] = {}
 
 # (series key, growth constant C, expected coefficient sign for 50 <= n <= 300,
 #  band depth: the n_max up to which the eps = 0.2 band is checked)
@@ -58,18 +55,9 @@ GROWTH_LAW_TABLE = [
 
 
 def reference_series(key: str, n_max: int) -> series.HeatSeries:
-    """The exact coefficient series of one reference space to n_max (cached)."""
-    hit = _series_cache.get((key, n_max))
-    if hit is None:
-        name, _, param = key.partition(":")
-        hit = rank1.rank1_series(rank1.atom_model(name, param), n_max)
-        _series_cache[(key, n_max)] = hit
-    return hit
-
-
-def series_300(key: str) -> series.HeatSeries:
-    """The exact coefficient series of one reference space to n = 300 (cached)."""
-    return reference_series(key, 300)
+    """The exact coefficient series of one reference space to n_max."""
+    name, _, param = key.partition(":")
+    return rank1.rank1_series(rank1.atom_model(name, param), n_max)
 
 
 # --- criterion checks ---------------------------------------------------------
@@ -106,7 +94,7 @@ def check_anchors() -> list[CheckResult]:
     ok1 = form.kappa == Fraction(-1, 4) and form.poly[0] == 1 and form.degree == 0
     out.append(CheckResult("anchors/h3-closed-form", ok1,
                            f"kappa={form.kappa}, P=1 (degree 0)"))
-    dual = plancherel.to_series(form, 40, dual=True)
+    dual = series.dualize(plancherel.to_series(form, 40))
     ok2 = all(dual[n] == Fraction(1, 4 ** n * math.factorial(n)) for n in range(41))
     out.append(CheckResult("anchors/s3-dual-series", ok2, "A_n = (1/4)^n / n! exactly"))
     return out
@@ -243,7 +231,7 @@ def check_factorial_bound() -> list[CheckResult]:
     """Finite factorial bound witness, verified index by index."""
     out = []
     for key, *_ in GROWTH_LAW_TABLE:
-        s = series_300(key)
+        s = reference_series(key, 300)
         c1 = growth.factorial_bound_witness(s)
         ok = math.isfinite(c1) and c1 > 0
         slack = 1e-9

@@ -9,7 +9,8 @@ settings.load_profile("det")
 
 @pytest.fixture(scope="session")
 def series300():
-    """Exact reference series to n = 300, shared across the whole run."""
-    from heattrace.verify import series_300
+    """Exact reference series to n = 300; the rank-one cache keeps their builds for
+    the whole run."""
+    from heattrace.verify import reference_series
 
-    return series_300
+    return lambda key: reference_series(key, 300)

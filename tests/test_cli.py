@@ -227,6 +227,19 @@ class TestClosedFormCommand:
         assert code == 0
         assert json.loads(out)["kappa"]["den"] == "4"
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"r": 1, "m": 3, "rho_sq": "1/4", "form": [["1/4"]]}, "p"),
+        ({"r": 1, "m": 3, "rho_sq": "1/4", "form": [["1/4"]],
+          "p": [{"exponents": 2, "coeff": "1"}]}, "exponents"),
+        ([1, 3], "r"),
+    ], ids=["missing-p", "scalar-exponents", "top-level-array"])
+    def test_model_file_schema_errors(self, capsys, tmp_path, doc, key):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "closed-form", "--model-file", str(path))
+        assert code == 2 and out == ""
+        assert f"model file {path}: cannot read key {key!r}" in err
+
     def test_rejects_rank1_atom(self, capsys):
         code, _, err = run(capsys, "closed-form", "--family", "sphere:1")
         assert code == 2
@@ -393,6 +406,16 @@ class TestExitCodes:
 
     def test_argparse_usage_is_2(self, capsys):
         assert main(["coeffs"]) == 2  # missing required arguments
+
+    @pytest.mark.parametrize("spec", ["3/2", "product(3/2, sphere:1)", "dual(2)", "scale(2, 3)"])
+    @pytest.mark.parametrize("argv", [("coeffs", "--n-max", "5", "--space"),
+                                      ("growth", "--space"), ("closed-form", "--family")],
+                             ids=["coeffs", "growth", "closed-form"])
+    def test_bare_number_is_not_a_space(self, capsys, argv, spec):
+        # a bare number is read only as scale's factor
+        code, out, err = run(capsys, *argv, spec)
+        assert code == 2 and out == ""
+        assert "unknown space" in err and "Traceback" not in err
 
 
 def test_cli_import_leaves_mpmath_unloaded():

@@ -33,7 +33,7 @@ class TestEstimate:
 
     def test_killing_sphere_series_decays(self):
         form = closed_form(build_family("hyperbolic_odd", 1))
-        s = to_series(form, 300, dual=True)  # A_n = (1/4)^n / n!
+        s = dualize(to_series(form, 300))  # A_n = (1/4)^n / n!
         c = estimate_growth_constant(s, 50)
         assert c < 1e-3
         assert classify(s) == "factorial_decay"
@@ -89,7 +89,7 @@ class TestEquivCheck:
 class TestWitness:
     def test_decaying_series_small_witness(self):
         form = closed_form(build_family("hyperbolic_odd", 1))
-        s = to_series(form, 200, dual=True)
+        s = dualize(to_series(form, 200))
         w = factorial_bound_witness(s)
         assert 0 < w <= 0.25  # |A_n| = (1/4)^n/n! <= (1/4)^n n!
 

@@ -356,7 +356,7 @@ class TestToSeries:
         form = ExpPolyForm(Fraction(-1, 4), (Fraction(1),), 3, 1)
         s = to_series(form, 5)
         assert s[2] == Fraction(1, 32)
-        dual = to_series(form, 5, dual=True)
+        dual = dualize(to_series(form, 5))
         for n in range(6):
             assert dual[n] == Fraction(1, 4) ** n / math.factorial(n)
 
@@ -364,10 +364,6 @@ class TestToSeries:
         form = ExpPolyForm(Fraction(-1, 2), (Fraction(1), Fraction(2, 3)), 5, 1)
         s = to_series(form, 3)
         assert s[1] == Fraction(-1, 2) + Fraction(2, 3) == Fraction(1, 6)
-
-    def test_dual_matches_series_dualize(self):
-        form = closed_form(build_family("hyperbolic_odd", 3))
-        assert to_series(form, 20, dual=True).coeffs == dualize(to_series(form, 20)).coeffs
 
     def test_product_with_dual_is_polynomial(self):
         # the product series equals P(t) P(-t): vanishes beyond 2*deg

@@ -377,16 +377,19 @@ class TestSeriesAssembly:
 
     def test_noncompact_dual_flips_odd_signs(self):
         c = rank1_series(SpaceModel("sphere", 2), 8)
-        d = rank1_series(SpaceModel("sphere", 2, signature="noncompact"), 8)
+        d = series.dualize(c)
         for n in range(9):
             assert d[n] == (-1) ** n * c[n]
             assert d.validity[n] == c.validity[n]
+        assert d.provenance == "dual(sphere:2)"
 
     def test_scale_multiplies_powers(self):
         base = rank1_series(SpaceModel("sphere", 1), 6)
-        scaled = rank1_series(SpaceModel("sphere", 1, scale=Fraction(4)), 6)
+        scaled = series.rescale(base, 4)
         for n in range(7):
             assert scaled[n] == 4 ** n * base[n]
+            assert scaled.validity[n] == base.validity[n]
+        assert scaled.provenance == "scale(sphere:1, 4)"
 
     def test_oracle_fill_spheres_only(self):
         with pytest.raises(UnsupportedSpaceError):
@@ -405,8 +408,6 @@ class TestSeriesAssembly:
             SpaceModel("sphere", 0)
         with pytest.raises(ValueError):
             SpaceModel("complex_projective", 1)
-        with pytest.raises(ValueError):
-            SpaceModel("sphere", 1, scale=Fraction(-1))
         with pytest.raises(ValueError):
             SpaceModel("cayley_plane", 3)
 
