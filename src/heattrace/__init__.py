@@ -9,7 +9,6 @@ spectral-summation oracle used to validate the closed forms.
 """
 
 from .errors import (
-    BelowThresholdError,
     DegenerateModelError,
     HeatTraceError,
     IllConditionedFitError,
@@ -18,19 +17,10 @@ from .errors import (
     SafetyLimitError,
     UnsupportedSpaceError,
 )
-from .exactnum import bernoulli, c_coeff, d_coeff, gauss_moment, log_abs
+from .exactnum import bernoulli, c_coeff, d_coeff, log_abs
 from .seedpolys import SignedTable, beta_table, delta_table, eta_table, gamma_table
 from .series import HeatSeries, dualize, product, rescale
-from .rank1 import (
-    ScaledRational,
-    SpaceModel,
-    cp_an,
-    even_sphere_an,
-    hp_an,
-    op2_an,
-    rank1_series,
-    volume,
-)
+from .rank1 import SpaceModel, rank1_series
 from .plancherel import (
     ExpPolyForm,
     PlancherelModel,
@@ -48,12 +38,11 @@ from .growth import (
     factorial_bound_witness,
     growth_report,
 )
-from .oracle import SpectrumLine, fit_coefficients, heat_trace, sphere_spectrum, sphere_volume
+from .oracle import ScaledRational, fit_coefficients, heat_trace, sphere_volume
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BelowThresholdError",
     "DegenerateModelError",
     "ExpPolyForm",
     "GrowthReport",
@@ -67,7 +56,6 @@ __all__ = [
     "ScaledRational",
     "SignedTable",
     "SpaceModel",
-    "SpectrumLine",
     "UnsupportedSpaceError",
     "bernoulli",
     "beta_table",
@@ -75,7 +63,6 @@ __all__ = [
     "c_coeff",
     "classify",
     "closed_form",
-    "cp_an",
     "d_coeff",
     "delta_table",
     "diagonalize_form",
@@ -83,22 +70,16 @@ __all__ = [
     "equiv_check",
     "estimate_growth_constant",
     "eta_table",
-    "even_sphere_an",
     "factorial_bound_witness",
     "fit_coefficients",
     "gamma_table",
-    "gauss_moment",
     "growth_report",
     "heat_trace",
-    "hp_an",
     "load_model_file",
     "log_abs",
-    "op2_an",
     "product",
     "rank1_series",
     "rescale",
-    "sphere_spectrum",
     "sphere_volume",
     "to_series",
-    "volume",
 ]

@@ -5,14 +5,6 @@ class HeatTraceError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class BelowThresholdError(HeatTraceError):
-    """A closed-form coefficient was requested below its validity threshold.
-
-    The closed forms are only defined from a family-specific index onward;
-    lower indices must come from the spectral oracle instead.
-    """
-
-
 class UnsupportedSpaceError(HeatTraceError):
     """The requested space is outside the built-in catalogue."""
 

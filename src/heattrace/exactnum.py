@@ -1,9 +1,8 @@
 """Exact rational arithmetic kernel.
 
 Provides Bernoulli numbers, the tail coefficients of the half-integer and
-integer Gaussian lattice sums, half-integer Gamma moments, and an
-overflow-safe natural log for rationals whose numerators can reach ~10^5
-digits.
+integer Gaussian lattice sums, and an overflow-safe natural log for
+rationals whose numerators can reach ~10^5 digits.
 
 Everything except :func:`log_abs` returns :class:`fractions.Fraction`
 (always in lowest terms with positive denominator) and is computed exactly,
@@ -17,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["bernoulli", "c_coeff", "d_coeff", "gauss_moment", "log_abs"]
+__all__ = ["bernoulli", "c_coeff", "d_coeff", "log_abs"]
 
 
 # --- Bernoulli numbers ------------------------------------------------------
@@ -119,17 +118,6 @@ def d_coeff(n: int) -> Fraction:
         four = 1 << (2 * i + 2)
         _d_cache.append(Fraction(2 * _tangent[i + 1], four * (four - 1)))
     return _d_cache[n]
-
-
-def gauss_moment(h: int) -> Fraction:
-    """Gamma(h + 1/2) / sqrt(pi) as an exact rational, i.e. (2h)!/(4^h h!).
-
-    The common sqrt(pi) factor is tracked by callers; it cancels whenever a
-    moment ratio is formed.
-    """
-    if h < 0:
-        raise ValueError("moment order must be nonnegative")
-    return Fraction(math.factorial(2 * h), (1 << (2 * h)) * math.factorial(h))
 
 
 # --- overflow-safe logarithms -----------------------------------------------

@@ -40,14 +40,12 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
 from .errors import IllConditionedFitError, SafetyLimitError
-from .rank1 import ScaledRational
 
 if TYPE_CHECKING:
     import mpmath as mp
 
 __all__ = [
-    "SpectrumLine",
-    "sphere_spectrum",
+    "ScaledRational",
     "sphere_volume",
     "heat_trace",
     "default_grid",
@@ -62,11 +60,19 @@ Multiplicity = Callable[[int], int]
 
 
 @dataclass(frozen=True)
-class SpectrumLine:
-    """One Laplace eigenvalue with its multiplicity."""
+class ScaledRational:
+    """An exact value rational * pi^pi_power; zero carries pi^0."""
 
-    eigenvalue: Fraction | int
-    multiplicity: int
+    rational: Fraction
+    pi_power: int = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rational", Fraction(self.rational))
+        if self.rational == 0:
+            object.__setattr__(self, "pi_power", 0)
+
+    def __float__(self) -> float:
+        return float(self.rational) * math.pi ** self.pi_power
 
 
 def _sphere_levels(m: int) -> tuple[Eigenvalue, Multiplicity]:
@@ -74,18 +80,6 @@ def _sphere_levels(m: int) -> tuple[Eigenvalue, Multiplicity]:
     if m < 2:
         raise ValueError("sphere dimension must be >= 2")
     return (lambda k: k * (k + m - 1)), (lambda k: math.comb(k + m, m) - math.comb(k + m - 2, m))
-
-
-def sphere_spectrum(m: int, k: int) -> SpectrumLine:
-    """Level k of the unit sphere S^m: eigenvalue k(k+m-1), harmonic dimension.
-
-    The eigenvalue is an int.  The multiplicity is the dimension of the
-    degree-k spherical harmonics, C(k+m, m) - C(k+m-2, m).
-    """
-    eigenvalue, multiplicity = _sphere_levels(m)
-    if k < 0:
-        raise ValueError("level must be nonnegative")
-    return SpectrumLine(eigenvalue(k), multiplicity(k))
 
 
 def sphere_volume(m: int) -> ScaledRational:
@@ -233,6 +227,8 @@ def fit_coefficients(m: int, orders: int, t_grid: list[Fraction] | None = None,
 
     if orders < 0:
         raise ValueError("orders must be nonnegative")
+    if not 1 <= precision <= 500:  # before the SVD at precision + 30 digits
+        raise ValueError("precision must lie in [1, 500]")
     if t_grid is None:
         t_grid = default_grid(orders)
     if len(t_grid) < max(2 * orders, orders + _GUARD_TERMS + 2):

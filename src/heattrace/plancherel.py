@@ -419,8 +419,13 @@ def load_model_file(path: str | Path) -> PlancherelModel:
             raise ValueError(f"model file {path}: cannot read key {key!r} "
                              f"({type(exc).__name__}: {exc})") from None
 
-    r = read(raw, "r", int)
-    m = read(raw, "m", int)
+    def integer(x):
+        if type(x) is not int:  # a JSON integer: not a float, not a bool
+            raise TypeError(f"{x!r} is not an integer")
+        return x
+
+    r = read(raw, "r", integer)
+    m = read(raw, "m", integer)
     rho_sq = read(raw, "rho_sq", lambda x: Fraction(str(x)))
     form = read(raw, "form",
                 lambda rows: tuple(tuple(Fraction(str(x)) for x in row) for row in rows))
@@ -428,7 +433,7 @@ def load_model_file(path: str | Path) -> PlancherelModel:
         raise ValueError("form matrix must be r x r")
     p: Poly = {}
     for mono in read(raw, "p", list):
-        exps = read(mono, "exponents", lambda es: tuple(int(e) for e in es))
+        exps = read(mono, "exponents", lambda es: tuple(integer(e) for e in es))
         coeff = read(mono, "coeff", lambda c: Fraction(str(c)))
         if coeff:
             p[exps] = p.get(exps, Fraction(0)) + coeff

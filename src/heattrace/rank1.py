@@ -2,28 +2,27 @@
 
 Four families are built in: even spheres S^{2mbar}, complex projective spaces
 CP^mbar, quaternionic projective spaces HP^mbar, and the Cayley plane OP^2.
-Each coefficient a_n is an exact rational times a fixed power of pi
-(:class:`ScaledRational`); the normalized coefficients A_n = a_n / Vol are
-pure rationals because the pi powers cancel.
+Each coefficient a_n is an exact rational times a fixed power of pi, and the
+normalized coefficients A_n = a_n / Vol are pure rationals because the pi
+powers cancel.
 
 Every family is one row of data (:class:`_Row`), and one builder,
-:func:`_build`, turns a row into two vectors, so that
+:func:`_build`, turns a row into the normalized A_0..A_{n_max}, from
 
     a_n = pref * pi^pi_power * (boundary[n] + tail[n]).
 
 * The boundary is the finite sum  sum_j W_j B^(n+s_j) / (n+s_j)!  with
   W_j = table[j] * j! * h^(j+1) over the family's seed table.  These are the
-  coefficients of e^{B t} times a polynomial, so the whole vector is one
-  :func:`exp_times`.
+  coefficients of e^{B t} times a polynomial Y_b, read from entry max(s) on.
 * The tail is  sum_k base^k/k! * h^i S(i)/i!  at i = n - start - k, the
-  binomial convolution of e^{base t} with the inner sums
-  S(i) = sum_j (-1)^j table[j] coeff(i + j), taken from i = lo on (zero
-  below), so it is one :func:`exp_times` too.  The inner sums are the
-  correlation of the signed table with the coefficient vector, one
-  :func:`~heattrace.series.convolve`.  Every term of every inner sum shares
-  the row's sign (the no-cancellation invariant).  It is checked once per
-  table, against the table's sign law, and once per coefficient vector, for
-  positivity; together these cover every term of every double sum.
+  binomial convolution of e^{base t} with Y_t = sum_i h^i S(i)/i! t^i, the
+  inner sums S(i) = sum_j (-1)^j table[j] coeff(i + j) taken from i = lo on
+  (zero below).  The inner sums are the correlation of the signed table with
+  the coefficient vector, one :func:`~heattrace.series.convolve`.  Every term
+  of every inner sum shares the row's sign (the no-cancellation invariant).
+  It is checked once per table, against the table's sign law, and once per
+  coefficient vector, for positivity; together these cover every term of
+  every double sum.
 
 ====== ============== ======================= ========= ======= ====== ==== ======
 family B              W_j / j!                s_j       base    start  lo   sign
@@ -35,22 +34,29 @@ op2    121/72         eta_j                   7-j       B       0      8    -1
 ====== ============== ======================= ========= ======= ====== ==== ======
 
 with q = (2m-1)^2/(8(m+1)).  The cp inner sums carry h^i = (m+1)^i and run
-over c-coefficients (odd m) or d-coefficients (even m).  The even-m cp tail is
-the one irregular row: it keeps only the k < m terms of the exponential, with
-base B/(m+1), so it is the truncated Cauchy product of those m terms with
-h^i S(i)/i!, one :func:`~heattrace.series.convolve`.
+over c-coefficients (odd m) or d-coefficients (even m).
 
-Every accessor (:func:`rank1_series`, :func:`coefficient`, :func:`volume`,
-:func:`tail_split`, the ``*_an`` functions) is a view of one cache of these
-vectors per (family, mbar), behind the one check of (family, mbar) in
+The tail is zero at n = 0, so boundary[0] * pref is the volume constant that
+makes A_0 = 1, and A_n = (boundary[n] + tail[n]) / boundary[0].  The builder
+reads boundary[0] as one integer sum (:func:`_boundary_at_zero`) and divides
+the generators by it before the exponential, which is linear in them, so each
+A_n is reduced once, inside :func:`~heattrace.series.exp_times`.  Where the
+tail base is B and the tail keeps every exponential term (sphere, odd cp,
+op2), boundary and tail are one generator Y_b + t^(max(s) + start) Y_t and one
+:func:`exp_times`; for op2 the two overlap at t^7 and are added there.  The
+hp boundary has its own exponential (B = base^2), and the even-mbar cp tail
+keeps only the k < m terms of e^{base t} with base B/(m+1), so it is the
+truncated Cauchy product of those m terms with Y_t, one
+:func:`~heattrace.series.convolve`; either second term is added into the same
+list.
+
+:func:`rank1_series` is the one reader.  It reads one cached list per
+(family, mbar), ``_tail_cache``, behind the one check of (family, mbar) in
 :func:`_row`.  A request past the cached depth rebuilds to the larger of that
-index and twice the depth, so per-index calls at rising n cost O(log n) builds.
-
-The tail sums are only valid from a family-specific threshold index onward;
-requesting a_n below the threshold raises :class:`BelowThresholdError` (use
-the spectral oracle for those indices).  The tail is zero at n = 0, so
-boundary[0] * pref is the volume constant that makes A_0 = 1
-(:func:`volume`), and A_n = (boundary[n] + tail[n]) / boundary[0].
+index and twice the depth, so calls at rising n cost O(log n) builds.  The
+closed form is valid only from a family-specific threshold index onward, so
+a request that ends below it builds nothing: those indices are flagged
+``unavailable`` or filled from the spectral oracle.
 
 Normalizations.  The sphere family is the unit-radius round sphere (validated
 against the spectral oracle).  The projective families follow their published
@@ -66,12 +72,11 @@ kept as tabulated, as the independent transliteration in the tests reads it,
 until an exact HP^M spectral oracle settles which is right.  With it the
 volume constant boundary[0] * pref is positive only for M = 2, 3 and 5 of
 the M up to 60, so :class:`SpaceModel` refuses an hp model whose n = 0
-boundary entry is not positive.  It reads that entry alone, as one integer
-sum (:func:`_boundary_at_zero`), not through the cache, so the refusal stays
-cheap: hp:500 takes about 0.7 s, against 7 s for the boundary vector to
-n = 0 (a shared 2-core box).  The other rows need no check: boundary[0] is
-(m-1)! for the sphere, (m+1)^m (m-2)! (m-1) m / 6 for cp, and a fixed
-positive constant for op2.
+boundary entry is not positive.  It reads that entry alone, without a build,
+so the refusal stays cheap: hp:500 takes about 0.7 s, against 7 s for the
+boundary vector to n = 0 (a shared 2-core box).  The other rows need no
+refusal: boundary[0] is (m-1)! for the sphere, (m+1)^m (m-2)! (m-1) m / 6 for
+cp, and a fixed positive constant for op2.
 """
 
 from __future__ import annotations
@@ -81,56 +86,22 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BelowThresholdError, InvariantViolation, UnsupportedSpaceError
+from .errors import InvariantViolation, UnsupportedSpaceError
 from .exactnum import c_coeff, d_coeff
 from .seedpolys import (SignedTable, beta_table, delta_table, eta_table, expected_signs,
                         gamma_table)
 from .series import APPROXIMATE, EXACT, UNAVAILABLE, HeatSeries, convolve, exp_times
 
 __all__ = [
-    "ScaledRational",
     "SpaceModel",
     "FAMILIES",
-    "even_sphere_an",
-    "cp_an",
-    "hp_an",
-    "op2_an",
-    "volume",
-    "coefficient",
     "threshold",
     "rank1_series",
-    "tail_split",
 ]
 
 FAMILIES = ("sphere", "complex_projective", "quaternionic_projective", "cayley_plane")
 
 _fact = math.factorial
-
-
-@dataclass(frozen=True)
-class ScaledRational:
-    """An exact value rational * pi^pi_power; zero carries pi^0."""
-
-    rational: Fraction
-    pi_power: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rational", Fraction(self.rational))
-        if self.rational == 0:
-            object.__setattr__(self, "pi_power", 0)
-
-    def sign(self) -> int:
-        if self.rational > 0:
-            return 1
-        return -1 if self.rational < 0 else 0
-
-    def __float__(self) -> float:
-        return float(self.rational) * math.pi ** self.pi_power
-
-    def as_fraction(self) -> Fraction:
-        if self.pi_power != 0 and self.rational != 0:
-            raise ValueError(f"value carries pi^{self.pi_power}, not a plain rational")
-        return self.rational
 
 
 @dataclass(frozen=True)
@@ -180,7 +151,7 @@ class _Row:
     base: Fraction
     lo: int
     sign: int
-    pref: Fraction
+    pref: Callable[[], Fraction]      # builds a_n's prefactor; A_n does not need it
     pi_power: int
     thr: int
     h: int = 1
@@ -212,25 +183,27 @@ def _row(family: str, m: int) -> _Row:
     if family == "sphere":
         b = Fraction((2 * m - 1) ** 2, 4)
         return _Row(table=lambda: beta_table(m), b=b, shifts=range(1 - m, 1), base=b,
-                    lo=0, sign=(-1) ** (m - 1), pref=Fraction(4 ** m, _fact(2 * m - 1)),
+                    lo=0, sign=(-1) ** (m - 1),
+                    pref=lambda: Fraction(4 ** m, _fact(2 * m - 1)),
                     pi_power=m, thr=m, start=m)
     if family == "complex_projective":
         odd = m % 2 == 1
         b = Fraction(m * m, 4 * (m + 1))
         return _Row(table=lambda: gamma_table(m), b=b, shifts=range(2 - m, 2),
                     base=b if odd else b / (m + 1), lo=0, sign=1 if odd else -1,
-                    pref=Fraction(4 ** (m - 1), _fact(m) * _fact(m - 1)),
+                    pref=lambda: Fraction(4 ** (m - 1), _fact(m) * _fact(m - 1)),
                     pi_power=m - 1, thr=m - 1, h=m + 1, coeff=c_coeff if odd else d_coeff,
                     start=m - 1, terms=None if odd else m)
     if family == "quaternionic_projective":
         base = Fraction((2 * m - 1) ** 2, 8 * (m + 1))
         return _Row(table=lambda: delta_table(m), b=base ** 2,
                     shifts=range(2 * m - 3, -1, -1), base=base, lo=2 * m - 2, sign=-1,
-                    pref=Fraction(4 ** (2 * m - 2), _fact(2 * m - 1) * _fact(2 * m - 3)),
+                    pref=lambda: Fraction(4 ** (2 * m - 2),
+                                          _fact(2 * m - 1) * _fact(2 * m - 3)),
                     pi_power=2 * m - 2, thr=2 * m - 2)
     b = Fraction(121, 72)  # the Cayley plane
     return _Row(table=eta_table, b=b, shifts=range(7, -1, -1), base=b, lo=8, sign=-1,
-                pref=Fraction(6 * 4 ** 8, _fact(7) * _fact(11)), pi_power=8, thr=7)
+                pref=lambda: Fraction(6 * 4 ** 8, _fact(7) * _fact(11)), pi_power=8, thr=7)
 
 
 def threshold(family: str, mbar: int) -> int:
@@ -241,19 +214,10 @@ def threshold(family: str, mbar: int) -> int:
 # --- the builder -------------------------------------------------------------
 
 
-def _boundary(row: _Row, table: SignedTable, n_max: int) -> list[Fraction]:
-    """boundary[0..n_max]; entry n is entry n + max(s) of e^{B t} * sum_j W_j t^(max(s) - s_j)."""
-    top = max(row.shifts)
-    ys = [Fraction(0)] * len(table)
-    for j, (w, s) in enumerate(zip(table.values, row.shifts)):
-        ys[top - s] = w * _fact(j) * row.h ** (j + 1)
-    return exp_times(row.b, ys, n_max + top)[top:]
-
-
 def _boundary_at_zero(row: _Row, table: SignedTable) -> Fraction:
     """boundary[0] = sum of W_j B^(s_j) / s_j! over the s_j >= 0, as one integer sum.
 
-    Equals ``_boundary(row, table, 0)[0]`` without running the exponential to
+    This is entry max(s) of e^{B t} * Y_b without running the exponential to
     max(s): with B = p/q and D = lcm(den W), term j is D W_j g[s_j] over
     D g[0], where g[s] = p^s q^(top-s) top!/s! is an integer and
     g[s] = g[s-1] p / (q s) exactly.
@@ -296,117 +260,59 @@ def _inner_sums(table: SignedTable, coeff_fn, lo: int, i_max: int,
     return [Fraction(0)] * lo + convolve(u, cs, i_max - lo + k - 1)[k - 1:]
 
 
-def _tail(row: _Row, table: SignedTable, n_max: int) -> list[Fraction]:
-    """tail[0..n_max], zero below index start + lo."""
-    nu_max = n_max - row.start
-    if nu_max < 0:
-        return [Fraction(0)] * (n_max + 1)
-    inner = _inner_sums(table, row.coeff, row.lo, nu_max, row.sign)
-    ys = [row.h ** i * s / _fact(i) for i, s in enumerate(inner)]
-    if row.terms is None:
-        tail = exp_times(row.base, ys, nu_max)
-    else:  # the even-mbar cp tail keeps only the terms k < row.terms of e^{base t}
-        tail = convolve(ys, [row.base ** k / _fact(k) for k in range(row.terms)], nu_max)
-    return [Fraction(0)] * row.start + tail
+def _build(family: str, mbar: int, n_max: int) -> list[Fraction]:
+    """The normalized A_0..A_{n_max} of (family, mbar), from one seed table.
 
-
-def _build(family: str, mbar: int, n_max: int) -> tuple[list[Fraction], list[Fraction]]:
-    """The unprefactored (boundary, tail) vectors of a_0..a_{n_max}, from one seed table."""
+    Entries 1..threshold - 1 are the closed form's values there, which are not
+    the space's; :func:`rank1_series` never reads them.
+    """
     row = _row(family, mbar)
     table = row.table()
-    return _boundary(row, table, n_max), _tail(row, table, n_max)
+    b0 = _boundary_at_zero(row, table)
+    if b0 <= 0:
+        raise InvariantViolation(f"volume constant of {family}:{mbar} is not positive")
+    top = max(row.shifts)
+    ys = [Fraction(0)] * len(table)
+    for j, (w, s) in enumerate(zip(table.values, row.shifts)):
+        ys[top - s] = w * _fact(j) * row.h ** (j + 1) / b0
+    nu_max = n_max - row.start
+    yt = []
+    if nu_max >= 0:
+        inner = _inner_sums(table, row.coeff, row.lo, nu_max, row.sign)
+        yt = [row.h ** i * s / (_fact(i) * b0) for i, s in enumerate(inner)]
+    one_exponential = row.base == row.b and row.terms is None
+    if one_exponential:  # Y_b + t^(top + start) Y_t
+        at = top + row.start
+        ys += [Fraction(0)] * (at + len(yt) - len(ys))
+        for i, y in enumerate(yt, at):
+            ys[i] += y
+    out = exp_times(row.b, ys, n_max + top)[top:]
+    if yt and not one_exponential:
+        if row.terms is None:
+            tail = exp_times(row.base, yt, nu_max)
+        else:  # the even-mbar cp tail keeps only the terms k < row.terms of e^{base t}
+            tail = convolve(yt, [row.base ** k / _fact(k) for k in range(row.terms)], nu_max)
+        for i, y in enumerate(tail, row.start):
+            out[i] += y
+    return out
 
 
-# The one cache: (boundary, tail) per (family, mbar), read and written only by _vectors.
-_tail_cache: dict[tuple[str, int], tuple[list[Fraction], list[Fraction]]] = {}
+# The one cache: A_0..A_depth per (family, mbar), read and written only by _coefficients.
+_tail_cache: dict[tuple[str, int], list[Fraction]] = {}
 
 
-def _vectors(family: str, mbar: int, n_max: int) -> tuple[list[Fraction], list[Fraction]]:
-    """The (boundary, tail) vectors of (family, mbar) to at least n_max.
+def _coefficients(family: str, mbar: int, n_max: int) -> list[Fraction]:
+    """The normalized coefficients of (family, mbar) to at least n_max.
 
     A miss rebuilds to max(n_max, 2 * cached depth): a first build is exactly
-    as deep as asked (``rank1_series`` knows its depth), and per-index calls
-    at rising n cost O(log n) builds.
+    as deep as asked, and calls at rising n cost O(log n) builds.
     """
     key = (family, mbar)
     hit = _tail_cache.get(key)
-    depth = -1 if hit is None else len(hit[0]) - 1
+    depth = -1 if hit is None else len(hit) - 1
     if n_max > depth:
         hit = _tail_cache[key] = _build(family, mbar, max(n_max, 2 * depth))
     return hit
-
-
-# --- accessors ---------------------------------------------------------------
-
-
-def tail_split(family: str, mbar: int, n: int) -> tuple[ScaledRational, ScaledRational]:
-    """The (boundary-sum, tail-sum) parts of a_n, each with the prefactor applied.
-
-    Exposed for the decay diagnostics: the boundary part tends to zero while
-    the tail part carries the factorial growth.
-    """
-    row = _row(family, mbar)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    boundary, tail = _vectors(family, mbar, n)
-    return (ScaledRational(boundary[n] * row.pref, row.pi_power),
-            ScaledRational(tail[n] * row.pref, row.pi_power))
-
-
-def _an(family: str, mbar: int, n: int) -> ScaledRational:
-    row = _row(family, mbar)
-    if n < row.thr:
-        raise BelowThresholdError(
-            f"{family}:{mbar} closed form needs n >= {row.thr} (got n={n}); "
-            "use the spectral oracle for lower indices"
-        )
-    boundary, tail = _vectors(family, mbar, n)
-    return ScaledRational((boundary[n] + tail[n]) * row.pref, row.pi_power)
-
-
-def even_sphere_an(mbar: int, n: int) -> ScaledRational:
-    """a_n of the unit even-dimensional sphere S^{2mbar}, exact, for n >= mbar."""
-    return _an("sphere", mbar, n)
-
-
-def cp_an(mbar: int, n: int) -> ScaledRational:
-    """a_n of the complex projective family, exact, for n >= mbar - 1.
-
-    The parity of mbar selects the branch: odd mbar sums half-integer-lattice
-    tail coefficients (terms all positive), even mbar integer-lattice ones
-    (terms all negative).
-    """
-    return _an("complex_projective", mbar, n)
-
-
-def hp_an(mbar: int, n: int) -> ScaledRational:
-    """a_n of the quaternionic projective family, exact, for n >= 2*mbar - 2."""
-    return _an("quaternionic_projective", mbar, n)
-
-
-def op2_an(n: int) -> ScaledRational:
-    """a_n of the Cayley plane, exact, for n >= 7."""
-    return _an("cayley_plane", 2, n)
-
-
-def volume(family: str, mbar: int) -> ScaledRational:
-    """The volume constant of the family's built-in normalization.
-
-    Defined as the n = 0 boundary entry times the prefactor (the tail sum is
-    empty there), which is exactly the constant that makes A_0 = 1.  For
-    spheres this reproduces the textbook unit-sphere volumes.
-    """
-    value = tail_split(family, mbar, 0)[0]
-    if value.sign() <= 0:
-        raise InvariantViolation(f"volume of {family}:{mbar} is not positive")
-    return value
-
-
-def coefficient(model: SpaceModel, n: int) -> Fraction:
-    """Normalized coefficient A_n = a_n / Vol of the model, exact (n = 0 or n >= threshold)."""
-    if n == 0:
-        return Fraction(1)
-    return _an(model.family, model.mbar, n).rational / volume(model.family, model.mbar).rational
 
 
 def rank1_series(model: SpaceModel, n_max: int, fill: str | None = None,
@@ -416,14 +322,14 @@ def rank1_series(model: SpaceModel, n_max: int, fill: str | None = None,
     A_0 = 1 exactly.  Indices between 1 and the family threshold are not
     produced by the closed form; they are flagged ``unavailable`` unless
     ``fill='oracle'``, in which case spectral-fit estimates are inserted and
-    flagged ``approximate`` (supported for the sphere family only).
+    flagged ``approximate`` (supported for the sphere family only).  Nothing
+    is built when n_max is below the threshold.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if fill not in (None, "oracle"):
         raise ValueError("fill must be None or 'oracle'")
     thr = model.threshold
-    boundary, tail = _vectors(model.family, model.mbar, n_max)
     coeffs: list[Fraction] = [Fraction(1)]
     flags: list[str] = [EXACT]
     gap = range(1, min(thr, n_max + 1))
@@ -440,15 +346,14 @@ def rank1_series(model: SpaceModel, n_max: int, fill: str | None = None,
         fitted, _errors = fit_coefficients(model.dimension, orders=thr - 1,
                                            precision=oracle_precision)
         fill_values = {n: Fraction(*mp.libmp.to_rational(fitted[n]._mpf_)) for n in gap}
-    for n in range(1, n_max + 1):
-        if n < thr:
-            if n in fill_values:
-                coeffs.append(fill_values[n])
-                flags.append(APPROXIMATE)
-            else:
-                coeffs.append(Fraction(0))
-                flags.append(UNAVAILABLE)
+    for n in gap:
+        if n in fill_values:
+            coeffs.append(fill_values[n])
+            flags.append(APPROXIMATE)
         else:
-            coeffs.append((boundary[n] + tail[n]) / boundary[0])
-            flags.append(EXACT)
+            coeffs.append(Fraction(0))
+            flags.append(UNAVAILABLE)
+    if n_max >= thr:
+        coeffs += _coefficients(model.family, model.mbar, n_max)[thr : n_max + 1]
+        flags += [EXACT] * (n_max + 1 - thr)
     return HeatSeries(coeffs, flags, f"{model.family}:{model.mbar}")

@@ -89,14 +89,6 @@ class HeatSeries:
     def is_exact_on(self, lo: int, hi: int) -> bool:
         return all(f == EXACT for f in self.validity[lo : hi + 1])
 
-    def truncated(self, n_max: int) -> "HeatSeries":
-        if n_max > self.n_max:
-            raise ValueError("cannot extend a series by truncation")
-        return HeatSeries(
-            self.coeffs[: n_max + 1], self.validity[: n_max + 1], self.provenance,
-            self.exppoly,
-        )
-
 
 def _over_common_denominator(values: list[Fraction | int]) -> tuple[list[int], int]:
     """Integers ``nums`` and one ``den`` with ``values[i] == nums[i] / den``."""

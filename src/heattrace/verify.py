@@ -105,11 +105,11 @@ def _fit_rel_errors(mbar: int, precision: int = 50):
 
     m = 2 * mbar
     thr = mbar
-    model = rank1.SpaceModel("sphere", mbar)
+    exact_series = rank1.rank1_series(rank1.SpaceModel("sphere", mbar), 5)
     fitted, _ = oracle.fit_coefficients(m, orders=5, precision=precision)
     rel = []
     for n in range(thr, 6):
-        exact = rank1.coefficient(model, n)
+        exact = exact_series[n]
         with mp.workdps(40):
             e = mp.mpf(exact.numerator) / exact.denominator
             rel.append(float(abs((fitted[n] - e) / e)))

@@ -43,33 +43,28 @@ def bernoulli_recurrence(n_top: int) -> list[Fraction]:
     return B
 
 
-def direct_heat_trace(spectrum, t, digits: int):
+def direct_heat_trace(spectrum: dict, t, digits: int):
     """sum mult * exp(-t * eig) with one ``mp.exp`` per level.
 
-    Summation stops at the first level k > 0 with t * (eig - eig_0) past
-    3 * (digits + 12) * ln 10, where the Boltzmann factor is below
-    10^-(3 * (digits + 12)) of level 0's, far under what ``digits`` need; the
-    eigenvalues must increase from that level on.
+    ``spectrum`` holds the ``eigenvalue`` and ``multiplicity`` callables that
+    ``heat_trace`` takes as hooks.  Summation stops at the first level k > 0
+    with t * (eig - eig_0) past 3 * (digits + 12) * ln 10, where the Boltzmann
+    factor is below 10^-(3 * (digits + 12)) of level 0's, far under what
+    ``digits`` need; the eigenvalues must increase from that level on.
     """
+    eigenvalue, multiplicity = spectrum["eigenvalue"], spectrum["multiplicity"]
     t = Fraction(t)
     with mp.workdps(digits + 20):
         tt = mp.mpf(t.numerator) / t.denominator
         total = mp.mpf(0)
-        eig0 = spectrum(0).eigenvalue
+        eig0 = eigenvalue(0)
         k = 0
         while True:
-            line = spectrum(k)
-            eig = line.eigenvalue
+            eig = eigenvalue(k)
             if k > 0 and t * (eig - eig0) > 3 * (digits + 12) * math.log(10):
                 return total
-            total += line.multiplicity * mp.exp(-tt * mp.mpf(eig.numerator) / eig.denominator)
+            total += multiplicity(k) * mp.exp(-tt * mp.mpf(eig.numerator) / eig.denominator)
             k += 1
-
-
-def level_hooks(spectrum) -> dict:
-    """``heat_trace``'s eigenvalue and multiplicity hooks from one SpectrumLine callable."""
-    return {"eigenvalue": lambda k: spectrum(k).eigenvalue,
-            "multiplicity": lambda k: spectrum(k).multiplicity}
 
 
 def schoolbook_convolve(xs: list[Fraction], ys: list[Fraction], n_max: int) -> list[Fraction]:
@@ -305,6 +300,52 @@ def sphere_exact(mbar: int, n_max: int, Bs: list[Fraction]) -> list[Fraction]:
     return [sum(ex[i] * g[n - i] for i in range(n + 1)) / g[0] for n in range(n_max + 1)]
 
 
+def _halves(count: int) -> list[Fraction]:
+    return [Fraction(2 * i + 1, 2) for i in range(count)]
+
+
+def _table(roots: list[Fraction]) -> list[Fraction]:
+    """Coefficients in s^2 of prod (s^2 - root^2)."""
+    return even_part(expand_linear_product([x for j in roots for x in (j, -j)]))
+
+
+def _cp_gamma(mbar: int) -> list[Fraction]:
+    """The gamma table: square of prod_{k=1}^{mbar-1} (s + k - mbar/2), in s^2."""
+    return even_part(expand_linear_product(
+        [Fraction(k) - Fraction(mbar, 2) for k in range(1, mbar)] * 2))
+
+
+def rank1_boundary_reference(family: str, mbar: int, n: int) -> Fraction:
+    """The boundary part of a_n (prefactor applied, pi power dropped), summed per index.
+
+    Direct transliteration of the four rank-one boundary sums,
+    sum_j W_j B^(n + s_j) / (n + s_j)! over the j with n + s_j >= 0, one
+    index at a time in Fractions; W_j, B and s_j are as in the table of the
+    ``heattrace.rank1`` docstring.  The beta, gamma and delta tables are
+    rebuilt from their roots; eta is the typed-in :data:`ETA`.
+    """
+    fact = math.factorial
+    if family == "sphere":
+        b, pref = Fraction((2 * mbar - 1) ** 2, 4), Fraction(4 ** mbar, fact(2 * mbar - 1))
+        terms = [(w, j + 1 - mbar) for j, w in enumerate(_table(_halves(mbar - 1)))]
+    elif family == "complex_projective":
+        b = Fraction(mbar * mbar, 4 * (mbar + 1))
+        pref = Fraction(4 ** (mbar - 1), fact(mbar) * fact(mbar - 1))
+        terms = [(w * (mbar + 1) ** (j + 1), j + 2 - mbar)
+                 for j, w in enumerate(_cp_gamma(mbar))]
+    elif family == "quaternionic_projective":
+        b = Fraction((2 * mbar - 1) ** 2, 8 * (mbar + 1)) ** 2
+        pref = Fraction(4 ** (2 * mbar - 2), fact(2 * mbar - 1) * fact(2 * mbar - 3))
+        delta = _table(_halves(mbar - 1) + _halves(mbar - 2))
+        terms = [(w, 2 * mbar - 3 - j) for j, w in enumerate(delta)]
+    else:
+        assert family == "cayley_plane"
+        b, pref = Fraction(121, 72), Fraction(6 * 4 ** 8, fact(7) * fact(11))
+        terms = [(w, 7 - j) for j, w in enumerate(ETA)]
+    return pref * sum(w * fact(j) * b ** (n + s) / fact(n + s)
+                      for j, (w, s) in enumerate(terms) if n + s >= 0)
+
+
 def rank1_tail_reference(family: str, mbar: int, n: int, Bs: list[Fraction]) -> Fraction:
     """The tail part of a_n (prefactor applied, pi power dropped), summed per index.
 
@@ -320,27 +361,20 @@ def rank1_tail_reference(family: str, mbar: int, n: int, Bs: list[Fraction]) -> 
     def d(i):
         return Fraction((-1) ** i, i + 1) * Bs[2 * i + 2]
 
-    def halves(count):
-        return [Fraction(2 * i + 1, 2) for i in range(count)]
-
-    def table(roots):
-        return even_part(expand_linear_product([x for j in roots for x in (j, -j)]))
-
     def inner(tab, coeff, i):
         return sum((-1) ** j * w * coeff(i + j) for j, w in enumerate(tab))
 
     fact = math.factorial
     tail = Fraction(0)
     if family == "sphere":
-        beta = table(halves(mbar - 1))
+        beta = _table(_halves(mbar - 1))
         b2 = Fraction((2 * mbar - 1) ** 2, 4)
         nu = n - mbar
         for k in range(nu + 1):
             tail += b2 ** (nu - k) * inner(beta, c, k) / (fact(k) * fact(nu - k))
         return tail * Fraction(4 ** mbar, fact(2 * mbar - 1))
     if family == "complex_projective":
-        roots = [Fraction(k) - Fraction(mbar, 2) for k in range(1, mbar)] * 2
-        gamma = even_part(expand_linear_product(roots))
+        gamma = _cp_gamma(mbar)
         base = Fraction(mbar * mbar, 4 * (mbar + 1) ** 2)
         nu = n - mbar + 1
         if mbar % 2 == 1:
@@ -353,7 +387,7 @@ def rank1_tail_reference(family: str, mbar: int, n: int, Bs: list[Fraction]) -> 
         tail *= Fraction(mbar + 1) ** nu
         return tail * Fraction(4 ** (mbar - 1), fact(mbar) * fact(mbar - 1))
     if family == "quaternionic_projective":
-        delta = table(halves(mbar - 1) + halves(mbar - 2))
+        delta = _table(_halves(mbar - 1) + _halves(mbar - 2))
         base = Fraction((2 * mbar - 1) ** 2, 8 * (mbar + 1))
         for k in range(n - 2 * mbar + 3):
             tail += base ** k * inner(delta, c, n - k) / (fact(k) * fact(n - k))

@@ -84,6 +84,50 @@ class TestCoeffsCommand:
                          "--no-timestamp")
         assert out1 == out2
 
+    # sha256 of the --no-timestamp stdout for the rank1-deep benchmark pool at
+    # n = 300 and for op2 at its growth-band depth 360 (first, so that op2 to 300
+    # reads its build).  The documents are fixed across commits: a digest that
+    # moves is a change of output.
+    GOLDEN = {
+        ("op2", 360, "json"):
+            "2cc340f7ca58ec16cf4c3177333049ff22492b05d6af774fa93b5754bb1eb008",
+        ("op2", 360, "csv"):
+            "248cd22681d2eb121362a56c2c8412499c786d72cd474ed05a13e736c8bb00e9",
+        ("product(cp:2, dual(sphere:1))", 300, "json"):
+            "9de889f645f5a53b044b95e3a95654a61ab29737e6dc659563a4886536b93217",
+        ("product(cp:2, dual(sphere:1))", 300, "csv"):
+            "f10db0154b690bc562ee08eff13b20d799bb5c728f09264ef3fad5e15d4b5fb8",
+        ("product(cp:2, dual(sphere:2))", 300, "json"):
+            "6b551148a02eb4e3b2435ec243e0a2cafc72d5e655e3f99a7f847bfb32f67d05",
+        ("product(cp:2, dual(sphere:2))", 300, "csv"):
+            "8639aa796490fddc61411125dae03fba26e2cbd1d70c12179875feec4e0545a7",
+        ("product(cp:2, dual(sphere:3))", 300, "json"):
+            "b80b659da5c4fb209055e9292675cd31c749025b10522ea718c91c7e159e3c5c",
+        ("product(cp:2, dual(sphere:3))", 300, "csv"):
+            "f77b6f5ffb3492b8dd7bb87f2343d8590545a93763faa8a4cb2f28d9bc7bb1af",
+        ("cp:3", 300, "json"):
+            "0e266fa83a8227a0529288db5f480e77b176ad7223fb2dd4c72cb08e0e83f02f",
+        ("cp:3", 300, "csv"):
+            "4552b8f74ccf43c7d7eceb66089f73089884ffcde36ad1881253245cf5123764",
+        ("hp:2", 300, "json"):
+            "86595d0a4409f75c959cb1b4692c7179b51c2959e538e9d2c2fbcec50e32ef53",
+        ("hp:2", 300, "csv"):
+            "3eac77b1042ab8d6d0c26818672f5140320a2f1626f15dd50b6aabc7ef51a9d3",
+        ("op2", 300, "json"):
+            "3183076e88c6c5284710d05e4e98773c7134518ec737c7219d93b9823b3966cd",
+        ("op2", 300, "csv"):
+            "56a58beead507930d4ba8e4ab282211627b15c47bcf1ea597ea040bb9fb79166",
+    }
+
+    def test_golden_rank1_documents(self, capsys):
+        import hashlib
+
+        for (spec, n_max, fmt), digest in self.GOLDEN.items():
+            code, out, _ = run(capsys, "coeffs", "--space", spec, "--n-max", str(n_max),
+                               "--format", fmt, "--no-timestamp")
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (spec, n_max, fmt)
+
     def test_round_trip_bit_identical(self, capsys):
         _, out, _ = run(capsys, "coeffs", "--space", "scale(hp:2, 3/7)",
                         "--n-max", "9", "--no-timestamp")
@@ -144,6 +188,19 @@ class TestCoeffsCommand:
         assert gap["validity"] == "approximate"
         assert abs(float(gap["decimal"]) - 2.0) < 1e-8
         assert doc["coefficients"][2]["validity"] == "exact"
+
+    def test_oracle_precision_refused_before_the_fit(self, capsys, monkeypatch):
+        import mpmath
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the SVD ran")
+
+        monkeypatch.setattr(mpmath, "svd_r", no_svd)
+        for precision in ("3000", "100000"):
+            code, out, err = run(capsys, "coeffs", "--space", "sphere:3", "--n-max", "20",
+                                 "--oracle-fill", "--oracle-precision", precision)
+            assert code == 2 and out == ""
+            assert "precision must lie in [1, 500]" in err
 
     def test_refuses_hp_without_a_positive_volume(self, capsys):
         for spec in ("hp:4", "product(hp:6, sphere:1)"):
@@ -232,7 +289,16 @@ class TestClosedFormCommand:
         ({"r": 1, "m": 3, "rho_sq": "1/4", "form": [["1/4"]],
           "p": [{"exponents": 2, "coeff": "1"}]}, "exponents"),
         ([1, 3], "r"),
-    ], ids=["missing-p", "scalar-exponents", "top-level-array"])
+        ({"r": 1.9, "m": 3, "rho_sq": "1/4", "form": [["1/4"]],
+          "p": [{"exponents": [2], "coeff": "1"}]}, "r"),
+        ({"r": 1, "m": True, "rho_sq": "1/4", "form": [["1/4"]],
+          "p": [{"exponents": [2], "coeff": "1"}]}, "m"),
+        ({"r": 1, "m": 3, "rho_sq": "1/4", "form": [["1/4"]],
+          "p": [{"exponents": [2.7], "coeff": "1"}]}, "exponents"),
+        ({"r": 1, "m": 3, "rho_sq": "1/4", "form": [["1/4"]],
+          "p": [{"exponents": ["2"], "coeff": "1"}]}, "exponents"),
+    ], ids=["missing-p", "scalar-exponents", "top-level-array", "float-r", "bool-m",
+            "float-exponent", "string-exponent"])
     def test_model_file_schema_errors(self, capsys, tmp_path, doc, key):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heattrace import exactnum
-from heattrace.exactnum import bernoulli, c_coeff, d_coeff, gauss_moment, log_abs
+from heattrace.exactnum import bernoulli, c_coeff, d_coeff, log_abs
 
 from _oracles import bernoulli_recurrence
 
@@ -107,17 +107,6 @@ def test_rising_bernoulli_calls_rebuild_logarithmically(cold_tables):
         assert (-1) ** (n + 1) * bernoulli(2 * n) > 0
         depths.add(len(exactnum._tangent))
     assert len(depths) <= math.ceil(math.log2(300)) + 2
-
-
-def test_gauss_moment_values():
-    assert gauss_moment(0) == 1
-    assert gauss_moment(1) == Fraction(1, 2)
-    assert gauss_moment(4) == Fraction(105, 16)
-
-
-def test_gauss_moment_recurrence():
-    for h in range(1, 200):
-        assert gauss_moment(h) == gauss_moment(h - 1) * Fraction(2 * h - 1, 2)
 
 
 def test_log_abs_basics():

@@ -4,76 +4,71 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from heattrace import oracle
+from heattrace import oracle, rank1
 from heattrace.errors import IllConditionedFitError, SafetyLimitError
 from heattrace.oracle import (
-    SpectrumLine,
+    ScaledRational,
     default_grid,
     fit_coefficients,
     heat_trace,
-    sphere_spectrum,
     sphere_volume,
 )
-from heattrace.rank1 import ScaledRational, SpaceModel, coefficient
+from heattrace.rank1 import SpaceModel, rank1_series
 
-from _oracles import direct_heat_trace, harmonic_dimension, level_hooks
-
-
-def _flat_circle(k):
-    # eigenvalues k^2 with multiplicity 2 for k >= 1
-    return SpectrumLine(Fraction(k * k), 1 if k == 0 else 2)
+from _oracles import direct_heat_trace, harmonic_dimension
 
 
-def _cubic(k):
-    # second difference 6k: a new step ratio at every level
-    return SpectrumLine(Fraction(k ** 3), k + 1)
+def _sphere(m):
+    eigenvalue, multiplicity = oracle._sphere_levels(m)
+    return {"eigenvalue": eigenvalue, "multiplicity": multiplicity}
 
 
-def _half_integer(k):
-    # k^2 + k/2: half-integers at odd k
-    return SpectrumLine(Fraction(2 * k * k + k, 2), 2 * k + 1)
-
-
-def _shifted_square(k):
-    # k^2 + 5: level 0 has a nonzero eigenvalue
-    return SpectrumLine(k * k + 5, 2 * k + 1)
-
-
-def _valley(k):
-    # (k - 10)^2: eigenvalues fall until level 10, so the first steps exceed 1
-    return SpectrumLine((k - 10) ** 2, 1)
+# eigenvalues k^2 with multiplicity 2 for k >= 1
+_flat_circle = {"eigenvalue": lambda k: Fraction(k * k),
+                "multiplicity": lambda k: 1 if k == 0 else 2}
+# second difference 6k: a new step ratio at every level
+_cubic = {"eigenvalue": lambda k: Fraction(k ** 3), "multiplicity": lambda k: k + 1}
+# k^2 + k/2: half-integers at odd k
+_half_integer = {"eigenvalue": lambda k: Fraction(2 * k * k + k, 2),
+                 "multiplicity": lambda k: 2 * k + 1}
+# k^2 + 5: level 0 has a nonzero eigenvalue
+_shifted_square = {"eigenvalue": lambda k: k * k + 5, "multiplicity": lambda k: 2 * k + 1}
+# (k - 10)^2: eigenvalues fall until level 10, so the first steps exceed 1
+_valley = {"eigenvalue": lambda k: (k - 10) ** 2, "multiplicity": lambda k: 1}
 
 
 class TestSpectrum:
     def test_constants_level(self):
         for m in range(2, 9):
-            line = sphere_spectrum(m, 0)
-            assert line.eigenvalue == 0 and line.multiplicity == 1
+            eigenvalue, multiplicity = oracle._sphere_levels(m)
+            assert eigenvalue(0) == 0 and multiplicity(0) == 1
 
     def test_s2_s3_closed_forms(self):
+        (eig2, mult2), (eig3, mult3) = oracle._sphere_levels(2), oracle._sphere_levels(3)
         for k in range(12):
-            assert sphere_spectrum(2, k).eigenvalue == k * (k + 1)
-            assert sphere_spectrum(2, k).multiplicity == 2 * k + 1
-            assert sphere_spectrum(3, k).eigenvalue == k * (k + 2)
-            assert sphere_spectrum(3, k).multiplicity == (k + 1) ** 2
+            assert eig2(k) == k * (k + 1)
+            assert mult2(k) == 2 * k + 1
+            assert eig3(k) == k * (k + 2)
+            assert mult3(k) == (k + 1) ** 2
 
     def test_multiplicities_by_harmonic_kernel(self):
         # exact nullspace of the Laplacian on homogeneous polynomials
         for m in (2, 3, 4):
+            _eigenvalue, multiplicity = oracle._sphere_levels(m)
             for k in range(7):
-                assert sphere_spectrum(m, k).multiplicity == harmonic_dimension(m + 1, k)
+                assert multiplicity(k) == harmonic_dimension(m + 1, k)
 
     def test_eigenvalues_increase(self):
         for m in (2, 5):
-            eigs = [sphere_spectrum(m, k).eigenvalue for k in range(50)]
+            eigenvalue, multiplicity = oracle._sphere_levels(m)
+            eigs = [eigenvalue(k) for k in range(50)]
             assert all(a < b for a, b in zip(eigs, eigs[1:]))
-            assert all(sphere_spectrum(m, k).multiplicity > 0 for k in range(50))
+            assert all(multiplicity(k) > 0 for k in range(50))
 
     def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            sphere_spectrum(1, 0)
-        with pytest.raises(ValueError):
-            sphere_spectrum(2, -1)
+        for m in (1, 0):
+            with pytest.raises(ValueError):
+                oracle._sphere_levels(m)
 
 
 class TestVolume:
@@ -85,10 +80,10 @@ class TestVolume:
 
     def test_matches_rank1_calibration(self):
         # dual route: the closed-form volume constant = the textbook volume
-        from heattrace.rank1 import volume
-
         for mbar in (1, 2, 3, 4):
-            assert volume("sphere", mbar) == sphere_volume(2 * mbar)
+            row = rank1._row("sphere", mbar)
+            constant = row.pref() * rank1._boundary_at_zero(row, row.table())
+            assert ScaledRational(constant, row.pi_power) == sphere_volume(2 * mbar)
 
 
 class TestHeatTrace:
@@ -109,30 +104,20 @@ class TestHeatTrace:
         t = Fraction(1, 10)
         prec = 40
         base = heat_trace(3, t, precision=prec)
-        total = direct_heat_trace(lambda k: sphere_spectrum(3, k), t, prec)
+        total = direct_heat_trace(_sphere(3), t, prec)
         with mp.workdps(prec + 20):
             assert abs(base - total) < mp.mpf(10) ** (-prec) * total
 
     def test_custom_spectrum_hook(self):
-        def flat_circle(k):
-            # eigenvalues k^2 with multiplicity 2 for k >= 1
-            return (
-                sphere_spectrum(2, 0)
-                if k == 0
-                else __import__("heattrace.oracle", fromlist=["SpectrumLine"]).SpectrumLine(
-                    Fraction(k * k), 2
-                )
-            )
-
-        v = heat_trace(1, 1, precision=30, **level_hooks(flat_circle))
+        v = heat_trace(1, 1, precision=30, **_flat_circle)
         with mp.workdps(40):
             theta = 1 + 2 * mp.nsum(lambda k: mp.exp(-k * k), [1, mp.inf])
             assert abs(v - theta) < 1e-28
 
     def test_fast_ladder_matches_generic_path(self):
         # the weight recurrence and tail bound against a per-level exp sum
-        cases = [(m, {}, lambda k, m=m: sphere_spectrum(m, k)) for m in (2, 3, 5)]
-        cases += [(1, level_hooks(spec), spec) for spec in (_flat_circle, _cubic, _half_integer)]
+        cases = [(m, {}, _sphere(m)) for m in (2, 3, 5)]
+        cases += [(1, spec, spec) for spec in (_flat_circle, _cubic, _half_integer)]
         for m, hooks, spec in cases:
             for t in (Fraction(1, 3), Fraction(1, 64), Fraction(1, 4096)):
                 got = heat_trace(m, t, precision=40, **hooks)
@@ -142,7 +127,7 @@ class TestHeatTrace:
         # about 8,600 levels: the longest ladder the default fit grids sum
         t = Fraction(1, 2 ** 19)
         got = heat_trace(3, t, precision=50)
-        ref = direct_heat_trace(lambda k: sphere_spectrum(3, k), t, 50)
+        ref = direct_heat_trace(_sphere(3), t, 50)
         with mp.workdps(70):
             assert abs(got - ref) < mp.mpf(10) ** (-50) * ref
 
@@ -157,31 +142,34 @@ class TestHeatTrace:
         (1, Fraction(20), 50, _valley),
     ], ids=["S200", "k2+5-t50", "k2+5-t100", "S3-precision1", "S3-precision500", "valley-t20"])
     def test_fixed_point_edge_cases(self, m, t, precision, spec):
-        got = heat_trace(m, t, precision, **(level_hooks(spec) if spec else {}))
-        ref = direct_heat_trace(spec or (lambda k: sphere_spectrum(m, k)), t, precision)
+        got = heat_trace(m, t, precision, **(spec or {}))
+        ref = direct_heat_trace(spec or _sphere(m), t, precision)
         with mp.workdps(precision + 20):
             assert abs(got - ref) < mp.mpf(10) ** (-precision) * ref
 
     def test_small_t_sums_few_levels(self):
         # S^3 at t = 2^-19: sqrt(60 ln 10 / t) ~ 8500 levels reach 60 digits
         levels = []
+        eigenvalue, multiplicity = oracle._sphere_levels(3)
 
         def counted(k):
             levels.append(k)
-            return sphere_spectrum(3, k)
+            return eigenvalue(k)
 
-        heat_trace(3, Fraction(1, 2 ** 19), precision=50, **level_hooks(counted))
+        heat_trace(3, Fraction(1, 2 ** 19), precision=50, eigenvalue=counted,
+                   multiplicity=multiplicity)
         assert max(k for k in levels if k != oracle._MAX_TERMS) <= 10_000
 
     def test_unreachable_truncation_refused_up_front(self):
         calls = []
 
-        def counted(k):
-            calls.append(k)
-            return sphere_spectrum(2, k)
+        def counted(hook):
+            return lambda k: calls.append(k) or hook(k)
 
+        eigenvalue, multiplicity = oracle._sphere_levels(2)
         with pytest.raises(SafetyLimitError):
-            heat_trace(2, Fraction(1, 10 ** 15), 30, **level_hooks(counted))
+            heat_trace(2, Fraction(1, 10 ** 15), 30, eigenvalue=counted(eigenvalue),
+                       multiplicity=counted(multiplicity))
         assert len(calls) <= 2
         # the factor that must fall is relative to level 0's, however large that is
         levels = []
@@ -230,10 +218,10 @@ class TestHeatTrace:
 class TestFit:
     def test_s2_known_coefficients(self):
         vals, errs = fit_coefficients(2, orders=5, precision=50)
-        model = SpaceModel("sphere", 1)
+        exact_series = rank1_series(SpaceModel("sphere", 1), 5)
         assert abs(vals[0] - 1) < 1e-8
         for n in range(1, 6):
-            exact = coefficient(model, n)
+            exact = exact_series[n]
             with mp.workdps(40):
                 e = mp.mpf(exact.numerator) / exact.denominator
                 assert abs((vals[n] - e) / e) < 1e-6
@@ -291,3 +279,12 @@ class TestFit:
         with pytest.raises(IllConditionedFitError):
             fit_coefficients(2, orders=8, precision=1)
         assert calls == []
+
+    @pytest.mark.parametrize("precision", [0, 501, 3000, 100_000])
+    def test_precision_refused_before_the_svd(self, monkeypatch, precision):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the SVD ran")
+
+        monkeypatch.setattr(mp, "svd_r", no_svd)
+        with pytest.raises(ValueError, match=r"precision must lie in \[1, 500\]"):
+            fit_coefficients(6, orders=2, precision=precision)

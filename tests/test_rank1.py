@@ -5,36 +5,55 @@ from fractions import Fraction
 import pytest
 
 from heattrace import rank1, series
-from heattrace.errors import BelowThresholdError, InvariantViolation, UnsupportedSpaceError
-from heattrace.exactnum import c_coeff
-from heattrace.rank1 import (
-    ScaledRational,
-    SpaceModel,
-    coefficient,
-    cp_an,
-    even_sphere_an,
-    hp_an,
-    op2_an,
-    rank1_series,
-    tail_split,
-    threshold,
-    volume,
-)
+from heattrace.errors import InvariantViolation, UnsupportedSpaceError
+from heattrace.exactnum import c_coeff, log_abs
+from heattrace.oracle import ScaledRational
+from heattrace.rank1 import SpaceModel, rank1_series, threshold
 from heattrace.seedpolys import SignedTable
-from heattrace.series import APPROXIMATE, EXACT, UNAVAILABLE
+from heattrace.series import APPROXIMATE, EXACT, UNAVAILABLE, HeatSeries
 
 from _oracles import (
     bernoulli_recurrence,
     cp_direct,
     hp_direct,
-    level_hooks,
     op2_direct,
+    rank1_boundary_reference,
     rank1_tail_reference,
 )
 
 
 def A(family, mbar, n):
-    return coefficient(SpaceModel(family, mbar), n)
+    return rank1_series(SpaceModel(family, mbar), n)[n]
+
+
+def volume(family, mbar):
+    """The volume constant of the built-in normalization, pref * boundary[0] * pi^pi_power."""
+    row = rank1._row(family, mbar)
+    return ScaledRational(row.pref() * rank1._boundary_at_zero(row, row.table()), row.pi_power)
+
+
+def a(family, mbar, n):
+    """a_n without its pi power: A_n times the volume constant (A_0 = 1)."""
+    return A(family, mbar, n) * volume(family, mbar).rational
+
+
+def unchecked_model(family, mbar):
+    """A SpaceModel that skipped its own check, so rank1_series meets the pair first."""
+    model = object.__new__(SpaceModel)
+    object.__setattr__(model, "family", family)
+    object.__setattr__(model, "mbar", mbar)
+    return model
+
+
+def below_threshold_unavailable(family, mbar, thr):
+    s = rank1_series(SpaceModel(family, mbar), thr)
+    assert s.validity == [EXACT] + [UNAVAILABLE] * (thr - 1) + [EXACT]
+    assert s.coeffs[1:thr] == [0] * (thr - 1) and s[thr] != 0
+
+
+@pytest.fixture(scope="module")
+def bernoulli():
+    return bernoulli_recurrence(2 * (300 + 8) + 2)
 
 
 class TestScaledRational:
@@ -42,12 +61,6 @@ class TestScaledRational:
         assert ScaledRational(Fraction(0), 5).pi_power == 0
         assert ScaledRational(Fraction(0), 5) == ScaledRational(Fraction(0))
         assert float(ScaledRational(Fraction(2), 1)) == pytest.approx(2 * math.pi)
-
-    def test_as_fraction_refuses_a_pi_power(self):
-        assert ScaledRational(Fraction(3, 4)).as_fraction() == Fraction(3, 4)
-        assert ScaledRational(Fraction(0), 2).as_fraction() == 0
-        with pytest.raises(ValueError):
-            ScaledRational(Fraction(1), 1).as_fraction()
 
 
 class TestSpheres:
@@ -69,30 +82,24 @@ class TestSpheres:
         assert volume("sphere", 3) == ScaledRational(Fraction(16, 15), 3)  # 16 pi^3 / 15
 
     def test_an_carries_expected_pi_power(self):
-        a = even_sphere_an(1, 3)
-        assert a.pi_power == 1
-        a = even_sphere_an(2, 2)
-        assert a.pi_power == 2
+        assert rank1._row("sphere", 1).pi_power == 1
+        assert rank1._row("sphere", 2).pi_power == 2
 
     def test_threshold_rejected(self):
-        with pytest.raises(BelowThresholdError):
-            even_sphere_an(2, 1)
-        with pytest.raises(BelowThresholdError):
-            even_sphere_an(3, 2)
+        below_threshold_unavailable("sphere", 2, 2)
+        below_threshold_unavailable("sphere", 3, 3)
 
     def test_even_mbar_eventually_negative(self):
-        assert even_sphere_an(2, 200).sign() == -1
+        assert A("sphere", 2, 200) < 0
 
     def test_odd_mbar_positive(self):
-        assert even_sphere_an(1, 200).sign() == 1
-        assert even_sphere_an(3, 200).sign() == 1
+        assert A("sphere", 1, 200) > 0
+        assert A("sphere", 3, 200) > 0
 
 
 class TestComplexProjective:
     def test_threshold(self):
-        with pytest.raises(BelowThresholdError):
-            cp_an(3, 1)
-        cp_an(3, 2)  # threshold itself is fine
+        below_threshold_unavailable("complex_projective", 3, 2)  # threshold itself is exact
 
     def test_cp2_low_order_values(self):
         # frozen from the tabulated formula (independent hand evaluation)
@@ -100,38 +107,40 @@ class TestComplexProjective:
         assert A("complex_projective", 2, 2) == Fraction(113, 11340)
 
     def test_cp2_eventually_negative(self):
-        assert cp_an(2, 50).sign() == -1
-        assert cp_an(2, 120).sign() == -1
+        assert A("complex_projective", 2, 50) < 0
+        assert A("complex_projective", 2, 120) < 0
 
     def test_cp3_positive(self):
-        assert cp_an(3, 50).sign() == 1
+        assert A("complex_projective", 3, 50) > 0
 
     def test_bad_mbar(self):
         with pytest.raises(ValueError):
-            cp_an(1, 5)
+            SpaceModel("complex_projective", 1)
 
     def test_matches_independent_transliteration(self):
-        for mbar, n in [(2, 1), (2, 2), (2, 17), (3, 2), (3, 3), (3, 16), (4, 9), (5, 8)]:
-            assert cp_an(mbar, n).rational == Fraction(4 ** (mbar - 1)) * cp_direct(mbar, n)
+        # n = 0 checks the volume constant, which every A_n is divided by
+        for mbar, n in [(2, 0), (2, 1), (2, 2), (2, 17), (3, 0), (3, 2), (3, 3), (3, 16),
+                        (4, 9), (5, 8)]:
+            assert (a("complex_projective", mbar, n)
+                    == Fraction(4 ** (mbar - 1)) * cp_direct(mbar, n))
 
 
 class TestQuaternionicProjective:
     def test_threshold(self):
-        with pytest.raises(BelowThresholdError):
-            hp_an(2, 1)
-        a = hp_an(2, 2)
-        assert a.pi_power == 2  # (4 pi)^{2 mbar - 2}
+        below_threshold_unavailable("quaternionic_projective", 2, 2)
+        assert rank1._row("quaternionic_projective", 2).pi_power == 2  # (4 pi)^{2 mbar - 2}
 
     def test_eventually_negative(self):
-        assert hp_an(2, 60).sign() == -1
+        assert A("quaternionic_projective", 2, 60) < 0
 
     def test_tail_terms_share_sign_at_threshold(self):
-        first, tail = tail_split("quaternionic_projective", 2, 2)
-        assert tail.sign() == -1
+        tail = a("quaternionic_projective", 2, 2) - rank1_boundary_reference(
+            "quaternionic_projective", 2, 2)
+        assert tail < 0
 
     def test_non_positive_volume_refused_before_any_build(self, monkeypatch):
         def no_build(family, mbar, n_max):
-            raise AssertionError("a refused model built its vectors")
+            raise AssertionError("a refused model built its vector")
 
         def no_exp_times(*args):
             raise AssertionError("the volume-sign check ran an exponential")
@@ -144,9 +153,9 @@ class TestQuaternionicProjective:
         monkeypatch.undo()
         for mbar in (2, 3, 5):
             SpaceModel("quaternionic_projective", mbar)
-            assert volume("quaternionic_projective", mbar).sign() == 1
+            assert volume("quaternionic_projective", mbar).rational > 0
         with pytest.raises(InvariantViolation):
-            volume("quaternionic_projective", 4)
+            rank1._build("quaternionic_projective", 4, 10)
 
     def test_boundary_at_zero_matches_the_boundary_vector(self):
         rows = ([("quaternionic_projective", m) for m in range(2, 31)]
@@ -154,75 +163,62 @@ class TestQuaternionicProjective:
                 + [("complex_projective", m) for m in range(2, 8)] + [("cayley_plane", 2)])
         for family, mbar in rows:
             row = rank1._row(family, mbar)
-            table = row.table()
-            assert rank1._boundary_at_zero(row, table) == rank1._boundary(row, table, 0)[0]
+            b0 = rank1._boundary_at_zero(row, row.table())
+            assert row.pref() * b0 == rank1_boundary_reference(family, mbar, 0)
+            if b0 > 0:  # entry 0 of the exponential, divided by b0
+                assert rank1._build(family, mbar, 0) == [1]
 
     def test_matches_independent_transliteration(self):
-        for mbar, n in [(2, 2), (2, 3), (2, 15), (3, 4), (3, 12), (4, 6)]:
-            assert hp_an(mbar, n).rational == Fraction(4 ** (2 * mbar - 2)) * hp_direct(mbar, n)
+        # n = 0 checks the volume constant, which every A_n is divided by
+        for mbar, n in [(2, 0), (2, 2), (2, 3), (2, 15), (3, 0), (3, 4), (3, 12), (5, 0), (5, 8)]:
+            assert (a("quaternionic_projective", mbar, n)
+                    == Fraction(4 ** (2 * mbar - 2)) * hp_direct(mbar, n))
 
 
 class TestCayleyPlane:
     def test_threshold(self):
-        with pytest.raises(BelowThresholdError):
-            op2_an(6)
+        below_threshold_unavailable("cayley_plane", 2, 7)
 
     def test_prefactor_pi_power(self):
-        assert op2_an(7).pi_power == 8  # (4 pi)^8
+        assert rank1._row("cayley_plane", 2).pi_power == 8  # (4 pi)^8
 
     def test_matches_independent_naive_summation(self):
-        for n in (7, 8, 20):
-            a = op2_an(n)
-            assert a.rational == Fraction(4 ** 8) * op2_direct(n)
+        for n in (0, 7, 8, 20):
+            assert a("cayley_plane", 2, n) == Fraction(4 ** 8) * op2_direct(n)
 
     def test_eventually_negative(self):
-        assert op2_an(60).sign() == -1
+        assert A("cayley_plane", 2, 60) < 0
+
+
+RANK1_ROWS = [
+    ("sphere", 1, 1),
+    ("sphere", 2, 2),
+    ("complex_projective", 2, 1),
+    ("complex_projective", 3, 2),
+    ("quaternionic_projective", 2, 2),
+    ("cayley_plane", 2, 7),
+]
 
 
 class TestFirstSumDecay:
-    @pytest.mark.parametrize(
-        "family,mbar,thr",
-        [
-            ("sphere", 1, 1),
-            ("sphere", 2, 2),
-            ("complex_projective", 2, 1),
-            ("complex_projective", 3, 2),
-            ("quaternionic_projective", 2, 2),
-            ("cayley_plane", 2, 7),
-        ],
-    )
-    def test_boundary_below_tail(self, family, mbar, thr):
-        from heattrace.exactnum import log_abs
-
+    @pytest.mark.parametrize("family,mbar,thr", RANK1_ROWS)
+    def test_boundary_below_tail(self, family, mbar, thr, bernoulli):
         for n in (4 * thr, 4 * thr + 1, 90):
-            first, tail = tail_split(family, mbar, n)
-            assert tail.rational != 0
-            if first.rational != 0:
-                assert log_abs(first.rational) < log_abs(tail.rational)
+            tail = rank1_tail_reference(family, mbar, n, bernoulli)
+            first = a(family, mbar, n) - tail
+            assert tail != 0
+            if first != 0:
+                assert log_abs(first) < log_abs(tail)
 
 
 class TestTailKernel:
-    """The whole-vector tail kernel equals the per-index double sums exactly."""
+    """The whole-vector builder equals the per-index boundary and tail sums exactly."""
 
-    @pytest.fixture(scope="class")
-    def bernoulli(self):
-        return bernoulli_recurrence(2 * (300 + 8) + 2)
-
-    @pytest.mark.parametrize(
-        "family,mbar,thr",
-        [
-            ("sphere", 1, 1),
-            ("sphere", 2, 2),
-            ("complex_projective", 2, 1),
-            ("complex_projective", 3, 2),
-            ("quaternionic_projective", 2, 2),
-            ("cayley_plane", 2, 7),
-        ],
-    )
+    @pytest.mark.parametrize("family,mbar,thr", RANK1_ROWS)
     def test_tail_split_matches_per_index_sums(self, family, mbar, thr, bernoulli):
         for n in [300, 150, *range(thr, 81)]:
-            _first, tail = tail_split(family, mbar, n)
-            assert tail.rational == rank1_tail_reference(family, mbar, n, bernoulli), n
+            assert a(family, mbar, n) == (rank1_boundary_reference(family, mbar, n)
+                                          + rank1_tail_reference(family, mbar, n, bernoulli)), n
 
     @pytest.mark.parametrize("family, mbar, ns", [
         ("sphere", 30, (31, 30)),
@@ -244,11 +240,15 @@ class TestTailKernel:
             finally:
                 depth[0] -= 1
 
-        monkeypatch.setattr(rank1, "_tail_cache", {})
         monkeypatch.setattr(series, "_cauchy", tracking)
-        for n in ns:  # the first, deepest index builds the vectors
-            _first, tail = tail_split(family, mbar, n)
-            assert tail.rational == rank1_tail_reference(family, mbar, n, bernoulli), n
+        # hp:20 has no positive volume constant, so the vector is built with
+        # normalizer 1: the unnormalized boundary[n] + tail[n] of every row
+        monkeypatch.setattr(rank1, "_boundary_at_zero", lambda row, table: Fraction(1))
+        raw = rank1._build(family, mbar, ns[0])  # the first, deepest index
+        pref = rank1._row(family, mbar).pref()
+        for n in ns:
+            assert raw[n] * pref == (rank1_boundary_reference(family, mbar, n)
+                                     + rank1_tail_reference(family, mbar, n, bernoulli)), n
         assert depth[1] > 1
 
     def test_rising_per_index_calls_rebuild_logarithmically(self, monkeypatch):
@@ -261,32 +261,39 @@ class TestTailKernel:
 
         monkeypatch.setattr(rank1, "_tail_cache", {})
         monkeypatch.setattr(rank1, "_build", counting)
+        model = SpaceModel("cayley_plane", 2)
         for n in range(7, 201):
-            op2_an(n)
+            rank1_series(model, n)
         assert builds == [7, 14, 28, 56, 112, 224]
 
 
 class TestOnePath:
-    """Every accessor is a view of the one cached build, behind the one row check."""
+    """rank1_series reads one cached vector per (family, mbar), behind the one row check."""
 
     def test_accessors_read_the_series_build(self, monkeypatch):
         monkeypatch.setattr(rank1, "_tail_cache", {})
         model = SpaceModel("cayley_plane", 2)
         s = rank1_series(model, 300)
+        assert list(rank1._tail_cache) == [("cayley_plane", 2)]
+        cached = rank1._tail_cache[("cayley_plane", 2)]
+        assert len(cached) == 301 and cached[0] == 1 and cached[7:] == s.coeffs[7:]
 
         def no_build(family, mbar, n_max):
             raise AssertionError(f"rebuilt {family}:{mbar} to {n_max}")
 
         monkeypatch.setattr(rank1, "_build", no_build)
-        vol = volume("cayley_plane", 2)
         for n in (7, 8, 150, 299, 300):
-            a = op2_an(n)
-            first, tail = tail_split("cayley_plane", 2, n)
-            assert a.rational == first.rational + tail.rational
-            assert a.rational / vol.rational == s[n] == coefficient(model, n)
+            assert rank1_series(model, n) == HeatSeries(s.coeffs[: n + 1], s.validity[: n + 1],
+                                                         s.provenance)
 
-    AN = {"sphere": even_sphere_an, "complex_projective": cp_an, "quaternionic_projective": hp_an,
-          "cayley_plane": lambda mbar, n: rank1._an("cayley_plane", mbar, n)}
+    def test_below_threshold_builds_nothing(self, monkeypatch):
+        def no_build(family, mbar, n_max):
+            raise AssertionError(f"built {family}:{mbar} to {n_max}")
+
+        monkeypatch.setattr(rank1, "_build", no_build)
+        s = rank1_series(SpaceModel("sphere", 2000), 1)
+        assert s.coeffs == [1, 0] and s.validity == [EXACT, UNAVAILABLE]
+        assert rank1_series(SpaceModel("complex_projective", 2), 0).coeffs == [1]
 
     @pytest.mark.parametrize("family, mbar", [
         ("cayley_plane", 3), ("cayley_plane", 1), ("sphere", 0), ("complex_projective", 1),
@@ -295,9 +302,9 @@ class TestOnePath:
         monkeypatch.setattr(rank1, "_tail_cache", {})
         with pytest.raises(ValueError) as expected:
             rank1._row(family, mbar)
-        for call in (lambda: threshold(family, mbar), lambda: tail_split(family, mbar, 7),
-                     lambda: volume(family, mbar), lambda: SpaceModel(family, mbar),
-                     lambda: self.AN[family](mbar, 7)):
+        for call in (lambda: threshold(family, mbar), lambda: SpaceModel(family, mbar),
+                     lambda: rank1_series(unchecked_model(family, mbar), 7),
+                     lambda: rank1._build(family, mbar, 7)):
             with pytest.raises(ValueError) as got:
                 call()
             assert str(got.value) == str(expected.value)
@@ -305,14 +312,16 @@ class TestOnePath:
 
     def test_negative_index_refused_cold_or_warm(self, monkeypatch):
         monkeypatch.setattr(rank1, "_tail_cache", {})
-        for _ in range(2):  # the second call finds the vectors cached by the first
+        model = SpaceModel("sphere", 1)
+        for _ in range(2):  # the second call finds the vector cached by the first
             with pytest.raises(ValueError, match="nonnegative"):
-                tail_split("sphere", 1, -1)
-            tail_split("sphere", 1, 5)
+                rank1_series(model, -1)
+            rank1_series(model, 5)
 
     def test_unknown_family_refused_by_every_entry_point(self):
-        for call in (lambda: threshold("klein_bottle", 2), lambda: volume("klein_bottle", 2),
-                     lambda: tail_split("klein_bottle", 2, 3)):
+        for call in (lambda: threshold("klein_bottle", 2), lambda: SpaceModel("klein_bottle", 2),
+                     lambda: rank1_series(unchecked_model("klein_bottle", 2), 3),
+                     lambda: rank1._build("klein_bottle", 2, 3)):
             with pytest.raises(UnsupportedSpaceError, match="unknown rank-one family"):
                 call()
 
@@ -427,13 +436,11 @@ class TestOracleCalibrationReport:
     spectrum); this test freezes the measured report."""
 
     def test_cp2_calibrated_ratio_deviation(self):
-        from heattrace.oracle import SpectrumLine, fit_coefficients
-
-        def cp2_spectrum(k):
-            return SpectrumLine(Fraction(k * (k + 2)), (k + 1) ** 3)
+        from heattrace.oracle import fit_coefficients
 
         fitted, _ = fit_coefficients(4, orders=3, precision=40,
-                                     **level_hooks(cp2_spectrum))
+                                     eigenvalue=lambda k: Fraction(k * (k + 2)),
+                                     multiplicity=lambda k: (k + 1) ** 3)
         a1o, a2o = float(fitted[1]), float(fitted[2])
         a1c, a2c = A("complex_projective", 2, 1), A("complex_projective", 2, 2)
         calib = a1o / float(a1c)  # homothety from closed form to oracle scale
