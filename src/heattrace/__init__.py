@@ -17,7 +17,7 @@ from .errors import (
     SafetyLimitError,
     UnsupportedSpaceError,
 )
-from .exactnum import bernoulli, c_coeff, d_coeff, log_abs
+from .exactnum import bernoulli, c_coeffs, d_coeffs, log_abs
 from .seedpolys import SignedTable, beta_table, delta_table, eta_table, gamma_table
 from .series import HeatSeries, dualize, product, rescale
 from .rank1 import SpaceModel, rank1_series
@@ -60,10 +60,10 @@ __all__ = [
     "bernoulli",
     "beta_table",
     "build_family",
-    "c_coeff",
+    "c_coeffs",
     "classify",
     "closed_form",
-    "d_coeff",
+    "d_coeffs",
     "delta_table",
     "diagonalize_form",
     "dualize",

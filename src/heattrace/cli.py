@@ -129,8 +129,10 @@ def _atom(token: str) -> dict:
             raise SpecError(f"complex-group parameter must look like 'A2', got {param!r}")
     elif not param.isdigit():
         raise SpecError(f"{name} parameter must be a positive integer, got {param!r}")
-    if name in rank1.ATOMS:
-        rank1.atom_model(name, param)  # refuse an unsupported model before any work
+    if name in rank1.ATOMS:  # refuse an unsupported model before any work
+        rank1.atom_model(name, param)
+    else:
+        plancherel.root_data(name.replace("-", "_"), param)
     return {"kind": "atom", "family": name, "param": param}
 
 
@@ -160,27 +162,24 @@ def _plancherel_model(atom: dict) -> plancherel.PlancherelModel:
     return plancherel.build_family(atom["family"].replace("-", "_"), atom["param"])
 
 
-def evaluate_space(tree: dict, n_max: int, fill: str | None = None,
-                   oracle_precision: int = 30) -> series.HeatSeries:
-    """Evaluate a parsed space tree into a coefficient series."""
+def evaluate_space(tree: dict, n_max: int,
+                   oracle_precision: int | None = None) -> series.HeatSeries:
+    """Evaluate a parsed space tree into a coefficient series; a sphere's gap is
+    filled from the spectral oracle at ``oracle_precision`` when it is given."""
     kind = tree["kind"]
     if kind == "atom":
         family = tree["family"]
         if family in rank1.ATOMS:
-            return rank1.rank1_series(rank1.atom_model(family, tree["param"]), n_max, fill,
+            return rank1.rank1_series(rank1.atom_model(family, tree["param"]), n_max,
                                       oracle_precision)
         return plancherel.to_series(plancherel.closed_form(_plancherel_model(tree)), n_max)
     if kind == "dual":
-        return series.dualize(evaluate_space(tree["child"], n_max, fill,
-                                             oracle_precision))
+        return series.dualize(evaluate_space(tree["child"], n_max, oracle_precision))
     if kind == "scale":
-        return series.rescale(
-            evaluate_space(tree["child"], n_max, fill, oracle_precision),
-            Fraction(tree["c2"]),
-        )
+        return series.rescale(evaluate_space(tree["child"], n_max, oracle_precision),
+                              Fraction(tree["c2"]))
     if kind == "product":
-        parts = [evaluate_space(c, n_max, fill, oracle_precision)
-                 for c in tree["children"]]
+        parts = [evaluate_space(c, n_max, oracle_precision) for c in tree["children"]]
         out = parts[0]
         for p in parts[1:]:
             out = series.product(out, p)
@@ -330,8 +329,7 @@ def _check_n_max(args) -> None:
 def cmd_coeffs(args) -> int:
     _check_n_max(args)
     tree = parse_space(args.space)
-    s = evaluate_space(tree, args.n_max, "oracle" if args.oracle_fill else None,
-                       args.oracle_precision)
+    s = evaluate_space(tree, args.n_max, args.oracle_precision if args.oracle_fill else None)
     if args.format == "csv":
         args.out.write(render_csv(s))
     else:
@@ -424,6 +422,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _digits(text: str) -> int:
+    value = _positive_int(text)
+    if value > _MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"must be at most {_MAX_DIGITS}, got {value}")
+    return value
+
+
 def _epsilon(text: str) -> float:
     try:
         value = float(text)
@@ -445,8 +450,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the generated_at field (deterministic output)")
-        p.add_argument("--decimal", type=_positive_int, default=None, metavar="D",
-                       help="add decimal renderings with D significant digits")
+        p.add_argument("--decimal", type=_digits, default=None, metavar="D",
+                       help="add decimal renderings with D significant digits "
+                            f"(1 to {_MAX_DIGITS})")
         p.add_argument("-o", "--output", dest="out", type=argparse.FileType("w"),
                        default=sys.stdout, help="write to a file instead of stdout")
 

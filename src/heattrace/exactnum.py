@@ -6,9 +6,15 @@ rationals whose numerators can reach ~10^5 digits.
 
 Everything except :func:`log_abs` returns :class:`fractions.Fraction`
 (always in lowest terms with positive denominator) and is computed exactly,
-with no floating point anywhere on the value path.  Caches only grow and
-entries are immutable, so concurrent readers are safe; at worst two threads
-compute the same entry redundantly and store identical values.
+with no floating point anywhere on the value path.  All of it is read from
+one table, the tangent numbers T_1..T_n, which :func:`_extend_tangent` builds
+to exactly the depth asked and which the readers take whole: a Bernoulli
+number is one exact division of a table entry, and :func:`c_coeffs` and
+:func:`d_coeffs` return a whole prefix in one pass.  A rebuild replaces the
+module's list instead of editing it, and every reader reads the list its own
+:func:`_extend_tangent` call returned, so concurrent readers stay exact; at
+worst two threads build a table twice, or the cache keeps the shallower of
+two racing builds.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["bernoulli", "c_coeff", "d_coeff", "log_abs"]
+__all__ = ["bernoulli", "c_coeffs", "d_coeffs", "log_abs"]
 
 
 # --- Bernoulli numbers ------------------------------------------------------
@@ -26,11 +32,12 @@ __all__ = ["bernoulli", "c_coeff", "d_coeff", "log_abs"]
 _tangent: list[int] = [0]
 
 
-def _extend_tangent(n: int) -> None:
-    """Rebuild the tangent-number table as exactly T_1..T_n, unless it already
-    reaches T_n."""
+def _extend_tangent(n: int) -> list[int]:
+    """The tangent-number table T_0..T_m with m >= n: the cached one if it reaches
+    T_n, else one rebuilt as exactly T_0..T_n."""
+    global _tangent
     if len(_tangent) > n:
-        return
+        return _tangent
     T = [0] * (n + 1)
     T[1] = 1
     for k in range(2, n + 1):
@@ -38,10 +45,8 @@ def _extend_tangent(n: int) -> None:
     for k in range(2, n + 1):
         for j in range(k, n + 1):
             T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
-    _tangent[:] = T
-
-
-_bernoulli_cache: dict[int, Fraction] = {0: Fraction(1), 1: Fraction(-1, 2)}
+    _tangent = T
+    return T
 
 
 def bernoulli(k: int) -> Fraction:
@@ -55,30 +60,20 @@ def bernoulli(k: int) -> Fraction:
         raise ValueError("Bernoulli index must be nonnegative")
     if k % 2 == 1:
         if k == 1:
-            return _bernoulli_cache[1]
+            return Fraction(-1, 2)
         raise ValueError(f"odd Bernoulli index {k} rejected (value would be 0)")
-    hit = _bernoulli_cache.get(k)
-    if hit is not None:
-        return hit
+    if k == 0:
+        return Fraction(1)
     n = k // 2
-    if len(_tangent) <= n:
-        # past the table, ask for twice its depth: rising calls rebuild O(log n) times
-        _extend_tangent(max(n, 2 * (len(_tangent) - 1)))
     four_n = 1 << (2 * n)
-    value = Fraction((-1) ** (n - 1) * 2 * n * _tangent[n], four_n * (four_n - 1))
-    _bernoulli_cache[k] = value
-    return value
+    return Fraction((-1) ** (n - 1) * 2 * n * _extend_tangent(n)[n], four_n * (four_n - 1))
 
 
 # --- lattice-sum tail coefficients ------------------------------------------
 
 
-_c_cache: list[Fraction] = []
-_d_cache: list[Fraction] = []
-
-
-def c_coeff(n: int) -> Fraction:
-    """Tail coefficient of the half-integer lattice heat sum.
+def c_coeffs(n: int) -> list[Fraction]:
+    """Tail coefficients c_0..c_n of the half-integer lattice heat sum.
 
     These are the exact coefficients in the small-t expansion
 
@@ -89,17 +84,13 @@ def c_coeff(n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if len(_c_cache) <= n:
-        _extend_tangent(n + 1)  # T_1..T_(n+1) from one triangle, not one per doubling
-    while len(_c_cache) <= n:
-        i = len(_c_cache)
-        half = 1 << (2 * i + 1)  # 2^(2i+1), so 4^(i+1) = 2 * half
-        _c_cache.append(Fraction(_tangent[i + 1] * (half - 1), half * half * (2 * half - 1)))
-    return _c_cache[n]
+    halves = [1 << (2 * i + 1) for i in range(n + 1)]  # 2^(2i+1), so 4^(i+1) = 2 * half
+    return [Fraction(t * (h - 1), h * h * (2 * h - 1))
+            for t, h in zip(_extend_tangent(n + 1)[1:], halves)]
 
 
-def d_coeff(n: int) -> Fraction:
-    """Tail coefficient of the integer lattice heat sum.
+def d_coeffs(n: int) -> list[Fraction]:
+    """Tail coefficients d_0..d_n of the integer lattice heat sum.
 
     Exact coefficients in
 
@@ -111,13 +102,8 @@ def d_coeff(n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if len(_d_cache) <= n:
-        _extend_tangent(n + 1)  # T_1..T_(n+1) from one triangle, not one per doubling
-    while len(_d_cache) <= n:
-        i = len(_d_cache)
-        four = 1 << (2 * i + 2)
-        _d_cache.append(Fraction(2 * _tangent[i + 1], four * (four - 1)))
-    return _d_cache[n]
+    fours = [1 << (2 * i + 2) for i in range(n + 1)]  # 4^(i+1)
+    return [Fraction(2 * t, f * (f - 1)) for t, f in zip(_extend_tangent(n + 1)[1:], fours)]
 
 
 # --- overflow-safe logarithms -----------------------------------------------

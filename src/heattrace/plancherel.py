@@ -245,30 +245,47 @@ def build_family(family: str, param: int | str | None = None) -> PlancherelModel
     ``complex_group`` (param like ``"A2"``; classical types A (rank <= 5) and
     B/C/D (rank <= 6)).  At the upper ranks the CLI ``closed-form`` takes
     about 4 s on su_star:5, 2 s on B6/C6/D6 and under 1 s on A5, mostly the
-    density build.  The next ones are
-    refused here: A6 expands a 1.39-million-term density (about 22 s and
-    nearly 500 MiB in process) and su_star:6 runs for minutes.
+    density build.  The next ones are refused by :func:`root_data`: A6
+    expands a 1.39-million-term density (about 22 s and nearly 500 MiB in
+    process) and su_star:6 runs for minutes.
+    """
+    model = _from_roots(family, *root_data(family, param))
+    anchor = _ANCHORS.get(model.label)
+    if anchor is not None and model.rho_sq != Fraction(1, 4):
+        raise InvariantViolation(f"{anchor} anchor rho_sq = 1/4 failed")
+    return model
+
+
+# The rank-one models whose rho_sq must be the hyperbolic anchor 1/4, by label.
+_ANCHORS = {"hyperbolic_odd:1": "rank-one hyperbolic", "complex_group:A1": "complex A1"}
+
+_COMPLEX_NOTE = ("rho_sq derived from root data (Killing normalization); "
+                 "density uses the squared root pairing with the half-sum shift dropped "
+                 "(the shift's surviving part integrates to zero and would break the "
+                 "rank-one consistency anchor)")
+
+
+def root_data(family: str, param: int | str | None = None) -> tuple:
+    """The one check of (family, param) for :func:`build_family`, and the family's
+    label and root data: the arguments of :func:`_from_roots` after ``family``.
+
+    Cheap, since no density is built, so the CLI refuses a bad atom with it
+    before any work.
     """
     if family == "hyperbolic_odd":
         mbar = int(param)  # type: ignore[arg-type]
         if mbar < 1:
             raise ValueError("hyperbolic_odd requires mbar >= 1")
-        model = _from_roots(family, f"hyperbolic_odd:{mbar}", [(1,)], 2 * mbar,
-                            False, 1, range(mbar), _ROOT_NOTE)
-        if mbar == 1 and model.rho_sq != Fraction(1, 4):
-            raise InvariantViolation("rank-one hyperbolic anchor rho_sq = 1/4 failed")
-        return model
+        return f"hyperbolic_odd:{mbar}", [(1,)], 2 * mbar, False, 1, range(mbar), _ROOT_NOTE
 
     if family == "su_star":
         mbar = int(param)  # type: ignore[arg-type]
         if not 2 <= mbar <= 5:
             raise ValueError("su_star requires 2 <= mbar <= 5")
-        return _from_roots(family, f"su_star:{mbar}", _a_positive_roots(mbar - 1), 4,
-                           True, 2, range(2), _ROOT_NOTE)
+        return f"su_star:{mbar}", _a_positive_roots(mbar - 1), 4, True, 2, range(2), _ROOT_NOTE
 
     if family == "e6_f4":
-        return _from_roots(family, "e6_f4", _a_positive_roots(2), 8, True, 2, range(4),
-                           _ROOT_NOTE)
+        return "e6_f4", _a_positive_roots(2), 8, True, 2, range(4), _ROOT_NOTE
 
     if family == "complex_group":
         label = str(param).strip().upper()
@@ -288,16 +305,7 @@ def build_family(family: str, param: int | str | None = None) -> PlancherelModel
         if kind == "D" and rank < 3:
             raise ValueError("D-type needs rank >= 3 (D2 is not simple)")
         roots = _a_positive_roots(rank) if kind == "A" else _bcd_positive_roots(kind, rank)
-        model = _from_roots(
-            family, f"complex_group:{label}", roots, 2, kind == "A", 1, range(1),
-            "rho_sq derived from root data (Killing normalization); "
-            "density uses the squared root pairing with the half-sum shift dropped "
-            "(the shift's surviving part integrates to zero and would break the "
-            "rank-one consistency anchor)",
-        )
-        if label == "A1" and model.rho_sq != Fraction(1, 4):
-            raise InvariantViolation("complex A1 anchor rho_sq = 1/4 failed")
-        return model
+        return f"complex_group:{label}", roots, 2, kind == "A", 1, range(1), _COMPLEX_NOTE
 
     raise UnsupportedSpaceError(f"unknown Plancherel family {family!r}")
 

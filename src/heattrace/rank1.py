@@ -18,7 +18,9 @@ Every family is one row of data (:class:`_Row`), and one builder,
   binomial convolution of e^{base t} with Y_t = sum_i h^i S(i)/i! t^i, the
   inner sums S(i) = sum_j (-1)^j table[j] coeff(i + j) taken from i = lo on
   (zero below).  The inner sums are the correlation of the signed table with
-  the coefficient vector, one :func:`~heattrace.series.convolve`.  Every term
+  the coefficient vector, one :func:`~heattrace.series.convolve`; the vector
+  is one call of :func:`~heattrace.exactnum.c_coeffs` or
+  :func:`~heattrace.exactnum.d_coeffs`, read from entry lo on.  Every term
   of every inner sum shares the row's sign (the no-cancellation invariant).
   It is checked once per table, against the table's sign law, and once per
   coefficient vector, for positivity; together these cover every term of
@@ -52,11 +54,11 @@ list.
 
 :func:`rank1_series` is the one reader.  It reads one cached list per
 (family, mbar), ``_tail_cache``, behind the one check of (family, mbar) in
-:func:`_row`.  A request past the cached depth rebuilds to the larger of that
-index and twice the depth, so calls at rising n cost O(log n) builds.  The
-closed form is valid only from a family-specific threshold index onward, so
-a request that ends below it builds nothing: those indices are flagged
-``unavailable`` or filled from the spectral oracle.
+:func:`_row`.  A request past the cached depth rebuilds to exactly the index
+asked, the rule of every cache in the package.  The closed form is valid
+only from a family-specific threshold index onward, so a request that ends
+below it builds nothing: those indices are flagged ``unavailable`` or filled
+from the spectral oracle.
 
 Normalizations.  The sphere family is the unit-radius round sphere (validated
 against the spectral oracle).  The projective families follow their published
@@ -87,7 +89,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation, UnsupportedSpaceError
-from .exactnum import c_coeff, d_coeff
+from .exactnum import c_coeffs, d_coeffs
 from .seedpolys import (SignedTable, beta_table, delta_table, eta_table, expected_signs,
                         gamma_table)
 from .series import APPROXIMATE, EXACT, UNAVAILABLE, HeatSeries, convolve, exp_times
@@ -155,7 +157,7 @@ class _Row:
     pi_power: int
     thr: int
     h: int = 1
-    coeff: Callable[[int], Fraction] = c_coeff
+    coeff: Callable[[int], list[Fraction]] = c_coeffs  # n -> c_0..c_n (or d_0..d_n)
     start: int = 0
     terms: int | None = None          # exponential terms kept in the tail (None: all)
 
@@ -192,7 +194,7 @@ def _row(family: str, m: int) -> _Row:
         return _Row(table=lambda: gamma_table(m), b=b, shifts=range(2 - m, 2),
                     base=b if odd else b / (m + 1), lo=0, sign=1 if odd else -1,
                     pref=lambda: Fraction(4 ** (m - 1), _fact(m) * _fact(m - 1)),
-                    pi_power=m - 1, thr=m - 1, h=m + 1, coeff=c_coeff if odd else d_coeff,
+                    pi_power=m - 1, thr=m - 1, h=m + 1, coeff=c_coeffs if odd else d_coeffs,
                     start=m - 1, terms=None if odd else m)
     if family == "quaternionic_projective":
         base = Fraction((2 * m - 1) ** 2, 8 * (m + 1))
@@ -234,16 +236,17 @@ def _boundary_at_zero(row: _Row, table: SignedTable) -> Fraction:
     return Fraction(total, den * g[0])
 
 
-def _inner_sums(table: SignedTable, coeff_fn, lo: int, i_max: int,
+def _inner_sums(table: SignedTable, coeffs_fn, lo: int, i_max: int,
                 expect_sign: int) -> list[Fraction]:
-    """S(0..i_max), S(i) = sum_j (-1)^j table[j] coeff_fn(i + j) from i = lo on, else 0.
+    """S(0..i_max), S(i) = sum_j (-1)^j table[j] coeff(i + j) from i = lo on, else 0.
 
     With K = len(table) and u[K - 1 - j] = (-1)^j table[j], S(i) is entry
-    i - lo + K - 1 of the Cauchy product of u with coeff_fn(lo..i_max + K - 1),
-    so the whole vector is one :func:`convolve`.  Every term has
-    ``expect_sign`` exactly when the table obeys its sign law, (-1)^j times
-    that law is ``expect_sign`` on every nonzero entry, and every coefficient
-    read is positive; both checks run once here.
+    i - lo + K - 1 of the Cauchy product of u with coeff(lo..i_max + K - 1),
+    the slice from lo of one ``coeffs_fn(i_max + K - 1)``, so the whole vector
+    is one :func:`convolve`.  Every term has ``expect_sign`` exactly when the
+    table obeys its sign law, (-1)^j times that law is ``expect_sign`` on
+    every nonzero entry, and every coefficient read is positive; both checks
+    run once here.
     """
     if i_max < lo:
         return [Fraction(0)] * (i_max + 1)
@@ -251,8 +254,7 @@ def _inner_sums(table: SignedTable, coeff_fn, lo: int, i_max: int,
     for j, (w, sign) in enumerate(zip(table.values, expected_signs(table))):
         if (w > 0) - (w < 0) != sign or (sign != 0 and (-1) ** j * sign != expect_sign):
             raise InvariantViolation(f"tail term sign violated for {table.family} at j={j}")
-    coeff_fn(i_max + k - 1)  # size the coefficient caches once
-    cs = [coeff_fn(i) for i in range(lo, i_max + k)]
+    cs = coeffs_fn(i_max + k - 1)[lo:]
     bad = next((i for i, c in enumerate(cs, lo) if c <= 0), None)
     if bad is not None:
         raise InvariantViolation(f"lattice coefficient {bad} of {table.family} is not positive")
@@ -297,44 +299,38 @@ def _build(family: str, mbar: int, n_max: int) -> list[Fraction]:
     return out
 
 
-# The one cache: A_0..A_depth per (family, mbar), read and written only by _coefficients.
+# The one cache: A_0..A_depth per (family, mbar), built to exactly the depth
+# asked and read and written only by _coefficients.
 _tail_cache: dict[tuple[str, int], list[Fraction]] = {}
 
 
 def _coefficients(family: str, mbar: int, n_max: int) -> list[Fraction]:
-    """The normalized coefficients of (family, mbar) to at least n_max.
-
-    A miss rebuilds to max(n_max, 2 * cached depth): a first build is exactly
-    as deep as asked, and calls at rising n cost O(log n) builds.
-    """
+    """The normalized coefficients of (family, mbar) to at least n_max; a miss
+    rebuilds to exactly n_max."""
     key = (family, mbar)
     hit = _tail_cache.get(key)
-    depth = -1 if hit is None else len(hit) - 1
-    if n_max > depth:
-        hit = _tail_cache[key] = _build(family, mbar, max(n_max, 2 * depth))
+    if hit is None or len(hit) <= n_max:
+        hit = _tail_cache[key] = _build(family, mbar, n_max)
     return hit
 
 
-def rank1_series(model: SpaceModel, n_max: int, fill: str | None = None,
-                 oracle_precision: int = 30) -> HeatSeries:
+def rank1_series(model: SpaceModel, n_max: int,
+                 oracle_precision: int | None = None) -> HeatSeries:
     """Assemble the coefficient series A_0..A_{n_max} of a rank-one model.
 
     A_0 = 1 exactly.  Indices between 1 and the family threshold are not
     produced by the closed form; they are flagged ``unavailable`` unless
-    ``fill='oracle'``, in which case spectral-fit estimates are inserted and
-    flagged ``approximate`` (supported for the sphere family only).  Nothing
-    is built when n_max is below the threshold.
+    ``oracle_precision`` is given, in which case spectral-fit estimates at that
+    precision are inserted and flagged ``approximate`` (supported for the
+    sphere family only).  Nothing is built when n_max is below the threshold.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if fill not in (None, "oracle"):
-        raise ValueError("fill must be None or 'oracle'")
     thr = model.threshold
-    coeffs: list[Fraction] = [Fraction(1)]
-    flags: list[str] = [EXACT]
-    gap = range(1, min(thr, n_max + 1))
-    fill_values: dict[int, Fraction] = {}
-    if fill == "oracle" and len(gap) > 0:
+    gap = min(thr, n_max + 1) - 1
+    coeffs: list[Fraction] = [Fraction(1)] + [Fraction(0)] * gap
+    flags: list[str] = [EXACT] + [UNAVAILABLE] * gap
+    if oracle_precision is not None and gap > 0:
         if model.family != "sphere":
             raise UnsupportedSpaceError(
                 f"oracle fill is only available for spheres, not {model.family}"
@@ -345,14 +341,8 @@ def rank1_series(model: SpaceModel, n_max: int, fill: str | None = None,
 
         fitted, _errors = fit_coefficients(model.dimension, orders=thr - 1,
                                            precision=oracle_precision)
-        fill_values = {n: Fraction(*mp.libmp.to_rational(fitted[n]._mpf_)) for n in gap}
-    for n in gap:
-        if n in fill_values:
-            coeffs.append(fill_values[n])
-            flags.append(APPROXIMATE)
-        else:
-            coeffs.append(Fraction(0))
-            flags.append(UNAVAILABLE)
+        coeffs[1:] = [Fraction(*mp.libmp.to_rational(f._mpf_)) for f in fitted[1:gap + 1]]
+        flags[1:] = [APPROXIMATE] * gap
     if n_max >= thr:
         coeffs += _coefficients(model.family, model.mbar, n_max)[thr : n_max + 1]
         flags += [EXACT] * (n_max + 1 - thr)

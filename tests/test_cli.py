@@ -14,6 +14,111 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+# sha256 of the --no-timestamp stdout of each argv: the rank1-deep benchmark pool
+# at n = 300 and op2 at its growth-band depth 360 (first, so that op2 to 300
+# reads its build), the plancherel-algebra pool's closed forms and products, and
+# the kernel suite.  The documents are fixed across commits: a digest that moves
+# is a change of output.
+GOLDEN = {
+    ("coeffs", "--space", "op2", "--n-max", "360", "--format", "json"):
+        "2cc340f7ca58ec16cf4c3177333049ff22492b05d6af774fa93b5754bb1eb008",
+    ("coeffs", "--space", "op2", "--n-max", "360", "--format", "csv"):
+        "248cd22681d2eb121362a56c2c8412499c786d72cd474ed05a13e736c8bb00e9",
+    ("coeffs", "--space", "product(cp:2, dual(sphere:1))", "--n-max", "300", "--format", "json"):
+        "9de889f645f5a53b044b95e3a95654a61ab29737e6dc659563a4886536b93217",
+    ("coeffs", "--space", "product(cp:2, dual(sphere:1))", "--n-max", "300", "--format", "csv"):
+        "f10db0154b690bc562ee08eff13b20d799bb5c728f09264ef3fad5e15d4b5fb8",
+    ("coeffs", "--space", "product(cp:2, dual(sphere:2))", "--n-max", "300", "--format", "json"):
+        "6b551148a02eb4e3b2435ec243e0a2cafc72d5e655e3f99a7f847bfb32f67d05",
+    ("coeffs", "--space", "product(cp:2, dual(sphere:2))", "--n-max", "300", "--format", "csv"):
+        "8639aa796490fddc61411125dae03fba26e2cbd1d70c12179875feec4e0545a7",
+    ("coeffs", "--space", "product(cp:2, dual(sphere:3))", "--n-max", "300", "--format", "json"):
+        "b80b659da5c4fb209055e9292675cd31c749025b10522ea718c91c7e159e3c5c",
+    ("coeffs", "--space", "product(cp:2, dual(sphere:3))", "--n-max", "300", "--format", "csv"):
+        "f77b6f5ffb3492b8dd7bb87f2343d8590545a93763faa8a4cb2f28d9bc7bb1af",
+    ("coeffs", "--space", "cp:3", "--n-max", "300", "--format", "json"):
+        "0e266fa83a8227a0529288db5f480e77b176ad7223fb2dd4c72cb08e0e83f02f",
+    ("coeffs", "--space", "cp:3", "--n-max", "300", "--format", "csv"):
+        "4552b8f74ccf43c7d7eceb66089f73089884ffcde36ad1881253245cf5123764",
+    ("coeffs", "--space", "hp:2", "--n-max", "300", "--format", "json"):
+        "86595d0a4409f75c959cb1b4692c7179b51c2959e538e9d2c2fbcec50e32ef53",
+    ("coeffs", "--space", "hp:2", "--n-max", "300", "--format", "csv"):
+        "3eac77b1042ab8d6d0c26818672f5140320a2f1626f15dd50b6aabc7ef51a9d3",
+    ("coeffs", "--space", "op2", "--n-max", "300", "--format", "json"):
+        "3183076e88c6c5284710d05e4e98773c7134518ec737c7219d93b9823b3966cd",
+    ("coeffs", "--space", "op2", "--n-max", "300", "--format", "csv"):
+        "56a58beead507930d4ba8e4ab282211627b15c47bcf1ea597ea040bb9fb79166",
+    ("closed-form", "--family", "hyperbolic-odd:1"):
+        "3da244e824d8892ebdb89ad944eaa7fdd6d23e60569e298ae9ee3900b7b59504",
+    ("closed-form", "--family", "hyperbolic-odd:2"):
+        "ee53669b11a4065c750674401d5729f36ee098908a313ffe8ba965574ebd35e6",
+    ("closed-form", "--family", "hyperbolic-odd:3"):
+        "414bc9cffc87aa43236f05fa27c7dbf6a1859f6b906df3a73ee223d38b67d27f",
+    ("closed-form", "--family", "hyperbolic-odd:4"):
+        "e9cb44414964e9dec995a51183fde40173227e125e97880996d27e5af6f8fb23",
+    ("closed-form", "--family", "hyperbolic-odd:5"):
+        "822b6fd5a2bb13c2ccecfd5a3188ce71bceba0ba49d1e271dee46ba841b0f88d",
+    ("closed-form", "--family", "e6-f4"):
+        "e54176555a5fc99f1d2f297d3c386b6e7aa9b98e2ca7b706cecd829d418a7747",
+    ("closed-form", "--family", "su-star:3"):
+        "5aba751ab7c05447e7549f2e8c3decbee8422676a77ce16dd35f88beb740c7f6",
+    ("closed-form", "--family", "complex-group:A2"):
+        "1957da3a31fda314890da0f537311076fec2a7c741e84fcef84390f1d99b7591",
+    ("closed-form", "--family", "complex-group:A3"):
+        "565f802e1d25fc11f7be4023c1090bc5e3abed92195b07228a30fd0b04c60052",
+    ("closed-form", "--family", "complex-group:B2"):
+        "1f0962b02223ead590d046f231c3492d6ef8f6d766cf13e006a1cd8741be9b98",
+    ("closed-form", "--family", "complex-group:B3"):
+        "cbd1208f2426c590e0d961deee7b619ed3559f442620f924dd5431f77af52938",
+    ("closed-form", "--family", "complex-group:B4"):
+        "b8de75c1ed83e9ca8ac64c480f475e49d3ce2a0b046d69c58ef907a0dbc0ca43",
+    ("closed-form", "--family", "complex-group:B5"):
+        "b9f7c988e06dacb7303cbd05f0c5ebe0d48e8ca547400fb159e4501ff2396649",
+    ("closed-form", "--family", "complex-group:C2"):
+        "43dce4ae83389460882c2161a037f57eb217af0c614258a399271e5a31e61e5a",
+    ("closed-form", "--family", "complex-group:C3"):
+        "edc045db87bb2e8406a4d1fc850d9b798352d3c7d91ad80cbff4260880df8f93",
+    ("closed-form", "--family", "complex-group:C4"):
+        "1943b05eb0ae22334c2c3896ee69956a01ac4f9041a798d4b6b87bf3b960c2d6",
+    ("closed-form", "--family", "complex-group:C5"):
+        "492abcaa35c1f3acf6045d721c471c2388e9f02a3a6ac990995b6e571ba4fa2f",
+    ("closed-form", "--family", "complex-group:D3"):
+        "5371178c534396cb0823eda87aba6cdbef7dbb1af37380de736b02b4f5ec6a02",
+    ("closed-form", "--family", "complex-group:D4"):
+        "5251ac3f96946cae9653483715af1c0768aa4d980f6e6a5a366f1b5600479227",
+    ("closed-form", "--family", "complex-group:D5"):
+        "5a46ca4c2ab2f01d09368088cf6e513463520d4832f42bcc746592601bf52190",
+    ("closed-form", "--family", "su-star:4"):
+        "071d3c2365ac4099a97e5a715d0a48eac3865a0681527935ed24482cf1c0378c",
+    ("coeffs", "--space", "product(su-star:3, e6-f4, dual(hyperbolic-odd:4))", "--n-max", "300"):
+        "bbe77fcf0e07fa3a29540381a821681b3361e282ffb12d30c64e36d1b8f8e01f",
+    ("coeffs", "--space", "product(hyperbolic-odd:1, dual(hyperbolic-odd:1))", "--n-max", "300"):
+        "51903abcb1c5fc11e95bd205243486d66c9171d8adc332969547ca4f024c110f",
+    ("verify", "--suite", "kernel"):
+        "3d5307d4fd06e53444b04e8ba001667aebe48c3054e47a8ed61aab0f8c24f1d8",
+}
+
+
+def test_golden_documents(capsys):
+    import hashlib
+
+    for argv, digest in GOLDEN.items():
+        code, out, _ = run(capsys, *argv, "--no-timestamp")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+@pytest.fixture
+def no_build(monkeypatch):
+    """Make any series build fail the test: the request must be refused first."""
+    import heattrace.cli as cli
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a refused request built a series")
+
+    monkeypatch.setattr(cli, "evaluate_space", no_build)
+
+
 class TestSpaceSpecParser:
     def test_atoms(self):
         assert parse_space("sphere:2") == {"kind": "atom", "family": "sphere", "param": "2"}
@@ -32,6 +137,20 @@ class TestSpaceSpecParser:
                     "product(sphere:1)", "sphere:1 extra", "scale(sphere:1, -2)"):
             with pytest.raises(ValueError):
                 parse_space(bad)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("coeffs", "--space", "product(sphere:1, su-star:9)", "--n-max", "1000"),
+         "su_star requires 2 <= mbar <= 5"),
+        (("coeffs", "--space", "product(sphere:1, complex-group:E8)", "--n-max", "1000"),
+         "exceptional complex type E8 is not built in"),
+        (("growth", "--space", "product(op2, complex-group:A9)"),
+         "A-type complex group rank must be between 1 and 5"),
+    ])
+    def test_bad_plancherel_atom_refused_before_any_build(self, capsys, no_build, argv,
+                                                          message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert message in err
 
     def test_evaluator_matches_library(self):
         s = evaluate_space(parse_space("scale(dual(hyperbolic-odd:1), 4)"), 10)
@@ -84,50 +203,6 @@ class TestCoeffsCommand:
                          "--no-timestamp")
         assert out1 == out2
 
-    # sha256 of the --no-timestamp stdout for the rank1-deep benchmark pool at
-    # n = 300 and for op2 at its growth-band depth 360 (first, so that op2 to 300
-    # reads its build).  The documents are fixed across commits: a digest that
-    # moves is a change of output.
-    GOLDEN = {
-        ("op2", 360, "json"):
-            "2cc340f7ca58ec16cf4c3177333049ff22492b05d6af774fa93b5754bb1eb008",
-        ("op2", 360, "csv"):
-            "248cd22681d2eb121362a56c2c8412499c786d72cd474ed05a13e736c8bb00e9",
-        ("product(cp:2, dual(sphere:1))", 300, "json"):
-            "9de889f645f5a53b044b95e3a95654a61ab29737e6dc659563a4886536b93217",
-        ("product(cp:2, dual(sphere:1))", 300, "csv"):
-            "f10db0154b690bc562ee08eff13b20d799bb5c728f09264ef3fad5e15d4b5fb8",
-        ("product(cp:2, dual(sphere:2))", 300, "json"):
-            "6b551148a02eb4e3b2435ec243e0a2cafc72d5e655e3f99a7f847bfb32f67d05",
-        ("product(cp:2, dual(sphere:2))", 300, "csv"):
-            "8639aa796490fddc61411125dae03fba26e2cbd1d70c12179875feec4e0545a7",
-        ("product(cp:2, dual(sphere:3))", 300, "json"):
-            "b80b659da5c4fb209055e9292675cd31c749025b10522ea718c91c7e159e3c5c",
-        ("product(cp:2, dual(sphere:3))", 300, "csv"):
-            "f77b6f5ffb3492b8dd7bb87f2343d8590545a93763faa8a4cb2f28d9bc7bb1af",
-        ("cp:3", 300, "json"):
-            "0e266fa83a8227a0529288db5f480e77b176ad7223fb2dd4c72cb08e0e83f02f",
-        ("cp:3", 300, "csv"):
-            "4552b8f74ccf43c7d7eceb66089f73089884ffcde36ad1881253245cf5123764",
-        ("hp:2", 300, "json"):
-            "86595d0a4409f75c959cb1b4692c7179b51c2959e538e9d2c2fbcec50e32ef53",
-        ("hp:2", 300, "csv"):
-            "3eac77b1042ab8d6d0c26818672f5140320a2f1626f15dd50b6aabc7ef51a9d3",
-        ("op2", 300, "json"):
-            "3183076e88c6c5284710d05e4e98773c7134518ec737c7219d93b9823b3966cd",
-        ("op2", 300, "csv"):
-            "56a58beead507930d4ba8e4ab282211627b15c47bcf1ea597ea040bb9fb79166",
-    }
-
-    def test_golden_rank1_documents(self, capsys):
-        import hashlib
-
-        for (spec, n_max, fmt), digest in self.GOLDEN.items():
-            code, out, _ = run(capsys, "coeffs", "--space", spec, "--n-max", str(n_max),
-                               "--format", fmt, "--no-timestamp")
-            assert code == 0
-            assert hashlib.sha256(out.encode()).hexdigest() == digest, (spec, n_max, fmt)
-
     def test_round_trip_bit_identical(self, capsys):
         _, out, _ = run(capsys, "coeffs", "--space", "scale(hp:2, 3/7)",
                         "--n-max", "9", "--no-timestamp")
@@ -173,10 +248,12 @@ class TestCoeffsCommand:
     def test_decimal_below_one_refused(self, capsys):
         for argv in (("coeffs", "--space", "sphere:1", "--n-max", "2"),
                      ("closed-form", "--family", "hyperbolic-odd:2")):
-            for digits in ("0", "-3"):
+            for digits in ("0", "-3", "4301"):
                 code, out, err = run(capsys, *argv, "--no-timestamp", f"--decimal={digits}")
                 assert code == 2 and out == ""
                 assert "--decimal" in err
+            code, out, err = run(capsys, *argv, "--no-timestamp", "--decimal=4300")
+            assert code == 0, err
 
     def test_oracle_fill_through_cli(self, capsys):
         code, out, _ = run(capsys, "coeffs", "--space", "sphere:2", "--n-max", "3",
@@ -333,15 +410,6 @@ class TestGrowthCommand:
 
 
 class TestGrowthRefusals:
-    @pytest.fixture
-    def no_build(self, monkeypatch):
-        import heattrace.cli as cli
-
-        def no_build(*args, **kwargs):
-            raise AssertionError("a refused request built a series")
-
-        monkeypatch.setattr(cli, "evaluate_space", no_build)
-
     @pytest.mark.parametrize("spec, index", [("product(sphere:2, sphere:1)", 50),
                                              ("product(hp:2, op2)", 50),
                                              ("product(sphere:50, cp:200, op2)", 50),
@@ -382,13 +450,7 @@ class TestGrowthRefusals:
 
 class TestNMaxLimit:
     @pytest.mark.parametrize("command", ["coeffs", "growth"])
-    def test_refused_before_any_build(self, capsys, monkeypatch, command):
-        import heattrace.cli as cli
-
-        def no_build(*args, **kwargs):
-            raise AssertionError("an over-limit request built a series")
-
-        monkeypatch.setattr(cli, "evaluate_space", no_build)
+    def test_refused_before_any_build(self, capsys, no_build, command):
         code, out, err = run(capsys, command, "--space", "sphere:1", "--n-max", "5000")
         assert code == 2 and out == ""
         assert "--n-max-limit" in err

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heattrace import exactnum
-from heattrace.exactnum import bernoulli, c_coeff, d_coeff, log_abs
+from heattrace import exactnum, verify
+from heattrace.exactnum import bernoulli, c_coeffs, d_coeffs, log_abs
 
 from _oracles import bernoulli_recurrence
 
@@ -47,14 +47,14 @@ def test_bernoulli_zeta_cross_check():
 
 
 def test_c_coeff_values():
-    assert c_coeff(0) == Fraction(1, 12)
-    assert c_coeff(1) == Fraction(7, 480)
+    assert c_coeffs(0) == [Fraction(1, 12)]
+    assert c_coeffs(1) == [Fraction(1, 12), Fraction(7, 480)]
 
 
 def test_c_coeff_asymptotics_at_30():
     # c_n = 4 (2n+1)! zeta(2n+2) (1 - 2^{-2n-1}) / (2 pi)^{2n+2}; at n = 30 the
     # zeta and dyadic tails are ~2^-61, far below the 1e-15 target band.
-    v = c_coeff(30)
+    v = c_coeffs(30)[30]
     with mp.workdps(40):
         ratio = (
             mp.mpf(v.numerator) / v.denominator
@@ -65,48 +65,77 @@ def test_c_coeff_asymptotics_at_30():
 
 
 def test_d_coeff_values():
-    assert d_coeff(0) == Fraction(1, 6)
-    assert d_coeff(1) == Fraction(1, 60)
+    assert d_coeffs(0) == [Fraction(1, 6)]
+    assert d_coeffs(1) == [Fraction(1, 6), Fraction(1, 60)]
+
+
+def test_negative_index_refused():
+    for coeffs in (c_coeffs, d_coeffs):
+        with pytest.raises(ValueError, match="nonnegative"):
+            coeffs(-1)
 
 
 def test_cd_equal_their_bernoulli_definitions_to_100():
     ref = bernoulli_recurrence(202)
+    cs, ds = c_coeffs(100), d_coeffs(100)
     for n in range(101):
         d = Fraction((-1) ** n, n + 1) * ref[2 * n + 2]
-        assert d_coeff(n) == d
-        assert c_coeff(n) == d * (1 - Fraction(1, 2 ** (2 * n + 1)))
+        assert ds[n] == d
+        assert cs[n] == d * (1 - Fraction(1, 2 ** (2 * n + 1)))
 
 
 def test_cd_positivity_to_300():
+    cs, ds = c_coeffs(300), d_coeffs(300)
+    assert len(cs) == len(ds) == 301
     for n in range(301):
-        assert c_coeff(n) > 0
-        assert d_coeff(n) > 0
+        assert cs[n] > 0
+        assert ds[n] > 0
 
 
 @pytest.fixture
 def cold_tables(monkeypatch):
-    """Empty Bernoulli/tangent caches for this test; the shared ones are restored."""
+    """An empty tangent table for this test, whose builds are listed by depth;
+    the shared table is restored."""
     monkeypatch.setattr(exactnum, "_tangent", [0])
-    monkeypatch.setattr(exactnum, "_bernoulli_cache", {0: Fraction(1), 1: Fraction(-1, 2)})
-    monkeypatch.setattr(exactnum, "_c_cache", [])
-    monkeypatch.setattr(exactnum, "_d_cache", [])
+    builds = []
+    extend = exactnum._extend_tangent
+
+    def counting(n):
+        before = exactnum._tangent
+        table = extend(n)
+        if table is not before:
+            builds.append(len(table) - 1)
+        return table
+
+    monkeypatch.setattr(exactnum, "_extend_tangent", counting)
+    return builds
 
 
 def test_tangent_table_sized_to_request(cold_tables):
-    c_coeff(307)
+    c_coeffs(307)
     first = list(exactnum._tangent)
     assert len(first) == 309  # T_0..T_308
-    assert c_coeff(367) > 0
+    assert c_coeffs(367)[367] > 0
     assert len(exactnum._tangent) == 369  # not doubled to T_616
     assert exactnum._tangent[:309] == first
+    assert d_coeffs(367)[:308] == d_coeffs(307)
+    assert cold_tables == [308, 368]
 
 
-def test_rising_bernoulli_calls_rebuild_logarithmically(cold_tables):
-    depths = set()
-    for n in range(1, 301):
+def test_bernoulli_builds_the_table_to_exactly_its_index(cold_tables):
+    assert bernoulli(600) < 0  # B_600 reads T_300
+    assert cold_tables == [300]
+    for n in range(1, 301):  # shallower reads share that table
         assert (-1) ** (n + 1) * bernoulli(2 * n) > 0
-        depths.add(len(exactnum._tangent))
-    assert len(depths) <= math.ceil(math.log2(300)) + 2
+    assert bernoulli(0) == 1 and bernoulli(1) == Fraction(-1, 2)
+    assert cold_tables == [300]
+    assert bernoulli(602) > 0
+    assert cold_tables == [300, 301]  # one deeper, not doubled
+
+
+def test_kernel_check_builds_the_table_once(cold_tables):
+    assert all(check.ok for check in verify.check_kernel())
+    assert cold_tables == [301]
 
 
 def test_log_abs_basics():

@@ -6,7 +6,7 @@ import pytest
 
 from heattrace import rank1, series
 from heattrace.errors import InvariantViolation, UnsupportedSpaceError
-from heattrace.exactnum import c_coeff, log_abs
+from heattrace.exactnum import c_coeffs, log_abs
 from heattrace.oracle import ScaledRational
 from heattrace.rank1 import SpaceModel, rank1_series, threshold
 from heattrace.seedpolys import SignedTable
@@ -251,7 +251,7 @@ class TestTailKernel:
                                      + rank1_tail_reference(family, mbar, n, bernoulli)), n
         assert depth[1] > 1
 
-    def test_rising_per_index_calls_rebuild_logarithmically(self, monkeypatch):
+    def test_a_miss_rebuilds_to_exactly_the_depth_asked(self, monkeypatch):
         builds = []
         build = rank1._build
 
@@ -262,9 +262,14 @@ class TestTailKernel:
         monkeypatch.setattr(rank1, "_tail_cache", {})
         monkeypatch.setattr(rank1, "_build", counting)
         model = SpaceModel("cayley_plane", 2)
-        for n in range(7, 201):
+        shallow = rank1_series(model, 300)
+        deep = rank1_series(model, 360)
+        assert builds == [300, 360]  # not doubled to 600
+        assert len(rank1._tail_cache[("cayley_plane", 2)]) == 361
+        assert deep.coeffs[:301] == shallow.coeffs
+        for n in (7, 300, 360):
             rank1_series(model, n)
-        assert builds == [7, 14, 28, 56, 112, 224]
+        assert builds == [300, 360]
 
 
 class TestOnePath:
@@ -349,8 +354,10 @@ class TestSignInvariant:
     def test_non_positive_lattice_coefficient_raises(self, monkeypatch, bad):
         row = rank1._row
 
-        def coeff(i):
-            return bad if i == 12 else c_coeff(i)  # op2 reads c(8..17) to n = 10
+        def coeff(n):
+            cs = c_coeffs(n)  # op2 reads c(8..17) to n = 10
+            cs[12] = bad
+            return cs
 
         monkeypatch.setattr(rank1, "_row", lambda f, m: replace(row(f, m), coeff=coeff))
         with pytest.raises(InvariantViolation):
@@ -402,13 +409,16 @@ class TestSeriesAssembly:
 
     def test_oracle_fill_spheres_only(self):
         with pytest.raises(UnsupportedSpaceError):
-            rank1_series(SpaceModel("complex_projective", 3), 5, fill="oracle")
+            rank1_series(SpaceModel("complex_projective", 3), 5, oracle_precision=30)
 
     def test_oracle_fill_marks_approximate(self):
-        s = rank1_series(SpaceModel("sphere", 2), 4, fill="oracle", oracle_precision=30)
+        s = rank1_series(SpaceModel("sphere", 2), 4, oracle_precision=30)
         assert s.validity[1] == APPROXIMATE
         assert abs(float(s[1]) - 2.0) < 1e-8  # A_1(S^4) = tau/6 = 2
         assert s.validity[2] == EXACT
+        assert rank1_series(SpaceModel("sphere", 2), 4).validity[1] == UNAVAILABLE
+        cut = rank1_series(SpaceModel("sphere", 3), 1, oracle_precision=30)
+        assert cut.validity == [EXACT, APPROXIMATE]  # a gap cut by n_max is filled whole
 
     def test_model_validation(self):
         with pytest.raises(UnsupportedSpaceError):
