@@ -24,12 +24,10 @@ passed.  Exit codes: 0 success, 1 verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
 from contextlib import contextmanager
-from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import plancherel, rank1, series, verify
@@ -265,6 +263,8 @@ def _decimal(value: Fraction, digits: int) -> str:
 def _stamped(doc: dict, timestamp: bool) -> dict:
     """doc, with a generated_at field unless the output must be deterministic."""
     if timestamp:
+        from datetime import datetime, timezone
+
         doc["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return doc
 
@@ -307,6 +307,8 @@ def render_json(doc: dict) -> str:
 
 
 def render_csv(s: series.HeatSeries) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "num", "den", "pi_power", "validity"])
@@ -326,20 +328,20 @@ def _check_n_max(args) -> None:
                         "(raise it with --n-max-limit)")
 
 
-def cmd_coeffs(args) -> int:
+def cmd_coeffs(args, out) -> int:
     _check_n_max(args)
     tree = parse_space(args.space)
     s = evaluate_space(tree, args.n_max, args.oracle_precision if args.oracle_fill else None)
     if args.format == "csv":
-        args.out.write(render_csv(s))
+        out.write(render_csv(s))
     else:
         doc = coefficients_document(args.space, tree, s, args.decimal,
                                     not args.no_timestamp)
-        args.out.write(render_json(doc))
+        out.write(render_json(doc))
     return 0
 
 
-def cmd_closed_form(args) -> int:
+def cmd_closed_form(args, out) -> int:
     if args.model_file:
         model = plancherel.load_model_file(args.model_file)
     else:
@@ -367,11 +369,11 @@ def cmd_closed_form(args) -> int:
         doc["kappa"]["decimal"] = _decimal(form.kappa, args.decimal)
         for entry, c in zip(doc["poly"], form.poly):
             entry["decimal"] = _decimal(c, args.decimal)
-    args.out.write(render_json(_stamped(doc, not args.no_timestamp)))
+    out.write(render_json(_stamped(doc, not args.no_timestamp)))
     return 0
 
 
-def cmd_growth(args) -> int:
+def cmd_growth(args, out) -> int:
     _check_n_max(args)
     tree = parse_space(args.space)
     gap = _gap(tree, args.n_max)
@@ -394,18 +396,18 @@ def cmd_growth(args) -> int:
         },
         "provenance": [s.provenance],
     }
-    args.out.write(render_json(_stamped(doc, not args.no_timestamp)))
+    out.write(render_json(_stamped(doc, not args.no_timestamp)))
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, out) -> int:
     results = verify.run_suite(args.suite)
     failed = 0
     for res in results:
         status = "PASS" if res.ok else "FAIL"
-        args.out.write(f"[{status}] {res.name}: {res.detail}\n")
+        out.write(f"[{status}] {res.name}: {res.detail}\n")
         failed += 0 if res.ok else 1
-    args.out.write(f"{len(results) - failed}/{len(results)} checks passed\n")
+    out.write(f"{len(results) - failed}/{len(results)} checks passed\n")
     return 0 if failed == 0 else 1
 
 
@@ -453,8 +455,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--decimal", type=_digits, default=None, metavar="D",
                        help="add decimal renderings with D significant digits "
                             f"(1 to {_MAX_DIGITS})")
-        p.add_argument("-o", "--output", dest="out", type=argparse.FileType("w"),
-                       default=sys.stdout, help="write to a file instead of stdout")
+        p.add_argument("-o", "--output", dest="out", default="-",
+                       help="write to a file instead of stdout")
 
     def n_max(p, **kwargs):
         p.add_argument("--n-max", type=int, **kwargs)
@@ -503,7 +505,13 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "epsilon", None) is None and args.command == "growth":
         args.epsilon = [0.2]
     try:
-        return args.fn(args)
+        if args.out == "-":
+            return args.fn(args, sys.stdout)
+        buf = io.StringIO()  # the file is opened only once the output is complete
+        code = args.fn(args, buf)
+        with open(args.out, "w") as f:
+            f.write(buf.getvalue())
+        return code
     except InvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3

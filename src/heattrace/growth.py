@@ -15,8 +15,8 @@ constants are invisible.  All magnitude comparisons happen in log space via
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from ._value import Value
 from .exactnum import log_abs
 from .series import EXACT, HeatSeries
 
@@ -186,15 +186,19 @@ def classify(s: HeatSeries, n_min: int = 50) -> str:
     return "polynomial_exponential"
 
 
-@dataclass
-class GrowthReport:
+class GrowthReport(Value):
     """Summary of the growth diagnostics of one series."""
 
-    classification: str
-    C_estimate: float
-    epsilon_band: list[tuple[float, int]] = field(default_factory=list)
-    C1_min: float = 0.0
-    diagnostics: dict = field(default_factory=dict)
+    _fields = ("classification", "C_estimate", "epsilon_band", "C1_min", "diagnostics")
+
+    def __init__(self, classification: str, C_estimate: float,
+                 epsilon_band: list[tuple[float, int]] | None = None, C1_min: float = 0.0,
+                 diagnostics: dict | None = None) -> None:
+        self.classification = classification
+        self.C_estimate = C_estimate
+        self.epsilon_band = [] if epsilon_band is None else epsilon_band
+        self.C1_min = C1_min
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
 
 def growth_report(s: HeatSeries, n_min: int = 50, epsilons: tuple[float, ...] = (0.2,)) -> GrowthReport:

@@ -35,10 +35,10 @@ this package computes, so those comparisons are calibration-and-report only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
+from ._value import Frozen
 from .errors import IllConditionedFitError, SafetyLimitError
 
 if TYPE_CHECKING:
@@ -59,17 +59,14 @@ Eigenvalue = Callable[[int], "Fraction | int"]
 Multiplicity = Callable[[int], int]
 
 
-@dataclass(frozen=True)
-class ScaledRational:
+class ScaledRational(Frozen):
     """An exact value rational * pi^pi_power; zero carries pi^0."""
 
-    rational: Fraction
-    pi_power: int = 0
+    _fields = ("rational", "pi_power")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rational", Fraction(self.rational))
-        if self.rational == 0:
-            object.__setattr__(self, "pi_power", 0)
+    def __init__(self, rational: Fraction, pi_power: int = 0) -> None:
+        rational = Fraction(rational)
+        super().__init__(rational=rational, pi_power=pi_power if rational else 0)
 
     def __float__(self) -> float:
         return float(self.rational) * math.pi ** self.pi_power

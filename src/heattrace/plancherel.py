@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, mul
 from pathlib import Path
 
+from ._value import Frozen
 from .errors import DegenerateModelError, InvariantViolation, NotPositiveDefiniteError, UnsupportedSpaceError
 from .series import EXACT, HeatSeries, exp_times
 
@@ -91,47 +91,39 @@ def _shear(p: Poly, i: int, j: int, c: Fraction) -> Poly:
 # --- model -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlancherelModel:
+class PlancherelModel(Frozen):
     """Spherical-density data of a polynomial-Plancherel symmetric space."""
 
-    family: str
-    label: str
-    r: int
-    m: int
-    p: Poly
-    form: Matrix
-    rho_sq: Fraction
-    notes: tuple[str, ...] = ()
+    _fields = ("family", "label", "r", "m", "p", "form", "rho_sq", "notes")
 
-    def __post_init__(self) -> None:
-        n = len(self.form)
-        if any(len(row) != n for row in self.form):
+    def __init__(self, family: str, label: str, r: int, m: int, p: Poly, form: Matrix,
+                 rho_sq: Fraction, notes: tuple[str, ...] = ()) -> None:
+        n = len(form)
+        if any(len(row) != n for row in form):
             raise ValueError("form matrix must be square")
-        if not 1 <= self.r <= n:
+        if not 1 <= r <= n:
             raise ValueError(f"rank must be between 1 and the form's {n} coordinates")
-        if any(len(e) != n for e in self.p):
+        if any(len(e) != n for e in p):
             raise ValueError(f"each monomial needs exactly {n} exponents, one per form coordinate")
-        if (self.m - self.r) % 2 != 0:
+        if (m - r) % 2 != 0:
             raise InvariantViolation("m - r must be even for a polynomial density")
-        if _poly_degree(self.p) != self.m - self.r:
-            raise InvariantViolation(
-                f"density degree {_poly_degree(self.p)} != m - r = {self.m - self.r}"
-            )
+        if _poly_degree(p) != m - r:
+            raise InvariantViolation(f"density degree {_poly_degree(p)} != m - r = {m - r}")
         for i in range(n):
             for j in range(i):
-                if self.form[i][j] != self.form[j][i]:
+                if form[i][j] != form[j][i]:
                     raise InvariantViolation("form matrix must be symmetric")
+        super().__init__(family=family, label=label, r=r, m=m, p=p, form=form, rho_sq=rho_sq,
+                         notes=notes)
 
 
-@dataclass(frozen=True)
-class ExpPolyForm:
+class ExpPolyForm(Frozen):
     """The trace-series generator e^{kappa*t} * P(t), P(0) = 1."""
 
-    kappa: Fraction
-    poly: tuple[Fraction, ...]
-    m: int
-    r: int
+    _fields = ("kappa", "poly", "m", "r")
+
+    def __init__(self, kappa: Fraction, poly: tuple[Fraction, ...], m: int, r: int) -> None:
+        super().__init__(kappa=kappa, poly=poly, m=m, r=r)
 
     @property
     def degree(self) -> int:

@@ -85,9 +85,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Frozen
 from .errors import InvariantViolation, UnsupportedSpaceError
 from .exactnum import c_coeffs, d_coeffs
 from .seedpolys import (SignedTable, beta_table, delta_table, eta_table, expected_signs,
@@ -106,8 +106,7 @@ FAMILIES = ("sphere", "complex_projective", "quaternionic_projective", "cayley_p
 _fact = math.factorial
 
 
-@dataclass(frozen=True)
-class SpaceModel:
+class SpaceModel(Frozen):
     """A compact rank-one space in its family's built-in normalization.
 
     The noncompact dual and the homotheties are operations on the coefficient
@@ -115,16 +114,16 @@ class SpaceModel:
     :func:`~heattrace.series.rescale`, applied to :func:`rank1_series`.
     """
 
-    family: str
-    mbar: int
+    _fields = ("family", "mbar")
 
-    def __post_init__(self) -> None:
-        row = _row(self.family, self.mbar)
-        if self.family == "quaternionic_projective" and _boundary_at_zero(row, row.table()) <= 0:
+    def __init__(self, family: str, mbar: int) -> None:
+        row = _row(family, mbar)
+        if family == "quaternionic_projective" and _boundary_at_zero(row, row.table()) <= 0:
             raise UnsupportedSpaceError(
                 f"the tabulated HP^M closed form has a non-positive volume constant "
-                f"for M = {self.mbar}, so hp:{self.mbar} cannot be normalized"
+                f"for M = {mbar}, so hp:{mbar} cannot be normalized"
             )
+        super().__init__(family=family, mbar=mbar)
 
     @property
     def dimension(self) -> int:
@@ -143,23 +142,24 @@ class SpaceModel:
 # --- family rows -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Row:
-    """One family's closed form as data; the fields are named as in the module docstring."""
+class _Row(Frozen):
+    """One family's closed form as data; the fields are named as in the module
+    docstring.  ``table`` builds the seed table, with one shift s_j per entry;
+    ``pref`` builds a_n's prefactor, which A_n does not need; ``coeff`` maps n
+    to c_0..c_n (or d_0..d_n); ``terms`` is the number of exponential terms
+    kept in the tail (None: all)."""
 
-    table: Callable[[], SignedTable]  # builds the seed table
-    b: Fraction
-    shifts: range                     # s_j, one per table entry
-    base: Fraction
-    lo: int
-    sign: int
-    pref: Callable[[], Fraction]      # builds a_n's prefactor; A_n does not need it
-    pi_power: int
-    thr: int
-    h: int = 1
-    coeff: Callable[[int], list[Fraction]] = c_coeffs  # n -> c_0..c_n (or d_0..d_n)
-    start: int = 0
-    terms: int | None = None          # exponential terms kept in the tail (None: all)
+    _fields = ("table", "b", "shifts", "base", "lo", "sign", "pref", "pi_power", "thr", "h",
+               "coeff", "start", "terms")
+
+    def __init__(self, *, table: Callable[[], SignedTable], b: Fraction, shifts: range,
+                 base: Fraction, lo: int, sign: int, pref: Callable[[], Fraction],
+                 pi_power: int, thr: int, h: int = 1,
+                 coeff: Callable[[int], list[Fraction]] = c_coeffs, start: int = 0,
+                 terms: int | None = None) -> None:
+        super().__init__(table=table, b=b, shifts=shifts, base=base, lo=lo, sign=sign,
+                         pref=pref, pi_power=pi_power, thr=thr, h=h, coeff=coeff,
+                         start=start, terms=terms)
 
 
 # Spec atom names ("sphere:M", "cp:M", "hp:M", "op2"), as the CLI and verify read them.

@@ -10,9 +10,10 @@ the test suite can assert them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
+
+from ._value import Frozen
 
 Family = Literal["beta", "gamma", "delta", "eta"]
 
@@ -26,13 +27,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SignedTable:
+class SignedTable(Frozen):
     """Coefficients c_k of an even polynomial sum_k c_k s^{2k}."""
 
-    values: tuple[Fraction, ...]
-    family: Family
-    param: int | None = None
+    _fields = ("values", "family", "param")
+
+    def __init__(self, values: tuple[Fraction, ...], family: Family,
+                 param: int | None = None) -> None:
+        super().__init__(values=values, family=family, param=param)
 
     def __len__(self) -> int:
         return len(self.values)

@@ -31,10 +31,11 @@ among all pairs that contribute to it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, zip_longest
 from operator import mul
+
+from ._value import Value
 
 EXACT = "exact"
 APPROXIMATE = "approximate"
@@ -56,28 +57,29 @@ __all__ = [
 ]
 
 
-@dataclass
-class HeatSeries:
-    """Coefficients A_0..A_{n_max} with validity flags and provenance."""
+class HeatSeries(Value):
+    """Coefficients A_0..A_{n_max} with validity flags and provenance.
 
-    coeffs: list[Fraction]
-    validity: list[str] = field(default_factory=list)
-    provenance: str = ""
-    # (kappa, P) with coeffs == exp_times(kappa, P, n_max), when known
-    exppoly: tuple[Fraction, tuple[Fraction, ...]] | None = field(
-        default=None, compare=False, repr=False)
+    ``exppoly = (kappa, P)``, when known, states coeffs == exp_times(kappa, P,
+    n_max); ``==`` and ``repr`` ignore it.
+    """
 
-    def __post_init__(self) -> None:
-        self.coeffs = [Fraction(c) for c in self.coeffs]
+    _fields = ("coeffs", "validity", "provenance")
+
+    def __init__(self, coeffs: list[Fraction], validity: list[str] | None = None,
+                 provenance: str = "",
+                 exppoly: tuple[Fraction, tuple[Fraction, ...]] | None = None) -> None:
+        self.coeffs = [Fraction(c) for c in coeffs]
         if not self.coeffs:
             raise ValueError("a series needs at least the index-0 coefficient")
-        if not self.validity:
-            self.validity = [EXACT] * len(self.coeffs)
+        self.validity = validity or [EXACT] * len(self.coeffs)
         if len(self.validity) != len(self.coeffs):
             raise ValueError("validity flags must match coefficients")
         for flag in self.validity:
             if flag not in _RANK:
                 raise ValueError(f"unknown validity flag {flag!r}")
+        self.provenance = provenance
+        self.exppoly = exppoly
 
     @property
     def n_max(self) -> int:

@@ -12,10 +12,10 @@ Cayley-plane depth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import growth, oracle, plancherel, rank1, seedpolys, series
+from ._value import Value
 from .exactnum import bernoulli, c_coeffs, d_coeffs, log_abs
 
 __all__ = [
@@ -23,11 +23,13 @@ __all__ = [
 ]
 
 
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
+class CheckResult(Value):
+    _fields = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str = "") -> None:
+        self.name = name
+        self.ok = ok
+        self.detail = detail
 
 
 # (series key, growth constant C, expected coefficient sign for 50 <= n <= 300,

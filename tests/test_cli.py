@@ -546,8 +546,96 @@ class TestExitCodes:
         assert "unknown space" in err and "Traceback" not in err
 
 
+class TestOutputFile:
+    """``-o PATH`` is opened only once the document is complete."""
+
+    KEPT = b"an earlier document\n"
+
+    @pytest.fixture
+    def target(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_bytes(self.KEPT)
+        return path
+
+    @pytest.mark.parametrize("argv", [("--space", "bogus:1", "--n-max", "5"),
+                                      ("--space", "sphere:1", "--n-max", "5000")],
+                             ids=["bad-space", "n-max-limit"])
+    def test_refused_run_leaves_the_file(self, capsys, target, argv):
+        code, out, _ = run(capsys, "coeffs", *argv, "-o", str(target))
+        assert code == 2 and out == ""
+        assert target.read_bytes() == self.KEPT
+
+    def test_invariant_failure_leaves_the_file(self, capsys, monkeypatch, target):
+        from heattrace.errors import InvariantViolation
+
+        def boom(*a, **k):
+            raise InvariantViolation("synthetic")
+
+        monkeypatch.setattr("heattrace.cli.evaluate_space", boom)
+        code, out, _ = run(capsys, "coeffs", "--space", "sphere:1", "--n-max", "2",
+                           "-o", str(target))
+        assert code == 3 and out == ""
+        assert target.read_bytes() == self.KEPT
+
+    @pytest.mark.parametrize("argv", [
+        ("coeffs", "--space", "product(sphere:1, hyperbolic-odd:1)", "--n-max", "12"),
+        ("coeffs", "--space", "cp:2", "--n-max", "12", "--format", "csv"),
+        ("closed-form", "--family", "su-star:2"),
+        ("growth", "--space", "dual(hyperbolic-odd:1)", "--n-max", "150"),
+    ], ids=["coeffs-json", "coeffs-csv", "closed-form", "growth"])
+    def test_file_holds_the_stdout_bytes(self, capsys, target, argv):
+        code, expected, _ = run(capsys, *argv, "--no-timestamp")
+        assert code == 0
+        for path in (str(target), "-"):
+            code, out, _ = run(capsys, *argv, "--no-timestamp", "-o", path)
+            assert code == 0
+        assert target.read_bytes() == expected.encode()
+        assert out == expected  # "-" is stdout
+
+    def test_failed_verification_is_still_written(self, capsys, monkeypatch, target):
+        from heattrace.verify import CheckResult
+
+        monkeypatch.setattr("heattrace.verify.run_suite",
+                            lambda suite: [CheckResult("a", True, "x"), CheckResult("b", False)])
+        code, out, _ = run(capsys, "verify", "--suite", "kernel", "-o", str(target))
+        assert code == 1 and out == ""
+        assert target.read_text() == "[PASS] a: x\n[FAIL] b: \n1/2 checks passed\n"
+
+    def test_unopenable_path_is_a_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "closed-form", "--family", "hyperbolic-odd:1",
+                             "-o", str(tmp_path / "missing" / "out.json"))
+        assert code == 2 and out == ""
+        assert "No such file or directory" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--space", "sphere:1", "--n-max", "3"),
+    ("closed-form", "--family", "hyperbolic-odd:1"),
+    ("growth", "--space", "dual(hyperbolic-odd:1)", "--n-max", "150"),
+], ids=["coeffs", "closed-form", "growth"])
+def test_generated_at_is_utc_to_the_second(capsys, argv):
+    from datetime import datetime, timedelta, timezone
+
+    before = datetime.now(timezone.utc).replace(microsecond=0)
+    code, out, _ = run(capsys, *argv)
+    after = datetime.now(timezone.utc)
+    assert code == 0
+    stamp = datetime.fromisoformat(json.loads(out)["generated_at"])
+    assert stamp.utcoffset() == timedelta(0) and stamp.microsecond == 0
+    assert before <= stamp <= after
+    code, out, _ = run(capsys, *argv, "--no-timestamp")
+    assert code == 0 and "generated_at" not in json.loads(out)
+
+
+# The modules the benchmark's tracer wraps right after ``import heattrace.cli``.
+LAYERS = ("exactnum", "seedpolys", "series", "rank1", "plancherel", "growth", "oracle",
+          "verify", "cli")
+
+
 def test_cli_import_leaves_mpmath_unloaded():
-    # mpmath loads only when the oracle sums a trace or --decimal rounds a value
+    # mpmath loads only when the oracle sums a trace or --decimal rounds a value;
+    # dataclasses (with inspect), datetime and csv are never on the import path.
+    # The baseline is what the bare interpreter has loaded, site hooks included.
     import os
     import subprocess
     import sys
@@ -555,8 +643,10 @@ def test_cli_import_leaves_mpmath_unloaded():
     import heattrace
 
     code = (
-        "import sys, heattrace.cli\n"
-        "assert 'mpmath' not in sys.modules, 'import heattrace.cli loaded mpmath'\n"
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "import heattrace.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - bare)))\n"
         "from heattrace import heat_trace\n"
         "assert abs(float(heat_trace(2, 5, 10)) - 1.0001362) < 1e-7\n"
     )
@@ -564,3 +654,6 @@ def test_cli_import_leaves_mpmath_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
+    added = set(done.stdout.split())
+    assert not added & {"dataclasses", "inspect", "datetime", "csv", "mpmath"}, added
+    assert {f"heattrace.{layer}" for layer in LAYERS} <= added

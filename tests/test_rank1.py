@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -359,7 +358,8 @@ class TestSignInvariant:
             cs[12] = bad
             return cs
 
-        monkeypatch.setattr(rank1, "_row", lambda f, m: replace(row(f, m), coeff=coeff))
+        monkeypatch.setattr(rank1, "_row",
+                            lambda f, m: rank1._Row(**{**vars(row(f, m)), "coeff": coeff}))
         with pytest.raises(InvariantViolation):
             rank1._build("cayley_plane", 2, 10)
 

@@ -1,0 +1,88 @@
+"""Value semantics of the record classes: ==, repr, hashing and immutability."""
+
+from fractions import Fraction
+
+import pytest
+
+from heattrace import rank1
+from heattrace.growth import GrowthReport
+from heattrace.oracle import ScaledRational
+from heattrace.plancherel import ExpPolyForm, build_family
+from heattrace.rank1 import SpaceModel
+from heattrace.seedpolys import SignedTable, beta_table
+from heattrace.series import HeatSeries
+from heattrace.verify import CheckResult
+
+
+def frozen_pairs():
+    """Two equal values of each frozen class, built separately."""
+    row = rank1._row("cayley_plane", 2)
+    return [
+        (SpaceModel("sphere", 3), SpaceModel("sphere", 3)),
+        (row, rank1._Row(**vars(row))),
+        (ScaledRational(Fraction(0), 5), ScaledRational(0)),
+        (beta_table(3), SignedTable(beta_table(3).values, "beta", 3)),
+        (ExpPolyForm(Fraction(-1, 4), (Fraction(1),), 3, 1),
+         ExpPolyForm(Fraction(-1, 4), (Fraction(1),), 3, 1)),
+        (build_family("hyperbolic_odd", 2), build_family("hyperbolic_odd", 2)),
+    ]
+
+
+@pytest.mark.parametrize("a, b", frozen_pairs(), ids=lambda v: type(v).__name__)
+def test_frozen_values_compare_by_field_and_refuse_assignment(a, b):
+    assert a == b and a is not b
+    name = next(iter(vars(a)))  # the first field
+    with pytest.raises(AttributeError):
+        setattr(a, name, None)
+    with pytest.raises(AttributeError):
+        delattr(a, name)
+    assert a == b
+
+
+@pytest.mark.parametrize("a, b", frozen_pairs()[:-1], ids=lambda v: type(v).__name__)
+def test_equal_frozen_values_hash_equal(a, b):
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_a_model_with_a_density_dict_is_unhashable():
+    with pytest.raises(TypeError):
+        hash(build_family("hyperbolic_odd", 2))
+
+
+def test_values_of_different_classes_never_compare_equal():
+    assert CheckResult("a", True) != ("a", True, "")
+    assert SpaceModel("sphere", 2) != ScaledRational(Fraction(1, 2))
+    assert ScaledRational(Fraction(1), 1) != ScaledRational(Fraction(1), 2)
+
+
+def test_heat_series_equality_and_repr_ignore_exppoly():
+    coeffs = [Fraction(1), Fraction(-1, 4), Fraction(1, 32)]
+    carrier = HeatSeries(coeffs, provenance="e", exppoly=(Fraction(-1, 4), (Fraction(1),)))
+    plain = HeatSeries(coeffs, provenance="e")
+    assert carrier == plain
+    assert repr(carrier) == repr(plain) == (
+        "HeatSeries(coeffs=[Fraction(1, 1), Fraction(-1, 4), Fraction(1, 32)], "
+        "validity=['exact', 'exact', 'exact'], provenance='e')")
+    assert carrier != HeatSeries(coeffs, provenance="other")
+
+
+def test_mutable_records_are_unhashable_and_assignable():
+    s = HeatSeries([1])
+    report = GrowthReport("vanishing", 0.0)
+    result = CheckResult("x", False)
+    for value in (s, report, result):
+        with pytest.raises(TypeError):
+            hash(value)
+    s.provenance = "p"
+    result.ok = True
+    assert (s.provenance, result) == ("p", CheckResult("x", True))
+    assert report.epsilon_band == []
+    assert report.epsilon_band is not GrowthReport("v", 0.0).epsilon_band
+
+
+def test_repr_spells_the_fields_in_order():
+    assert (repr(ScaledRational(Fraction(4), 1))
+            == "ScaledRational(rational=Fraction(4, 1), pi_power=1)")
+    assert repr(SpaceModel("cayley_plane", 2)) == "SpaceModel(family='cayley_plane', mbar=2)"
+    assert repr(CheckResult("k", True)) == "CheckResult(name='k', ok=True, detail='')"
