@@ -33,7 +33,6 @@ from .plancherel import (
 from .growth import (
     GrowthReport,
     classify,
-    equiv_check,
     estimate_growth_constant,
     factorial_bound_witness,
     growth_report,
@@ -67,7 +66,6 @@ __all__ = [
     "delta_table",
     "diagonalize_form",
     "dualize",
-    "equiv_check",
     "estimate_growth_constant",
     "eta_table",
     "factorial_bound_witness",

@@ -204,6 +204,13 @@ def _gap(tree: dict, n_max: int) -> range:
     return range(min(starts), n_max + 1) if starts else range(0)
 
 
+def _atoms(tree: dict) -> list[dict]:
+    """The atoms of a parsed space tree, left to right."""
+    if tree["kind"] == "atom":
+        return [tree]
+    return [a for c in tree.get("children") or [tree["child"]] for a in _atoms(c)]
+
+
 def _normalization(tree: dict) -> dict:
     scale = Fraction(1)
     node = tree
@@ -331,6 +338,10 @@ def _check_n_max(args) -> None:
 def cmd_coeffs(args, out) -> int:
     _check_n_max(args)
     tree = parse_space(args.space)
+    if args.oracle_fill:  # refused here, before any series is built
+        for atom in _atoms(tree):
+            if atom["family"] in rank1.ATOMS and _gap(atom, args.n_max):
+                rank1.require_oracle_fill(rank1.ATOMS[atom["family"]])
     s = evaluate_space(tree, args.n_max, args.oracle_precision if args.oracle_fill else None)
     if args.format == "csv":
         out.write(render_csv(s))
@@ -414,11 +425,15 @@ def cmd_verify(args, out) -> int:
 # --- entry point ------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -428,6 +443,14 @@ def _digits(text: str) -> int:
     value = _positive_int(text)
     if value > _MAX_DIGITS:
         raise argparse.ArgumentTypeError(f"must be at most {_MAX_DIGITS}, got {value}")
+    return value
+
+
+def _precision(text: str) -> int:
+    """An oracle precision, in the range ``oracle.heat_trace`` sums to."""
+    value = _int(text)
+    if not 1 <= value <= 500:
+        raise argparse.ArgumentTypeError("precision must lie in [1, 500]")
     return value
 
 
@@ -449,12 +472,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, decimal=False):
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the generated_at field (deterministic output)")
-        p.add_argument("--decimal", type=_digits, default=None, metavar="D",
-                       help="add decimal renderings with D significant digits "
-                            f"(1 to {_MAX_DIGITS})")
+        if decimal:
+            p.add_argument("--decimal", type=_digits, default=None, metavar="D",
+                           help="add decimal renderings with D significant digits "
+                                f"(1 to {_MAX_DIGITS})")
         p.add_argument("-o", "--output", dest="out", default="-",
                        help="write to a file instead of stdout")
 
@@ -471,14 +495,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-fill", action="store_true",
                    help="fill below-threshold indices from the spectral oracle "
                         "(spheres only; flagged approximate)")
-    p.add_argument("--oracle-precision", type=int, default=30)
-    common(p)
+    p.add_argument("--oracle-precision", type=_precision, default=30)
+    common(p, decimal=True)
     p.set_defaults(fn=cmd_coeffs)
 
     p = sub.add_parser("closed-form", help="exponential-times-polynomial trace form")
     p.add_argument("--family", help="family atom, e.g. hyperbolic-odd:2")
     p.add_argument("--model-file", help="JSON model description (see README)")
-    common(p)
+    common(p, decimal=True)
     p.set_defaults(fn=cmd_closed_form)
 
     p = sub.add_parser("growth", help="growth diagnostics of a space spec")

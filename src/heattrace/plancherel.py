@@ -232,14 +232,16 @@ def _from_roots(family: str, label: str, roots: list[tuple[int, ...]], mult: int
 def build_family(family: str, param: int | str | None = None) -> PlancherelModel:
     """Construct a built-in polynomial-Plancherel model.
 
-    Families: ``hyperbolic_odd`` (param mbar >= 1, the space H^{2 mbar + 1}),
+    Families: ``hyperbolic_odd`` (param 1 <= mbar <= 500, the space H^{2 mbar + 1}),
     ``su_star`` (param 2 <= mbar <= 5), ``e6_f4`` (no param), and
     ``complex_group`` (param like ``"A2"``; classical types A (rank <= 5) and
     B/C/D (rank <= 6)).  At the upper ranks the CLI ``closed-form`` takes
     about 4 s on su_star:5, 2 s on B6/C6/D6 and under 1 s on A5, mostly the
     density build.  The next ones are refused by :func:`root_data`: A6
     expands a 1.39-million-term density (about 22 s and nearly 500 MiB in
-    process) and su_star:6 runs for minutes.
+    process) and su_star:6 runs for minutes.  In process, hyperbolic_odd:500
+    takes about 0.5 s to its closed form and 1.2 s more to a series to
+    n = 1000, and mbar = 1000 takes 3.4 s and 3.1 s, so mbar > 500 is refused.
     """
     model = _from_roots(family, *root_data(family, param))
     anchor = _ANCHORS.get(model.label)
@@ -266,8 +268,8 @@ def root_data(family: str, param: int | str | None = None) -> tuple:
     """
     if family == "hyperbolic_odd":
         mbar = int(param)  # type: ignore[arg-type]
-        if mbar < 1:
-            raise ValueError("hyperbolic_odd requires mbar >= 1")
+        if not 1 <= mbar <= 500:
+            raise ValueError("hyperbolic_odd requires 1 <= mbar <= 500")
         return f"hyperbolic_odd:{mbar}", [(1,)], 2 * mbar, False, 1, range(mbar), _ROOT_NOTE
 
     if family == "su_star":

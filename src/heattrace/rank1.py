@@ -314,6 +314,12 @@ def _coefficients(family: str, mbar: int, n_max: int) -> list[Fraction]:
     return hit
 
 
+def require_oracle_fill(family: str) -> None:
+    """Refuse to fill a gap from the spectral oracle unless the family is the sphere's."""
+    if family != "sphere":
+        raise UnsupportedSpaceError(f"oracle fill is only available for spheres, not {family}")
+
+
 def rank1_series(model: SpaceModel, n_max: int,
                  oracle_precision: int | None = None) -> HeatSeries:
     """Assemble the coefficient series A_0..A_{n_max} of a rank-one model.
@@ -331,10 +337,7 @@ def rank1_series(model: SpaceModel, n_max: int,
     coeffs: list[Fraction] = [Fraction(1)] + [Fraction(0)] * gap
     flags: list[str] = [EXACT] + [UNAVAILABLE] * gap
     if oracle_precision is not None and gap > 0:
-        if model.family != "sphere":
-            raise UnsupportedSpaceError(
-                f"oracle fill is only available for spheres, not {model.family}"
-            )
+        require_oracle_fill(model.family)
         import mpmath as mp
 
         from .oracle import fit_coefficients

@@ -4,8 +4,10 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from heattrace.cli import evaluate_space, main, parse_document, parse_space
+from heattrace.cli import _gap, evaluate_space, main, parse_document, parse_space
 
 
 def run(capsys, *argv):
@@ -152,6 +154,14 @@ class TestSpaceSpecParser:
         assert code == 2 and out == ""
         assert message in err
 
+    def test_hyperbolic_odd_capped_at_500(self, capsys, no_build):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "coeffs", "--space", "hyperbolic-odd:501", "--n-max", "10")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "hyperbolic_odd requires 1 <= mbar <= 500" in err
+        assert parse_space("hyperbolic-odd:500")["param"] == "500"
+
     def test_evaluator_matches_library(self):
         s = evaluate_space(parse_space("scale(dual(hyperbolic-odd:1), 4)"), 10)
         for n in range(11):
@@ -278,6 +288,28 @@ class TestCoeffsCommand:
                                  "--oracle-fill", "--oracle-precision", precision)
             assert code == 2 and out == ""
             assert "precision must lie in [1, 500]" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("product(sphere:1, cp:3)", "--oracle-fill"),
+         "oracle fill is only available for spheres, not complex_projective"),
+        (("product(sphere:1, sphere:3)", "--oracle-fill", "--oracle-precision", "0"),
+         "precision must lie in [1, 500]"),
+        (("product(sphere:1, sphere:3)", "--oracle-fill", "--oracle-precision", "501"),
+         "precision must lie in [1, 500]"),
+    ], ids=["non-sphere", "precision-0", "precision-501"])
+    def test_oracle_fill_refused_before_any_build(self, capsys, no_build, argv, message):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "coeffs", "--n-max", "1000", "--space", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert message in err
+
+    def test_oracle_fill_of_gapless_atoms_is_accepted(self, capsys):
+        # sphere:1 and cp:2 have threshold 1, so there is nothing to fill
+        code, out, err = run(capsys, "coeffs", "--space", "product(sphere:1, cp:2)",
+                             "--n-max", "3", "--oracle-fill", "--format", "csv")
+        assert code == 0, err
+        assert "approximate" not in out and "unavailable" not in out
 
     def test_refuses_hp_without_a_positive_volume(self, capsys):
         for spec in ("hp:4", "product(hp:6, sphere:1)"):
@@ -448,6 +480,31 @@ class TestGrowthRefusals:
             main(["growth", "--space", spec])
 
 
+# Cheap atoms, and trees over them with dual, scale and product to depth 2.
+_CHEAP_ATOMS = st.sampled_from(["sphere:1", "sphere:2", "sphere:3", "cp:2", "cp:3", "hp:2",
+                                "op2", "hyperbolic-odd:1"])
+
+
+def _combined(inner):
+    return st.one_of(
+        inner.map("dual({})".format),
+        st.builds("scale({}, {})".format, inner, st.sampled_from(["2", "1/3"])),
+        st.lists(inner, min_size=2, max_size=3).map(", ".join).map("product({})".format),
+    )
+
+
+_DEPTH_1 = st.one_of(_CHEAP_ATOMS, _combined(_CHEAP_ATOMS))
+
+
+@given(spec=st.one_of(_DEPTH_1, _combined(_DEPTH_1)), n_max=st.integers(0, 12))
+def test_gap_agrees_with_the_built_flags(spec, n_max):
+    # growth refuses from _gap before building; it must name exactly the
+    # indices that the build flags as not exact
+    tree = parse_space(spec)
+    flags = evaluate_space(tree, n_max).validity
+    assert list(_gap(tree, n_max)) == [n for n, f in enumerate(flags) if f != "exact"], spec
+
+
 class TestNMaxLimit:
     @pytest.mark.parametrize("command", ["coeffs", "growth"])
     def test_refused_before_any_build(self, capsys, no_build, command):
@@ -534,6 +591,14 @@ class TestExitCodes:
 
     def test_argparse_usage_is_2(self, capsys):
         assert main(["coeffs"]) == 2  # missing required arguments
+
+    @pytest.mark.parametrize("argv", [("growth", "--space", "sphere:2", "--decimal", "5"),
+                                      ("verify", "--suite", "anchors", "--decimal", "7")],
+                             ids=["growth", "verify"])
+    def test_decimal_only_where_values_are_rendered(self, capsys, no_build, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --decimal" in err
 
     @pytest.mark.parametrize("spec", ["3/2", "product(3/2, sphere:1)", "dual(2)", "scale(2, 3)"])
     @pytest.mark.parametrize("argv", [("coeffs", "--n-max", "5", "--space"),

@@ -5,7 +5,6 @@ import pytest
 
 from heattrace.growth import (
     classify,
-    equiv_check,
     estimate_growth_constant,
     factorial_bound_witness,
     find_band_start,
@@ -51,39 +50,55 @@ class TestEstimate:
 
 
 class TestEquivCheck:
+    """The band relation through find_band_start: it holds on [N, n_max] exactly
+    when find_band_start(s, C, eps, N) == N."""
+
     def test_reflexive(self):
         s = factorial_series(Fraction(2, 5), 150)
         for eps in (0.5, 0.2, 0.01):
-            ok, rep = equiv_check(s, 0.4, eps, 10)
-            assert ok and rep["first_violation"] is None
+            assert find_band_start(s, 0.4, eps, 10) == 10
 
     def test_polynomial_prefactors_are_absorbed(self):
         # {14 n^2 n!} ~ {n!} under the band relation once N is large enough
         s = factorial_series(Fraction(1), 300, lambda n: Fraction(14 * n * n))
         start = find_band_start(s, 1.0, 0.1, 2)
-        assert start is not None and start > 2  # absorbed, but only eventually
-        assert equiv_check(s, 1.0, 0.1, start)[0]
-        assert not equiv_check(s, 1.0, 0.1, 10)[0]
+        assert start is not None and start > 10  # absorbed, but only eventually
+        assert find_band_start(s, 1.0, 0.1, start) == start
+        assert find_band_start(s, 1.0, 0.1, 10) == start
 
     def test_band_fails_off_constant(self):
         s = factorial_series(Fraction(1, 2), 150)
-        ok, rep = equiv_check(s, 0.25, 0.2, 50)
-        assert not ok and rep["first_violation"] == 50
+        assert find_band_start(s, 0.25, 0.2, 50) is None
 
     def test_parameter_validation(self):
         s = factorial_series(Fraction(1, 2), 120)
-        with pytest.raises(ValueError):
-            equiv_check(s, 0.5, 1.5, 10)
-        with pytest.raises(ValueError):
-            equiv_check(s, -1.0, 0.2, 10)
-        with pytest.raises(ValueError):
-            equiv_check(s, 0.5, 0.2, 500)
+        for eps in (1.5, 1.0, 0.0, -0.5, float("nan")):
+            with pytest.raises(ValueError, match=r"eps must be in \(0, 1\)"):
+                find_band_start(s, 0.5, eps, 10)
+        for C in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="C must be positive"):
+                find_band_start(s, C, 0.2, 10)
+        for N in (0, 121, 500):
+            with pytest.raises(ValueError, match=r"N must lie in \[1, 120\]"):
+                find_band_start(s, 0.5, 0.2, N)
 
     def test_requires_exact_flags(self):
         s = factorial_series(Fraction(1, 2), 120)
         s.validity[60] = "approximate"
-        with pytest.raises(ValueError):
-            equiv_check(s, 0.5, 0.2, 50)
+        with pytest.raises(ValueError, match="A_60 is approximate"):
+            find_band_start(s, 0.5, 0.2, 50)
+
+    def test_zero_placeholder_is_refused_not_skipped(self):
+        s = factorial_series(Fraction(1, 3), 200)
+        assert find_band_start(s, 1 / 3, 0.2, 50) == 50
+        s.coeffs[150], s.validity[150] = Fraction(0), "unavailable"
+        with pytest.raises(ValueError, match="A_150 is unavailable"):
+            find_band_start(s, 1 / 3, 0.2, 50)
+
+    def test_exact_zero_fails_the_band(self):
+        s = factorial_series(Fraction(1, 3), 200)
+        s.coeffs[150] = Fraction(0)
+        assert find_band_start(s, 1 / 3, 0.2, 50) == 151
 
 
 class TestWitness:
