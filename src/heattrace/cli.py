@@ -386,6 +386,9 @@ def cmd_closed_form(args, out) -> int:
 
 def cmd_growth(args, out) -> int:
     _check_n_max(args)
+    if args.n_min > args.n_max:
+        raise SpecError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}: "
+                        "the growth window would be empty")
     tree = parse_space(args.space)
     gap = _gap(tree, args.n_max)
     n = max(gap.start, args.n_min)

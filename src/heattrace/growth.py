@@ -42,9 +42,9 @@ def _require_unit_eps(eps: float) -> None:
 
 
 def _require_exact_window(s: HeatSeries, n_min: int) -> None:
-    """Raise ValueError unless n_min >= 1 and A_{n_min}..A_{n_max} are all exact."""
-    if n_min < 1:
-        raise ValueError(f"n_min must be at least 1, got {n_min}")
+    """Raise ValueError unless 1 <= n_min <= n_max and A_{n_min}..A_{n_max} are all exact."""
+    if not 1 <= n_min <= s.n_max:
+        raise ValueError(f"n_min must lie in [1, {s.n_max}], got {n_min}")
     if not s.is_exact_on(n_min, s.n_max):
         n = next(n for n in range(n_min, s.n_max + 1) if s.validity[n] != EXACT)
         raise ValueError(

@@ -2,7 +2,7 @@
 
 A :class:`PlancherelModel` packages the data that determines the heat-trace
 series of a noncompact symmetric space whose spherical density is polynomial:
-the rank r, the dimension m, the density polynomial p in N >= r coordinates,
+the rank r, the dimension m, the density polynomial in N >= r coordinates,
 the inner-product Gram matrix on those coordinates (N = len(form)), and the
 squared norm of the half-sum of positive restricted roots.  :func:`closed_form`
 converts the model to the pair (kappa, P) with trace series
@@ -16,11 +16,18 @@ common product of d_j^{-1/2}, and the Gaussian factor of any direction the
 density is constant along) cancels in that normalization, so the output
 coefficients are exact rationals.
 
-Every built-in model is written in its N ambient root coordinates, where the
-form is a multiple of the identity and the density has integer coefficients:
-the congruence is T = I and no shear runs.  The A-type families live on the
-sum-zero hyperplane, so there N = r + 1 and the density is constant along
-(1, ..., 1).  The shears serve model files with a non-diagonal form.
+Every built-in model keeps its factored root data: the density is
+prod_alpha prod_h (<alpha, x>^2 + h^2) in the N ambient root coordinates,
+where the form is a multiple of the identity, so the congruence is T = I and
+no shear runs.  The A-type families live on the sum-zero hyperplane, so there
+N = r + 1 and the density is constant along (1, ..., 1).  For the complex
+groups every shift h is 0, so the density is homogeneous and P = 1 is read
+from the root data with nothing expanded.  The other built-ins expand their
+integer density once, on packed monomials (one int per monomial, see
+:func:`_expand`), and sum the moments from those keys.  Model files give the
+density as monomials; the shears serve their non-diagonal forms, and the
+sheared density is packed once for the same moment loop.  ``model.p``, the
+density as {exponent tuple: coefficient}, is expanded only when read.
 
 All inner products use the Killing normalization <X,Y> = -B(X, theta Y); the
 Gram matrices and rho_sq values are derived from restricted root data, never
@@ -33,7 +40,7 @@ import json
 import math
 from fractions import Fraction
 from itertools import accumulate
-from operator import add, mul
+from operator import mul
 from pathlib import Path
 
 from ._value import Frozen
@@ -52,23 +59,49 @@ __all__ = [
 
 Monomial = tuple[int, ...]
 Poly = dict[Monomial, Fraction | int]
+Packed = dict[int, Fraction | int]
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
-# --- small exact multivariate polynomial helpers ------------------------------
+# --- exact multivariate polynomials on packed monomials ---------------------------
+#
+# A monomial of total degree at most D in N coordinates is one int: coordinate
+# i's exponent sits in bits [w*i, w*(i+1)), with w = _width(D).  No exponent of
+# a density of degree D, nor of a product of its factors, exceeds D < 2^w, so
+# no carry crosses a field and a monomial product is one int addition.
 
 
-def _poly_mul(p: Poly, q: Poly) -> Poly:
-    out: Poly = {}
-    for e1, a1 in p.items():
-        for e2, a2 in q.items():
-            e = tuple(map(add, e1, e2))
-            v = out.get(e, 0) + a1 * a2
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-    return out
+def _width(degree: int) -> int:
+    return max(degree.bit_length(), 1)
+
+
+def _pack(p: Poly, w: int) -> Packed:
+    return {sum(e << (w * i) for i, e in enumerate(exps)): a for exps, a in p.items()}
+
+
+def _unpack(packed: Packed, n: int, w: int) -> Poly:
+    mask = (1 << w) - 1
+    return {tuple((k >> (w * i)) & mask for i in range(n)): a for k, a in packed.items()}
+
+
+def _expand(roots: list[tuple[int, ...]], shifts: range, w: int) -> Packed:
+    """prod_alpha prod_{h in shifts} (<alpha, x>^2 + h^2) on packed monomials of width w."""
+    p: Packed = {0: 1}
+    for alpha in roots:
+        pairing = [(a, 1 << (w * i)) for i, a in enumerate(alpha) if a]
+        square: Packed = {}
+        for a, k in pairing:
+            for b, l in pairing:
+                square[k + l] = square.get(k + l, 0) + a * b
+        for h in shifts:
+            out: Packed = {k: a * h * h for k, a in p.items()} if h else {}
+            get = out.get
+            for k2, a2 in square.items():
+                for k1, a1 in p.items():
+                    k = k1 + k2
+                    out[k] = get(k, 0) + a1 * a2
+            p = {k: a for k, a in out.items() if a}
+    return p
 
 
 def _poly_degree(p: Poly) -> int:
@@ -92,29 +125,58 @@ def _shear(p: Poly, i: int, j: int, c: Fraction) -> Poly:
 
 
 class PlancherelModel(Frozen):
-    """Spherical-density data of a polynomial-Plancherel symmetric space."""
+    """Spherical-density data of a polynomial-Plancherel symmetric space.
+
+    The density is given either as ``p``, a dict {exponent tuple: coefficient},
+    or, for the built-in families, as ``factors = (roots, shifts)``: the
+    product over the roots alpha and the shifts h of (<alpha, x>^2 + h^2), on
+    a diagonal form.  Then :attr:`p` is expanded only when it is read;
+    :func:`closed_form` never reads it.
+    """
 
     _fields = ("family", "label", "r", "m", "p", "form", "rho_sq", "notes")
 
-    def __init__(self, family: str, label: str, r: int, m: int, p: Poly, form: Matrix,
-                 rho_sq: Fraction, notes: tuple[str, ...] = ()) -> None:
+    def __init__(self, family: str, label: str, r: int, m: int, p: Poly | None, form: Matrix,
+                 rho_sq: Fraction, notes: tuple[str, ...] = (),
+                 factors: tuple[list[tuple[int, ...]], range] | None = None) -> None:
         n = len(form)
         if any(len(row) != n for row in form):
             raise ValueError("form matrix must be square")
         if not 1 <= r <= n:
             raise ValueError(f"rank must be between 1 and the form's {n} coordinates")
-        if any(len(e) != n for e in p):
-            raise ValueError(f"each monomial needs exactly {n} exponents, one per form coordinate")
+        if factors is None:
+            if any(len(e) != n for e in p):
+                raise ValueError(f"each monomial needs exactly {n} exponents, "
+                                 "one per form coordinate")
+            if any(x < 0 for e in p for x in e):
+                raise ValueError("monomial exponents must be nonnegative")
+            degree = _poly_degree(p)
+        else:
+            roots, shifts = factors
+            if any(len(alpha) != n or not any(alpha) for alpha in roots):
+                raise ValueError(f"each root needs {n} coordinates, not all zero")
+            if any(form[i][j] for i in range(n) for j in range(n) if i != j):
+                raise ValueError("a density given by root factors needs a diagonal form")
+            degree = 2 * len(roots) * len(shifts)
         if (m - r) % 2 != 0:
             raise InvariantViolation("m - r must be even for a polynomial density")
-        if _poly_degree(p) != m - r:
-            raise InvariantViolation(f"density degree {_poly_degree(p)} != m - r = {m - r}")
+        if degree != m - r:
+            raise InvariantViolation(f"density degree {degree} != m - r = {m - r}")
         for i in range(n):
             for j in range(i):
                 if form[i][j] != form[j][i]:
                     raise InvariantViolation("form matrix must be symmetric")
-        super().__init__(family=family, label=label, r=r, m=m, p=p, form=form, rho_sq=rho_sq,
-                         notes=notes)
+        super().__init__(family=family, label=label, r=r, m=m, form=form, rho_sq=rho_sq,
+                         notes=notes, factors=factors, _p=p)
+
+    @property
+    def p(self) -> Poly:
+        """The density as {exponent tuple: coefficient}, expanded from the factors on first read."""
+        if self._p is None:
+            w = _width(self.m - self.r)
+            # a cache, so it bypasses Frozen's refusal of assignment
+            self.__dict__["_p"] = _unpack(_expand(*self.factors, w), len(self.form), w)
+        return self._p
 
 
 class ExpPolyForm(Frozen):
@@ -219,14 +281,9 @@ def _from_roots(family: str, label: str, roots: list[tuple[int, ...]], mult: int
     scale = sigma * sigma / _killing_scalar(roots, mult, r)
     form = tuple(tuple(scale if i == j else Fraction(0) for j in range(n)) for i in range(n))
     rho = [Fraction(mult * sum(alpha[i] for alpha in roots), 2 * sigma) for i in range(n)]
-    p: Poly = {(0,) * n: 1}
-    for alpha in roots:
-        pairing = {tuple(int(k == i) for k in range(n)): a for i, a in enumerate(alpha) if a}
-        square = _poly_mul(pairing, pairing)
-        for h in shifts:
-            p = _poly_mul(p, {**square, (0,) * n: h * h} if h else square)
-    return PlancherelModel(family, label, r, r + mult * len(roots), p, form,
-                           scale * sum(x * x for x in rho), notes=(notes,))
+    return PlancherelModel(family, label, r, r + mult * len(roots), None, form,
+                           scale * sum(x * x for x in rho), notes=(notes,),
+                           factors=(roots, shifts))
 
 
 def build_family(family: str, param: int | str | None = None) -> PlancherelModel:
@@ -235,13 +292,15 @@ def build_family(family: str, param: int | str | None = None) -> PlancherelModel
     Families: ``hyperbolic_odd`` (param 1 <= mbar <= 500, the space H^{2 mbar + 1}),
     ``su_star`` (param 2 <= mbar <= 5), ``e6_f4`` (no param), and
     ``complex_group`` (param like ``"A2"``; classical types A (rank <= 5) and
-    B/C/D (rank <= 6)).  At the upper ranks the CLI ``closed-form`` takes
-    about 4 s on su_star:5, 2 s on B6/C6/D6 and under 1 s on A5, mostly the
-    density build.  The next ones are refused by :func:`root_data`: A6
-    expands a 1.39-million-term density (about 22 s and nearly 500 MiB in
-    process) and su_star:6 runs for minutes.  In process, hyperbolic_odd:500
-    takes about 0.5 s to its closed form and 1.2 s more to a series to
-    n = 1000, and mbar = 1000 takes 3.4 s and 3.1 s, so mbar > 500 is refused.
+    B/C/D (rank <= 6)).  On a 2-core box the CLI ``closed-form`` takes about
+    2.3 s on su_star:5 (expanding its 276,063-term density) and 0.5 s on
+    hyperbolic_odd:500; every complex group reads P = 1 from its root data
+    and takes the CLI's start-up of about 0.15 s.  su_star:6 would run for
+    minutes, so it is refused by :func:`root_data`, and so are complex groups
+    past those ranks: their closed form is cheap, but reading ``model.p`` of
+    A6 expands a 1.39-million-term density.  In process, hyperbolic_odd:500
+    takes about 0.3 s to its closed form and 1.1 s more to a series to
+    n = 1000, and mbar = 1000 takes 2.7 s and 3.3 s, so mbar > 500 is refused.
     """
     model = _from_roots(family, *root_data(family, param))
     anchor = _ANCHORS.get(model.label)
@@ -349,32 +408,51 @@ def closed_form(model: PlancherelModel) -> ExpPolyForm:
     monomials of degree (m - r) - 2h, so the polynomial is the *reversal* of
     the moment array, and its constant term is the leading Weyl moment.
     """
+    H = (model.m - model.r) // 2
+    if model.factors is not None and not any(model.factors[1]):
+        # Every shift is 0 (the complex groups): the density is homogeneous of
+        # degree m - r and positive off a null set, so only the top moment
+        # survives and P = 1.
+        return ExpPolyForm(-model.rho_sq, (Fraction(1),) + (Fraction(0),) * H, model.m, model.r)
     T, d = diagonalize_form(model.form)
-    # p(T y) for unit upper-triangular T: T is the product of its columns'
-    # shears x_i -> x_i + T_ij x_j taken from the last column to the first.
-    p_diag = model.p
-    for j in range(len(T) - 1, 0, -1):
-        for i in range(j):
-            if T[i][j]:
-                p_diag = _shear(p_diag, i, j, T[i][j])
+    w = _width(model.m - model.r)
+    if model.factors is not None:
+        packed = _expand(*model.factors, w)  # the form is diagonal: T = I
+    else:
+        # p(T y) for unit upper-triangular T: T is the product of its columns'
+        # shears x_i -> x_i + T_ij x_j taken from the last column to the first.
+        p_diag = model.p
+        for j in range(len(T) - 1, 0, -1):
+            for i in range(j):
+                if T[i][j]:
+                    p_diag = _shear(p_diag, i, j, T[i][j])
+        packed = _pack(p_diag, w)
     # The moment of x^(2e) under weight e^{-d x^2} is g(e) d^(-e), with
     # g(e) = (2e-1)!!/2^e up to the common sqrt(pi/d).  With d_j = u_j/v_j,
     # a monomial of total degree 2h contributes a * prod_j (2e_j-1)!! v_j^e_j
     # u_j^(-e_j) / 2^h; times the common prod_j u_j^H and the lcm of the
     # density's denominators, every I_h below is an integer.
-    H = (model.m - model.r) // 2
     dfact = list(accumulate(range(1, 2 * H, 2), mul, initial=1))  # (2e-1)!!, e <= H
     factors = [[dfact[e] * dj.denominator ** e * dj.numerator ** (H - e) for e in range(H + 1)]
                for dj in d]
-    scale = math.lcm(*(a.denominator for a in p_diag.values()))
+    scale = math.lcm(*(a.denominator for a in packed.values()))
+    # A monomial with an odd exponent integrates to zero; one with all
+    # exponents even has its half-exponents in the same fields of key >> 1.
+    odd = sum(1 << (w * i) for i in range(len(d)))
+    mask = (1 << w) - 1
     sums = [0] * (H + 1)
-    for exps, a in p_diag.items():
-        if any(e % 2 for e in exps):
-            continue  # odd in some coordinate: integrates to zero
+    for key, a in packed.items():
+        if key & odd:
+            continue
+        key >>= 1
         term = a.numerator * (scale // a.denominator)
-        for row, e in zip(factors, exps):
-            term *= row[e >> 1]
-        sums[sum(exps) >> 1] += term
+        h = 0
+        for row in factors:
+            e = key & mask
+            term *= row[e]
+            h += e
+            key >>= w
+        sums[h] += term
     lead = sums[H]
     if lead == 0:
         raise DegenerateModelError(

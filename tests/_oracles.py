@@ -439,6 +439,23 @@ def poly_substitute(p: dict, columns: list[list[Fraction]]) -> dict:
     return {e: Fraction(a, den) for e, a in out.items() if a}
 
 
+def root_density_reference(roots: list[tuple[int, ...]], shifts: range) -> dict:
+    """prod_alpha prod_{h in shifts} (<alpha, x>^2 + h^2) on exponent tuples.
+
+    Each factor is expanded from the linear form <alpha, x> by the tuple
+    product :func:`_poly_mul`, one factor at a time.
+    """
+    n = len(roots[0])
+    one = (0,) * n
+    p = {one: 1}
+    for alpha in roots:
+        pairing = {tuple(int(k == i) for k in range(n)): a for i, a in enumerate(alpha) if a}
+        square = _poly_mul(pairing, pairing)
+        for h in shifts:
+            p = _poly_mul(p, {**square, one: h * h} if h else square)
+    return p
+
+
 def model_coordinate_model(family: str, param=None):
     """A sum-zero built-in family (su_star, e6_f4, complex_group A) in r model coordinates.
 

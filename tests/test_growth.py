@@ -181,6 +181,15 @@ class TestExactWindow:
             with pytest.raises(ValueError, match="n_min"):
                 classify(s, n_min=n_min)
 
+    def test_n_min_past_n_max_refused(self):
+        s = factorial_series(Fraction(1, 3), 120)
+        for n_min in (121, 400):
+            with pytest.raises(ValueError, match=r"n_min must lie in \[1, 120\]"):
+                classify(s, n_min=n_min)
+        vanishing = HeatSeries([Fraction(1)] + [Fraction(0)] * 120, ["exact"] * 121)
+        with pytest.raises(ValueError, match="n_min"):
+            growth_report(vanishing, n_min=400)
+
     def test_exact_zero_tail_still_vanishes(self):
         s = HeatSeries([Fraction(1), Fraction(1, 2)] + [Fraction(0)] * 100,
                        ["exact", "unavailable"] + ["exact"] * 100)

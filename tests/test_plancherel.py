@@ -15,6 +15,9 @@ from heattrace.errors import (
 from heattrace.plancherel import (
     ExpPolyForm,
     PlancherelModel,
+    _expand,
+    _unpack,
+    _width,
     build_family,
     closed_form,
     diagonalize_form,
@@ -23,7 +26,7 @@ from heattrace.plancherel import (
 )
 from heattrace.series import dualize, product
 
-from _oracles import closed_form_reference, model_coordinate_model
+from _oracles import closed_form_reference, model_coordinate_model, root_density_reference
 
 
 class TestBuildFamily:
@@ -201,11 +204,21 @@ class TestClosedForm:
             assert form.degree <= form.degree_bound == (model.m - model.r) // 2
             assert form.leading_t_exponent == -Fraction(model.m, 2)
 
-    def test_complex_groups_are_pure_exponentials(self):
-        # homogeneous densities have a single nonzero moment
-        for label in ("A1", "A2", "A3", "B2"):
-            form = closed_form(build_family("complex_group", label))
+    def test_complex_groups_are_pure_exponentials(self, monkeypatch):
+        # homogeneous densities have a single nonzero moment, so the closed
+        # form is read from the root data without expanding the density
+        def expand(*args):
+            raise AssertionError("a complex group expanded its density")
+
+        monkeypatch.setattr("heattrace.plancherel._expand", expand)
+        labels = ([f"A{n}" for n in range(1, 6)] + [f"{k}{n}" for k in "BC" for n in range(2, 7)]
+                  + [f"D{n}" for n in range(3, 7)])
+        for label in labels:
+            model = build_family("complex_group", label)
+            form = closed_form(model)
             assert form.degree == 0
+            assert form.poly == (Fraction(1),) + (Fraction(0),) * form.degree_bound
+            assert form.kappa == -model.rho_sq
 
     def test_cross_family_consistency(self):
         a = closed_form(build_family("hyperbolic_odd", 1))
@@ -349,6 +362,31 @@ class TestShearAgainstReference:
             return
         form_out = closed_form(model)
         assert (form_out.kappa, form_out.poly) == want
+
+
+class TestPackedExpansion:
+    """The packed-monomial density kernel against the tuple expansion of the oracles."""
+
+    @staticmethod
+    def unpacked(roots, shifts):
+        n = len(roots[0])
+        w = _width(2 * len(roots) * len(shifts))
+        return _unpack(_expand(roots, shifts, w), n, w)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4), st.data())
+    def test_random_root_sets(self, n, data):
+        entry = st.integers(-2, 2)
+        root = st.tuples(*[entry] * n).filter(any)
+        roots = data.draw(st.lists(root, min_size=1, max_size=4))
+        shifts = range(data.draw(st.integers(1, 3)))
+        assert self.unpacked(roots, shifts) == root_density_reference(roots, shifts)
+
+    def test_hyperbolic_odd_500(self):
+        # degree 1000 in one field: the widest field a built-in family packs
+        model = build_family("hyperbolic_odd", 500)
+        assert max(sum(e) for e in model.p) == 1000
+        assert model.p == root_density_reference(*model.factors)
 
 
 class TestToSeries:
