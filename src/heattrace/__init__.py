@@ -37,7 +37,7 @@ from .growth import (
     factorial_bound_witness,
     growth_report,
 )
-from .oracle import ScaledRational, fit_coefficients, heat_trace, sphere_volume
+from .oracle import fit_coefficients, heat_trace, sphere_volume
 
 __version__ = "0.1.0"
 
@@ -52,7 +52,6 @@ __all__ = [
     "NotPositiveDefiniteError",
     "PlancherelModel",
     "SafetyLimitError",
-    "ScaledRational",
     "SignedTable",
     "SpaceModel",
     "UnsupportedSpaceError",

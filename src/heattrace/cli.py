@@ -242,7 +242,7 @@ def _any_int_digits():
 
     Deep coefficients pass the default 4300-digit limit (sphere:1 at
     n = 975); the limit guards parsing of untrusted numbers, and these are
-    exact values the package wrote or reads back.
+    exact values the package writes.
     """
     if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the limit
         yield
@@ -294,21 +294,6 @@ def coefficients_document(spec: str, tree: dict, s: series.HeatSeries,
     return _stamped(doc, timestamp)
 
 
-def parse_document(text: str) -> tuple[dict, series.HeatSeries]:
-    """Inverse of the JSON serialization; exact values round-trip unchanged."""
-    doc = json.loads(text)
-    coeffs = []
-    flags = []
-    with _any_int_digits():
-        for entry in doc["coefficients"]:
-            if int(entry["pi_power"]) != 0:
-                raise ValueError("normalized coefficient documents carry pi_power 0")
-            coeffs.append(Fraction(int(entry["num"]), int(entry["den"])))
-            flags.append(entry["validity"])
-    prov = doc.get("provenance") or [""]
-    return doc, series.HeatSeries(coeffs, flags, prov[0])
-
-
 def render_json(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
@@ -341,7 +326,7 @@ def cmd_coeffs(args, out) -> int:
     if args.oracle_fill:  # refused here, before any series is built
         for atom in _atoms(tree):
             if atom["family"] in rank1.ATOMS and _gap(atom, args.n_max):
-                rank1.require_oracle_fill(rank1.ATOMS[atom["family"]])
+                rank1.require_oracle_fill(rank1.atom_model(atom["family"], atom["param"]))
     s = evaluate_space(tree, args.n_max, args.oracle_precision if args.oracle_fill else None)
     if args.format == "csv":
         out.write(render_csv(s))

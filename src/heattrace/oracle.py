@@ -6,16 +6,16 @@ asymptotic coefficients are recovered by a least-squares fit on a geometric
 time ladder.  Agreement between these fits and the exact closed forms is the
 package's primary end-to-end validation.
 
-Every trace, sphere or custom, goes through one summation loop, run in integer
-fixed point.  Each weight is measured relative to level 0's Boltzmann factor
-and held as a Python int on the running total's scale; whenever a weight would
-keep fewer than B bits, the weight, the total and the previous term are
-shifted up together, so every term carries B significant bits however small
-the weights get.  B holds precision + 25 decimal digits plus 64 bits, which
-keeps the rounding of up to 2,000,000 levels far below the result's
-precision + 15 digits (see :func:`_sum_levels`).  mpmath computes only the
-seed exponentials and the final conversion, and is imported only when a trace
-or fit is asked for.
+Every trace goes through one summation loop, run in integer fixed point.
+Each weight is measured relative to level 0's Boltzmann factor and held as a
+Python int on the running total's scale; whenever a weight would keep fewer
+than B bits, the weight, the total and the previous term are shifted up
+together, so every term carries B significant bits however small the weights
+get.  B holds precision + 25 decimal digits plus 64 bits, which keeps the
+rounding of up to 2,000,000 levels far below the result's precision + 15
+digits (see :func:`_sum_levels`).  mpmath computes only the seed exponentials
+and the final conversion, and is imported only when a trace or fit is asked
+for.
 
 The loop stops at the first level past the peak whose term, with
 r = term/prev < 1, satisfies term/(1 - r) < 10^-(precision + 10) * partial
@@ -24,12 +24,9 @@ falls past the peak, so term/(1 - r) bounds everything after it.  Inputs whose
 Boltzmann factor, relative to level 0's, has not fallen below that cutoff by
 the level limit are refused before summing.
 
-Built-in targets are the unit round spheres S^m (m >= 2), whose spectra and
-volumes are elementary and unimpeachable.  Other spaces can be probed through
-the ``eigenvalue`` and ``multiplicity`` hooks of :func:`heat_trace` and
-:func:`fit_coefficients`, but no non-sphere target is endorsed as an oracle:
-the projective families' homothety normalization is not pinned by anything
-this package computes, so those comparisons are calibration-and-report only.
+The one target is the unit round sphere S^m (m >= 2), whose spectrum and
+volume are elementary and unimpeachable; :func:`_sphere_levels` is the one
+place that spectrum is spelled.
 """
 
 from __future__ import annotations
@@ -38,14 +35,13 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
-from ._value import Frozen
 from .errors import IllConditionedFitError, SafetyLimitError
 
 if TYPE_CHECKING:
     import mpmath as mp
 
 __all__ = [
-    "ScaledRational",
+    "MAX_ORDERS",
     "sphere_volume",
     "heat_trace",
     "default_grid",
@@ -54,22 +50,12 @@ __all__ = [
 
 _MAX_TERMS = 2_000_000
 _GUARD_TERMS = 6  # extra fit columns that absorb the truncated orders
+# The fit's ladder has orders + 12 points, and a stable fit needs at least
+# 2 * orders of them, so the fit spans at most 12 orders.
+MAX_ORDERS = 12
 
 Eigenvalue = Callable[[int], "Fraction | int"]
 Multiplicity = Callable[[int], int]
-
-
-class ScaledRational(Frozen):
-    """An exact value rational * pi^pi_power; zero carries pi^0."""
-
-    _fields = ("rational", "pi_power")
-
-    def __init__(self, rational: Fraction, pi_power: int = 0) -> None:
-        rational = Fraction(rational)
-        super().__init__(rational=rational, pi_power=pi_power if rational else 0)
-
-    def __float__(self) -> float:
-        return float(self.rational) * math.pi ** self.pi_power
 
 
 def _sphere_levels(m: int) -> tuple[Eigenvalue, Multiplicity]:
@@ -79,15 +65,15 @@ def _sphere_levels(m: int) -> tuple[Eigenvalue, Multiplicity]:
     return (lambda k: k * (k + m - 1)), (lambda k: math.comb(k + m, m) - math.comb(k + m - 2, m))
 
 
-def sphere_volume(m: int) -> ScaledRational:
-    """Volume of the unit sphere S^m as an exact rational times a pi power."""
+def sphere_volume(m: int) -> tuple[Fraction, int]:
+    """Volume of the unit sphere S^m as (rational, pi_power): rational * pi^pi_power."""
     if m < 1:
         raise ValueError("sphere dimension must be >= 1")
     if m % 2 == 0:
         k = m // 2
-        return ScaledRational(Fraction(2 * 4 ** k * math.factorial(k), math.factorial(2 * k)), k)
+        return Fraction(2 * 4 ** k * math.factorial(k), math.factorial(2 * k)), k
     q = (m + 1) // 2
-    return ScaledRational(Fraction(2, math.factorial(q - 1)), q)
+    return Fraction(2, math.factorial(q - 1)), q
 
 
 def _sum_levels(eigenvalue: Eigenvalue, multiplicity: Multiplicity, t: Fraction,
@@ -163,30 +149,21 @@ def _sum_levels(eigenvalue: Eigenvalue, multiplicity: Multiplicity, t: Fraction,
     raise SafetyLimitError(f"heat trace at t={float(t)} needs more than {_MAX_TERMS} terms")
 
 
-def heat_trace(m: int, t: Fraction | int, precision: int = 50,
-               eigenvalue: Eigenvalue | None = None,
-               multiplicity: Multiplicity | None = None) -> mp.mpf:
-    """Tr e^{-t Laplacian} summed to ``precision`` decimal digits.
+def heat_trace(m: int, t: Fraction | int, precision: int = 50) -> mp.mpf:
+    """Tr e^{-t Laplacian} of the unit sphere S^m, summed to ``precision`` decimal digits.
 
     ``t`` is an exact rational (kept exact until the multiprecision
     exponentials); the truncation tail is pushed below 10^-(precision + 10)
-    relative.  Pass ``eigenvalue(k)`` (an int or Fraction) and
-    ``multiplicity(k)`` (an int) to sum a custom discrete spectrum instead of
-    the unit-sphere one; the tail bound holds once the terms fall past their
-    peak, as they do for a convex spectrum.  Refuses with
-    :class:`SafetyLimitError`, before summing, when the Boltzmann factor at the
-    level limit, relative to level 0's, is still above that cutoff; that probe
-    reads only eigenvalues.
+    relative.  Refuses with :class:`SafetyLimitError`, before summing, when
+    the Boltzmann factor at the level limit, relative to level 0's, is still
+    above that cutoff; that probe reads only eigenvalues.
     """
     t = Fraction(t)
     if t <= 0:
         raise ValueError("t must be positive")
     if not 1 <= precision <= 500:
         raise ValueError("precision must lie in [1, 500]")
-    if eigenvalue is None and multiplicity is None:
-        eigenvalue, multiplicity = _sphere_levels(m)
-    elif eigenvalue is None or multiplicity is None:
-        raise ValueError("pass eigenvalue and multiplicity together")
+    eigenvalue, multiplicity = _sphere_levels(m)
     digits = precision + 10
     if t * (eigenvalue(_MAX_TERMS) - eigenvalue(0)) < digits * math.log(10):
         raise SafetyLimitError(
@@ -195,30 +172,22 @@ def heat_trace(m: int, t: Fraction | int, precision: int = 50,
     return _sum_levels(eigenvalue, multiplicity, t, digits)
 
 
-def default_grid(orders: int, t0: Fraction = Fraction(1, 8), points: int | None = None) -> list[Fraction]:
-    """Geometric ladder t0, t0/2, t0/4, ... sized for a degree-`orders` fit."""
-    if points is None:
-        points = orders + 12
-    return [t0 / 2 ** j for j in range(points)]
+def default_grid(orders: int) -> list[Fraction]:
+    """Geometric ladder 1/8, 1/16, ... of orders + 12 points for a degree-`orders` fit."""
+    return [Fraction(1, 8) / 2 ** j for j in range(orders + MAX_ORDERS)]
 
 
-def fit_coefficients(m: int, orders: int, t_grid: list[Fraction] | None = None,
-                     precision: int = 50,
-                     eigenvalue: Eigenvalue | None = None,
-                     multiplicity: Multiplicity | None = None):
-    """Least-squares estimates of the normalized coefficients A_0..A_orders.
+def fit_coefficients(m: int, orders: int, precision: int = 50):
+    """Least-squares estimates of the normalized coefficients A_0..A_orders of S^m.
 
-    Samples R(t) = (4 pi t)^{m/2} * trace(t) / Vol on a geometric ladder and
-    fits a polynomial of degree orders + _GUARD_TERMS with column scaling; the
-    guard terms absorb the truncated high-order behavior so the reported
-    coefficients are clean.  Returns ``(values, errors)`` where ``errors``
-    are residual-based per-coefficient estimates.  Refuses with
-    :class:`IllConditionedFitError`, before summing any trace, when the scaled
-    system's condition number would eat the working precision.
-
-    For a custom spectrum (``eigenvalue`` and ``multiplicity``, as in
-    :func:`heat_trace`) the volume is unknown, so the coefficients are
-    normalized by the fitted leading coefficient instead (A_0 = 1 by fiat).
+    Samples R(t) = (4 pi t)^{m/2} * trace(t) / Vol on the ladder of
+    :func:`default_grid` and fits a polynomial of degree orders + _GUARD_TERMS
+    with column scaling; the guard terms absorb the truncated high-order
+    behavior so the reported coefficients are clean.  Returns
+    ``(values, errors)`` where ``errors`` are residual-based per-coefficient
+    estimates.  Refuses with ``ValueError`` an order past :data:`MAX_ORDERS`,
+    and with :class:`IllConditionedFitError`, before summing any trace, a
+    scaled system whose condition number would eat the working precision.
     """
     import mpmath as mp
 
@@ -226,14 +195,12 @@ def fit_coefficients(m: int, orders: int, t_grid: list[Fraction] | None = None,
         raise ValueError("orders must be nonnegative")
     if not 1 <= precision <= 500:  # before the SVD at precision + 30 digits
         raise ValueError("precision must lie in [1, 500]")
-    if t_grid is None:
-        t_grid = default_grid(orders)
-    if len(t_grid) < max(2 * orders, orders + _GUARD_TERMS + 2):
-        raise ValueError("t_grid has too few points for a stable fit")
+    if orders > MAX_ORDERS:
+        raise ValueError(f"the spectral fit spans at most {MAX_ORDERS} orders, not {orders}")
     ncols = orders + _GUARD_TERMS + 1
-    t_grid = [Fraction(t) for t in t_grid]
+    ladder = default_grid(orders)
     with mp.workdps(precision + 30):
-        ts = [mp.mpf(t.numerator) / t.denominator for t in t_grid]
+        ts = [mp.mpf(t.numerator) / t.denominator for t in ladder]
         scales = [max(abs(tt ** i) for tt in ts) for i in range(ncols)]
         A = mp.matrix(len(ts), ncols)
         for j, tt in enumerate(ts):
@@ -246,22 +213,14 @@ def fit_coefficients(m: int, orders: int, t_grid: list[Fraction] | None = None,
                 f"fit condition number {mp.nstr(smax / (smin or mp.mpf('1e-999')), 5)} "
                 "exceeds the working precision; refusing to return garbage"
             )
-        if eigenvalue is None:
-            sv = sphere_volume(m)
-            vol = mp.mpf(sv.rational.numerator) / sv.rational.denominator * mp.pi ** sv.pi_power
-        else:
-            vol = mp.mpf(1)
-        b = mp.matrix([(4 * mp.pi * tt) ** (mp.mpf(m) / 2)
-                       * heat_trace(m, t, precision, eigenvalue, multiplicity) / vol
-                       for t, tt in zip(t_grid, ts)])
+        rational, pi_power = sphere_volume(m)
+        vol = mp.mpf(rational.numerator) / rational.denominator * mp.pi ** pi_power
+        b = mp.matrix([(4 * mp.pi * tt) ** (mp.mpf(m) / 2) * heat_trace(m, t, precision) / vol
+                       for t, tt in zip(ladder, ts)])
         x, _ = mp.qr_solve(A, b)
         rnorm = mp.norm(A * x - b)
         values = [x[i] / scales[i] for i in range(ncols)]
         # the residual misses truncation bias at the largest t; inflate by 10
         errors = [10 * max(rnorm / smin, mp.mpf(10) ** (-(precision - 2))) / scales[i]
                   for i in range(ncols)]
-        if eigenvalue is not None:
-            lead = values[0]
-            values = [v / lead for v in values]
-            errors = [e / abs(lead) for e in errors]
     return values[: orders + 1], errors[: orders + 1]

@@ -11,6 +11,9 @@ Every family is one row of data (:class:`_Row`), and one builder,
 
     a_n = pref * pi^pi_power * (boundary[n] + tail[n]).
 
+The prefactor pref * pi^pi_power cancels from A_n, so no row carries it; the
+tests hold it, with the per-index reference sums that read it.
+
 * The boundary is the finite sum  sum_j W_j B^(n+s_j) / (n+s_j)!  with
   W_j = table[j] * j! * h^(j+1) over the family's seed table.  These are the
   coefficients of e^{B t} times a polynomial Y_b, read from entry max(s) on.
@@ -60,23 +63,30 @@ only from a family-specific threshold index onward, so a request that ends
 below it builds nothing: those indices are flagged ``unavailable`` or filled
 from the spectral oracle.
 
-Normalizations.  The sphere family is the unit-radius round sphere (validated
-against the spectral oracle).  The projective families follow their published
-closed-form tabulations as given; their homothety class relative to the
-Fubini-Study spectra is not pinned here, so oracle comparisons for them are
-calibration-and-report only (see README).  The even-mbar complex projective
-branch is eventually negative by construction, while the direct spectral
-expansion of CP^{even} is positive; the discrepancy is inherited from the
-tabulated formula and is surfaced, never patched silently.
+Normalizations.  The sphere family is the unit-radius round sphere; it equals
+the exact series of its spectrum at every index, and the spectral oracle's
+fit confirms its low orders.  The projective families follow their published
+closed-form tabulations as given.  Their spectra give exact series too (the
+tests build them from the Cahn-Wolf multiplicities, and each has A_1 = R/6),
+but no cp (2-5), hp (2, 3, 5) or op2 row equals its spectral series under
+any homothety: the first homothety-free ratio A_t A_{t+2} / A_{t+1}^2 over
+the row's first exact indices already departs (by -46897/182497 for cp:2,
+whose A_1 and A_2 are exact), and the cp:2 row is negative from n = 3
+(checked to n = 300) while its spectral series is positive (checked to
+n = 80).  The departures are
+inherited from the tabulated formulas; the tests freeze them, and nothing
+here patches them.
 
 The tabulated HP^M boundary raises base^2 where its tail raises base.  It is
-kept as tabulated, as the independent transliteration in the tests reads it,
-until an exact HP^M spectral oracle settles which is right.  With it the
-volume constant boundary[0] * pref is positive only for M = 2, 3 and 5 of
-the M up to 60, so :class:`SpaceModel` refuses an hp model whose n = 0
-boundary entry is not positive.  It reads that entry alone, without a build,
-so the refusal stays cheap: hp:500 takes about 0.7 s, against 7 s for the
-boundary vector to n = 0 (a shared 2-core box).  The other rows need no
+kept as tabulated, as the independent transliteration in the tests reads it;
+with base in the boundary instead, hp:2 and hp:3 depart from their spectral
+series further still (the ratio above by -16.1 and -1.42, against -2.15 and
+-0.557 as tabulated), so the spectrum does not favour that reading.  As
+tabulated, the volume constant boundary[0] * pref is positive only for
+M = 2, 3 and 5 of the M up to 60, so :class:`SpaceModel` refuses an hp model
+whose n = 0 boundary entry is not positive.  It reads that entry alone,
+without a build, so the refusal stays cheap: hp:500 takes about 0.7 s,
+against 7 s for the boundary vector to n = 0 (a shared 2-core box).  The other rows need no
 refusal: boundary[0] is (m-1)! for the sphere, (m+1)^m (m-2)! (m-1) m / 6 for
 cp, and a fixed positive constant for op2.
 """
@@ -90,6 +100,7 @@ from fractions import Fraction
 from ._value import Frozen
 from .errors import InvariantViolation, UnsupportedSpaceError
 from .exactnum import c_coeffs, d_coeffs
+from .oracle import MAX_ORDERS, fit_coefficients
 from .seedpolys import (SignedTable, beta_table, delta_table, eta_table, expected_signs,
                         gamma_table)
 from .series import APPROXIMATE, EXACT, UNAVAILABLE, HeatSeries, convolve, exp_times
@@ -143,23 +154,20 @@ class SpaceModel(Frozen):
 
 
 class _Row(Frozen):
-    """One family's closed form as data; the fields are named as in the module
-    docstring.  ``table`` builds the seed table, with one shift s_j per entry;
-    ``pref`` builds a_n's prefactor, which A_n does not need; ``coeff`` maps n
-    to c_0..c_n (or d_0..d_n); ``terms`` is the number of exponential terms
-    kept in the tail (None: all)."""
+    """One family's closed form as data, all that A_n needs; the fields are named
+    as in the module docstring.  ``table`` builds the seed table, with one
+    shift s_j per entry; ``coeff`` maps n to c_0..c_n (or d_0..d_n); ``terms``
+    is the number of exponential terms kept in the tail (None: all)."""
 
-    _fields = ("table", "b", "shifts", "base", "lo", "sign", "pref", "pi_power", "thr", "h",
-               "coeff", "start", "terms")
+    _fields = ("table", "b", "shifts", "base", "lo", "sign", "thr", "h", "coeff", "start",
+               "terms")
 
     def __init__(self, *, table: Callable[[], SignedTable], b: Fraction, shifts: range,
-                 base: Fraction, lo: int, sign: int, pref: Callable[[], Fraction],
-                 pi_power: int, thr: int, h: int = 1,
+                 base: Fraction, lo: int, sign: int, thr: int, h: int = 1,
                  coeff: Callable[[int], list[Fraction]] = c_coeffs, start: int = 0,
                  terms: int | None = None) -> None:
         super().__init__(table=table, b=b, shifts=shifts, base=base, lo=lo, sign=sign,
-                         pref=pref, pi_power=pi_power, thr=thr, h=h, coeff=coeff,
-                         start=start, terms=terms)
+                         thr=thr, h=h, coeff=coeff, start=start, terms=terms)
 
 
 # Spec atom names ("sphere:M", "cp:M", "hp:M", "op2"), as the CLI and verify read them.
@@ -185,27 +193,21 @@ def _row(family: str, m: int) -> _Row:
     if family == "sphere":
         b = Fraction((2 * m - 1) ** 2, 4)
         return _Row(table=lambda: beta_table(m), b=b, shifts=range(1 - m, 1), base=b,
-                    lo=0, sign=(-1) ** (m - 1),
-                    pref=lambda: Fraction(4 ** m, _fact(2 * m - 1)),
-                    pi_power=m, thr=m, start=m)
+                    lo=0, sign=(-1) ** (m - 1), thr=m, start=m)
     if family == "complex_projective":
         odd = m % 2 == 1
         b = Fraction(m * m, 4 * (m + 1))
         return _Row(table=lambda: gamma_table(m), b=b, shifts=range(2 - m, 2),
                     base=b if odd else b / (m + 1), lo=0, sign=1 if odd else -1,
-                    pref=lambda: Fraction(4 ** (m - 1), _fact(m) * _fact(m - 1)),
-                    pi_power=m - 1, thr=m - 1, h=m + 1, coeff=c_coeffs if odd else d_coeffs,
+                    thr=m - 1, h=m + 1, coeff=c_coeffs if odd else d_coeffs,
                     start=m - 1, terms=None if odd else m)
     if family == "quaternionic_projective":
         base = Fraction((2 * m - 1) ** 2, 8 * (m + 1))
         return _Row(table=lambda: delta_table(m), b=base ** 2,
                     shifts=range(2 * m - 3, -1, -1), base=base, lo=2 * m - 2, sign=-1,
-                    pref=lambda: Fraction(4 ** (2 * m - 2),
-                                          _fact(2 * m - 1) * _fact(2 * m - 3)),
-                    pi_power=2 * m - 2, thr=2 * m - 2)
+                    thr=2 * m - 2)
     b = Fraction(121, 72)  # the Cayley plane
-    return _Row(table=eta_table, b=b, shifts=range(7, -1, -1), base=b, lo=8, sign=-1,
-                pref=lambda: Fraction(6 * 4 ** 8, _fact(7) * _fact(11)), pi_power=8, thr=7)
+    return _Row(table=eta_table, b=b, shifts=range(7, -1, -1), base=b, lo=8, sign=-1, thr=7)
 
 
 def threshold(family: str, mbar: int) -> int:
@@ -314,10 +316,16 @@ def _coefficients(family: str, mbar: int, n_max: int) -> list[Fraction]:
     return hit
 
 
-def require_oracle_fill(family: str) -> None:
-    """Refuse to fill a gap from the spectral oracle unless the family is the sphere's."""
-    if family != "sphere":
-        raise UnsupportedSpaceError(f"oracle fill is only available for spheres, not {family}")
+def require_oracle_fill(model: SpaceModel) -> None:
+    """Refuse to fill the model's gap from the spectral oracle unless it is a sphere
+    whose gap, indices 1..threshold - 1, the oracle's fit spans."""
+    if model.family != "sphere":
+        raise UnsupportedSpaceError(
+            f"oracle fill is only available for spheres, not {model.family}")
+    if model.threshold - 1 > MAX_ORDERS:
+        raise UnsupportedSpaceError(
+            f"oracle fill of sphere:{model.mbar} needs a fit of {model.threshold - 1} orders, "
+            f"past the spectral fit's limit of {MAX_ORDERS} orders")
 
 
 def rank1_series(model: SpaceModel, n_max: int,
@@ -337,10 +345,8 @@ def rank1_series(model: SpaceModel, n_max: int,
     coeffs: list[Fraction] = [Fraction(1)] + [Fraction(0)] * gap
     flags: list[str] = [EXACT] + [UNAVAILABLE] * gap
     if oracle_precision is not None and gap > 0:
-        require_oracle_fill(model.family)
+        require_oracle_fill(model)
         import mpmath as mp
-
-        from .oracle import fit_coefficients
 
         fitted, _errors = fit_coefficients(model.dimension, orders=thr - 1,
                                            precision=oracle_precision)

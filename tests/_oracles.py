@@ -16,11 +16,13 @@ it substitutes: it expands every monomial of p(T y) in full.
 :func:`model_coordinate_model` writes the sum-zero families in r model
 coordinates, where the form is not diagonal, so that reference runs their
 densities through a nontrivial congruence; the package builds them in N = r + 1
-ambient coordinates.
+ambient coordinates.  :func:`parse_document`, the reader of the CLI's JSON
+documents, lifts the interpreter's int-digit limit with the CLI's own guard.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -28,8 +30,10 @@ from operator import add, mul
 
 import mpmath as mp
 
+from heattrace.cli import _any_int_digits
 from heattrace.errors import DegenerateModelError
 from heattrace.plancherel import PlancherelModel, diagonalize_form
+from heattrace.series import HeatSeries
 
 
 def bernoulli_recurrence(n_top: int) -> list[Fraction]:
@@ -47,7 +51,7 @@ def direct_heat_trace(spectrum: dict, t, digits: int):
     """sum mult * exp(-t * eig) with one ``mp.exp`` per level.
 
     ``spectrum`` holds the ``eigenvalue`` and ``multiplicity`` callables that
-    ``heat_trace`` takes as hooks.  Summation stops at the first level k > 0
+    ``heattrace.oracle._sum_levels`` sums.  Summation stops at the first level k > 0
     with t * (eig - eig_0) past 3 * (digits + 12) * ln 10, where the Boltzmann
     factor is below 10^-(3 * (digits + 12)) of level 0's, far under what
     ``digits`` need; the eigenvalues must increase from that level on.
@@ -65,6 +69,20 @@ def direct_heat_trace(spectrum: dict, t, digits: int):
                 return total
             total += multiplicity(k) * mp.exp(-tt * mp.mpf(eig.numerator) / eig.denominator)
             k += 1
+
+
+def parse_document(text: str) -> tuple[dict, HeatSeries]:
+    """The document and series of a ``coeffs`` JSON document; exact values round-trip."""
+    doc = json.loads(text)
+    coeffs = []
+    flags = []
+    with _any_int_digits():
+        for entry in doc["coefficients"]:
+            assert int(entry["pi_power"]) == 0, "normalized coefficients carry pi_power 0"
+            coeffs.append(Fraction(int(entry["num"]), int(entry["den"])))
+            flags.append(entry["validity"])
+    prov = doc.get("provenance") or [""]
+    return doc, HeatSeries(coeffs, flags, prov[0])
 
 
 def schoolbook_convolve(xs: list[Fraction], ys: list[Fraction], n_max: int) -> list[Fraction]:
@@ -264,40 +282,104 @@ def op2_direct(n: int) -> Fraction:
     return Fraction(6, math.factorial(7) * math.factorial(11)) * total
 
 
+def spectral_exact(roots: list[Fraction], lead: Fraction, a: Fraction, rho_sq: Fraction,
+                   n_max: int, Bs: list[Fraction]) -> list[Fraction]:
+    """Normalized A_0..A_n_max of the spectrum j^2 - rho_sq over the lattice j in a + N.
+
+    Level j has multiplicity p(j) = lead * prod (j - root) over ``roots``, an
+    odd polynomial that vanishes at the lattice points below the first level,
+    so the trace is e^{rho_sq t} sum_{j in a + N} p(j) e^{-t j^2} (the first
+    case of Cahn & Wolf 1976).  By Mellin transform
+    sum_j j^{2q+1} e^{-t j^2} ~ q!/(2 t^{q+1}) + sum_k (-t)^k/k! zeta_H(-2k-2q-1, a),
+    with zeta_H(1-2r, a) = -B_{2r}(a)/(2r): (1 - 2^{1-2r}) B_{2r}/(2r) at
+    a = 1/2 and -B_{2r}/(2r) at a = 1.  ``Bs`` must hold B_0..B_{2 n_max},
+    e.g. from :func:`bernoulli_recurrence`.
+    """
+    poly = expand_linear_product(roots)
+    assert all(x == 0 for x in poly[0::2]), "the multiplicity must be odd"
+    c = [lead * x for x in poly[1::2]]  # c[q]: the coefficient of j^(2q+1)
+    top = len(c) - 1  # the dimension is 2 (top + 1)
+    assert a in (Fraction(1, 2), 1)
+
+    def zeta(r):  # zeta_H(1 - 2r, a)
+        scale = 1 - Fraction(1, 2 ** (2 * r - 1)) if a == Fraction(1, 2) else -1
+        return scale * Bs[2 * r] / (2 * r)
+
+    # t^(top + 1) * trace, without the exponential factor, as a power series in t
+    g = [Fraction(0)] * (max(n_max, top) + 1)
+    for q in range(top + 1):
+        g[top - q] += c[q] * math.factorial(q) / 2
+    for k in range(n_max - top):
+        z = sum(c[q] * zeta(k + q + 1) for q in range(top + 1))
+        g[k + top + 1] += Fraction((-1) ** k, math.factorial(k)) * z
+    ex = [rho_sq ** i / math.factorial(i) for i in range(n_max + 1)]
+    return [sum(ex[i] * g[n - i] for i in range(n + 1)) / g[0] for n in range(n_max + 1)]
+
+
+def rank1_spectrum(family: str, mbar: int) -> tuple[list[Fraction], Fraction, Fraction, Fraction]:
+    """(roots, lead, a, rho_sq) of a compact rank-one space for :func:`spectral_exact`.
+
+    Level k has eigenvalue k(k + 2 rho) = j^2 - rho^2 at j = k + rho, and the
+    multiplicity of :func:`rank1_multiplicity` written in j:
+
+    * S^{2 mbar}: rho = mbar - 1/2, multiplicity 2j prod_{l < mbar-1} (j^2 - (l + 1/2)^2)
+      / (2 mbar - 1)!;
+    * CP^mbar: rho = mbar/2, multiplicity (2j/mbar) prod_{i < mbar} (j - mbar/2 + i)^2
+      / (mbar - 1)!^2;
+    * HP^mbar: rho = mbar + 1/2, multiplicity 2j prod_{i=1}^{2 mbar} (j - rho + i)
+      prod_{i=2}^{2 mbar-1} (j - rho + i) / ((2 mbar + 1)! (2 mbar - 1)!);
+    * OP^2: rho = 11/2, multiplicity 12j prod_{i=1}^{10} (j - rho + i)
+      prod_{i=4}^{7} (j - rho + i) / (7! 11!).
+
+    Each is odd in j, and the lattice a + N (a = 1/2, or 1 for CP^{even})
+    reaches below j = rho only at its roots.  The projective spaces carry four
+    times the metric with sectional curvatures in [1, 4], whose eigenvalues
+    are 4k(k + 2 rho).
+    """
+    fact = math.factorial
+    if family == "sphere":
+        rho = Fraction(2 * mbar - 1, 2)
+        roots = [x for h in _halves(mbar - 1) for x in (h, -h)]
+        lead = Fraction(2, fact(2 * mbar - 1))
+    elif family == "complex_projective":
+        rho = Fraction(mbar, 2)
+        roots = [rho - i for i in range(1, mbar)] * 2
+        lead = Fraction(2, mbar * fact(mbar - 1) ** 2)
+    elif family == "quaternionic_projective":
+        rho = Fraction(2 * mbar + 1, 2)
+        roots = [rho - i for i in range(1, 2 * mbar + 1)] + [rho - i for i in range(2, 2 * mbar)]
+        lead = Fraction(2, fact(2 * mbar + 1) * fact(2 * mbar - 1))
+    else:
+        assert family == "cayley_plane" and mbar == 2
+        rho = Fraction(11, 2)
+        roots = [rho - i for i in range(1, 11)] + [rho - i for i in range(4, 8)]
+        lead = Fraction(12, fact(7) * fact(11))
+    return [Fraction(0), *roots], lead, rho - math.floor(rho) or Fraction(1), rho ** 2
+
+
+def rank1_multiplicity(family: str, mbar: int, k: int) -> Fraction:
+    """The multiplicity of level k from its binomial form (Cahn & Wolf 1976)."""
+    fact, comb = math.factorial, math.comb
+    if family == "sphere":
+        return comb(k + 2 * mbar, 2 * mbar) - comb(k + 2 * mbar - 2, 2 * mbar)
+    if family == "complex_projective":
+        return Fraction(2 * k + mbar, mbar) * comb(k + mbar - 1, mbar - 1) ** 2
+    if family == "quaternionic_projective":
+        return Fraction((2 * k + 2 * mbar + 1) * fact(k + 2 * mbar) * fact(k + 2 * mbar - 1),
+                        fact(2 * mbar + 1) * fact(2 * mbar - 1) * fact(k) * fact(k + 1))
+    assert family == "cayley_plane"
+    return Fraction(6 * (2 * k + 11) * fact(k + 10) * fact(k + 7),
+                    fact(7) * fact(11) * fact(k) * fact(k + 3))
+
+
 def sphere_exact(mbar: int, n_max: int, Bs: list[Fraction]) -> list[Fraction]:
     """Normalized A_0..A_n_max of the unit sphere S^{2 mbar} from its spectrum.
 
-    With j = k + mbar - 1/2 the eigenvalue k(k + 2 mbar - 1) is
-    j^2 - (mbar - 1/2)^2 and the multiplicity is the odd polynomial
-    P(j) = 2j prod_{l < mbar-1} (j^2 - (l + 1/2)^2) / (2 mbar - 1)!, which
-    vanishes at j = 1/2, ..., mbar - 3/2, so the trace is
-    e^{(mbar-1/2)^2 t} sum_{j in 1/2 + N} P(j) e^{-t j^2}.  By Mellin transform
-    sum_j j^{2p+1} e^{-t j^2} ~ p!/(2 t^{p+1})
-    + sum_k (-t)^k/k! zeta_H(-2k-2p-1, 1/2), with
-    zeta_H(1-2q, 1/2) = (1 - 2^{1-2q}) B_{2q}/(2q).  ``Bs`` must hold
-    B_0..B_{2 n_max}, e.g. from :func:`bernoulli_recurrence`.
+    The sphere case of :func:`spectral_exact`: with j = k + mbar - 1/2 the
+    eigenvalue k(k + 2 mbar - 1) is j^2 - (mbar - 1/2)^2, and the
+    multiplicity vanishes at j = 1/2, ..., mbar - 3/2.
     """
-    roots = [Fraction(0)]
-    for l in range(mbar - 1):
-        h = Fraction(2 * l + 1, 2)
-        roots += [h, -h]
-    poly = expand_linear_product(roots)
-    assert all(c == 0 for c in poly[0::2])
-    c = [2 * x / math.factorial(2 * mbar - 1) for x in poly[1::2]]  # c[p]: j^(2p+1)
-
-    def zeta_half(q):
-        return (1 - Fraction(1, 2 ** (2 * q - 1))) * Bs[2 * q] / (2 * q)
-
-    # t^mbar * trace, without the exponential factor, as a power series in t
-    g = [Fraction(0)] * (n_max + 1)
-    for p in range(mbar):
-        g[mbar - 1 - p] += c[p] * math.factorial(p) / 2
-    for k in range(n_max - mbar + 1):
-        z = sum(c[p] * zeta_half(k + p + 1) for p in range(mbar))
-        g[k + mbar] += Fraction((-1) ** k, math.factorial(k)) * z
-    b = Fraction(2 * mbar - 1, 2) ** 2
-    ex = [b ** i / math.factorial(i) for i in range(n_max + 1)]
-    return [sum(ex[i] * g[n - i] for i in range(n + 1)) / g[0] for n in range(n_max + 1)]
+    return spectral_exact(*rank1_spectrum("sphere", mbar), n_max, Bs)
 
 
 def _halves(count: int) -> list[Fraction]:
@@ -315,6 +397,24 @@ def _cp_gamma(mbar: int) -> list[Fraction]:
         [Fraction(k) - Fraction(mbar, 2) for k in range(1, mbar)] * 2))
 
 
+def rank1_prefactor(family: str, mbar: int) -> tuple[Fraction, int]:
+    """(pref, pi_power) of the tabulated a_n = pref * pi^pi_power * (boundary[n] + tail[n]).
+
+    The package's rows drop this factor, which cancels from A_n; with it,
+    pref * boundary[0] * pi^pi_power is the volume constant of the built-in
+    normalization (the unit sphere's volume for the sphere rows).
+    """
+    fact = math.factorial
+    if family == "sphere":
+        return Fraction(4 ** mbar, fact(2 * mbar - 1)), mbar
+    if family == "complex_projective":
+        return Fraction(4 ** (mbar - 1), fact(mbar) * fact(mbar - 1)), mbar - 1
+    if family == "quaternionic_projective":
+        return Fraction(4 ** (2 * mbar - 2), fact(2 * mbar - 1) * fact(2 * mbar - 3)), 2 * mbar - 2
+    assert family == "cayley_plane"
+    return Fraction(6 * 4 ** 8, fact(7) * fact(11)), 8
+
+
 def rank1_boundary_reference(family: str, mbar: int, n: int) -> Fraction:
     """The boundary part of a_n (prefactor applied, pi power dropped), summed per index.
 
@@ -326,22 +426,21 @@ def rank1_boundary_reference(family: str, mbar: int, n: int) -> Fraction:
     """
     fact = math.factorial
     if family == "sphere":
-        b, pref = Fraction((2 * mbar - 1) ** 2, 4), Fraction(4 ** mbar, fact(2 * mbar - 1))
+        b = Fraction((2 * mbar - 1) ** 2, 4)
         terms = [(w, j + 1 - mbar) for j, w in enumerate(_table(_halves(mbar - 1)))]
     elif family == "complex_projective":
         b = Fraction(mbar * mbar, 4 * (mbar + 1))
-        pref = Fraction(4 ** (mbar - 1), fact(mbar) * fact(mbar - 1))
         terms = [(w * (mbar + 1) ** (j + 1), j + 2 - mbar)
                  for j, w in enumerate(_cp_gamma(mbar))]
     elif family == "quaternionic_projective":
         b = Fraction((2 * mbar - 1) ** 2, 8 * (mbar + 1)) ** 2
-        pref = Fraction(4 ** (2 * mbar - 2), fact(2 * mbar - 1) * fact(2 * mbar - 3))
         delta = _table(_halves(mbar - 1) + _halves(mbar - 2))
         terms = [(w, 2 * mbar - 3 - j) for j, w in enumerate(delta)]
     else:
         assert family == "cayley_plane"
-        b, pref = Fraction(121, 72), Fraction(6 * 4 ** 8, fact(7) * fact(11))
+        b = Fraction(121, 72)
         terms = [(w, 7 - j) for j, w in enumerate(ETA)]
+    pref = rank1_prefactor(family, mbar)[0]
     return pref * sum(w * fact(j) * b ** (n + s) / fact(n + s)
                       for j, (w, s) in enumerate(terms) if n + s >= 0)
 
@@ -372,7 +471,7 @@ def rank1_tail_reference(family: str, mbar: int, n: int, Bs: list[Fraction]) -> 
         nu = n - mbar
         for k in range(nu + 1):
             tail += b2 ** (nu - k) * inner(beta, c, k) / (fact(k) * fact(nu - k))
-        return tail * Fraction(4 ** mbar, fact(2 * mbar - 1))
+        return tail * rank1_prefactor(family, mbar)[0]
     if family == "complex_projective":
         gamma = _cp_gamma(mbar)
         base = Fraction(mbar * mbar, 4 * (mbar + 1) ** 2)
@@ -385,17 +484,17 @@ def rank1_tail_reference(family: str, mbar: int, n: int, Bs: list[Fraction]) -> 
                 tail += (base / (mbar + 1)) ** k * inner(gamma, d, nu - k) / (
                     fact(k) * fact(nu - k))
         tail *= Fraction(mbar + 1) ** nu
-        return tail * Fraction(4 ** (mbar - 1), fact(mbar) * fact(mbar - 1))
+        return tail * rank1_prefactor(family, mbar)[0]
     if family == "quaternionic_projective":
         delta = _table(_halves(mbar - 1) + _halves(mbar - 2))
         base = Fraction((2 * mbar - 1) ** 2, 8 * (mbar + 1))
         for k in range(n - 2 * mbar + 3):
             tail += base ** k * inner(delta, c, n - k) / (fact(k) * fact(n - k))
-        return tail * Fraction(4 ** (2 * mbar - 2), fact(2 * mbar - 1) * fact(2 * mbar - 3))
+        return tail * rank1_prefactor(family, mbar)[0]
     assert family == "cayley_plane"
     for k in range(n - 7):
         tail += Fraction(121, 72) ** k * inner(ETA, c, n - k) / (fact(k) * fact(n - k))
-    return tail * Fraction(6 * 4 ** 8, fact(7) * fact(11))
+    return tail * rank1_prefactor(family, mbar)[0]
 
 
 def _poly_mul(p: dict, q: dict) -> dict:

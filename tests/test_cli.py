@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heattrace.cli import _gap, evaluate_space, main, parse_document, parse_space
+from heattrace.cli import _gap, evaluate_space, main, parse_space
+
+from _oracles import parse_document
 
 
 def run(capsys, *argv):
@@ -19,8 +21,9 @@ def run(capsys, *argv):
 
 # sha256 of the --no-timestamp stdout of each argv: the rank1-deep benchmark pool
 # at n = 300 and op2 at its growth-band depth 360 (first, so that op2 to 300
-# reads its build), the plancherel-algebra pool's closed forms and products, and
-# the kernel suite.  The documents are fixed across commits: a digest that moves
+# reads its build), the plancherel-algebra pool's closed forms and products, the
+# oracle-fit pool (its fits print the same bytes under mpmath 1.3.0), and the
+# kernel suite.  The documents are fixed across commits: a digest that moves
 # is a change of output.
 GOLDEN = {
     ("coeffs", "--space", "op2", "--n-max", "360", "--format", "json"):
@@ -97,6 +100,14 @@ GOLDEN = {
         "bbe77fcf0e07fa3a29540381a821681b3361e282ffb12d30c64e36d1b8f8e01f",
     ("coeffs", "--space", "product(hyperbolic-odd:1, dual(hyperbolic-odd:1))", "--n-max", "300"):
         "51903abcb1c5fc11e95bd205243486d66c9171d8adc332969547ca4f024c110f",
+    ("coeffs", "--space", "sphere:3", "--n-max", "20", "--oracle-fill"):
+        "831c33e767800c2a456adc79122d00f985e7c38afce3c24b385e433ff837b32e",
+    ("coeffs", "--space", "sphere:4", "--n-max", "20", "--oracle-fill"):
+        "8a7498c3abd0fc719f2d82153c17f26c813b99a68bb95984d622f7ef63c32f07",
+    ("coeffs", "--space", "sphere:5", "--n-max", "20", "--oracle-fill"):
+        "b2e601851af0cbc5fb300ce0309cdafbc700e6c12baa0e3d7192f4b711de5820",
+    ("verify", "--suite", "unit-s3-chain"):
+        "06db9fa7a50e5b67226761db60ab7e5db9e750bdb4c6d1a18bfcbab2fb6309a6",
     ("verify", "--suite", "kernel"):
         "3d5307d4fd06e53444b04e8ba001667aebe48c3054e47a8ed61aab0f8c24f1d8",
 }
@@ -320,6 +331,22 @@ class TestCoeffsCommand:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert message in err
+
+    def test_oracle_fill_past_the_fit_order_limit_refused_before_any_build(
+            self, capsys, no_build):
+        # sphere:14 needs 13 orders, past the 12 a ladder of orders + 12 points spans
+        for spec in ("sphere:14", "product(cp:2, sphere:14)"):
+            code, out, err = run(capsys, "coeffs", "--space", spec, "--n-max", "14",
+                                 "--oracle-fill")
+            assert code == 2 and out == ""
+            assert ("oracle fill of sphere:14 needs a fit of 13 orders, "
+                    "past the spectral fit's limit of 12 orders") in err
+
+    def test_oracle_fill_of_sphere13_is_refused_as_ill_conditioned(self, capsys):
+        code, out, err = run(capsys, "coeffs", "--space", "sphere:13", "--n-max", "14",
+                             "--oracle-fill")
+        assert code == 2 and out == ""
+        assert "exceeds the working precision; refusing to return garbage" in err
 
     def test_oracle_fill_of_gapless_atoms_is_accepted(self, capsys):
         # sphere:1 and cp:2 have threshold 1, so there is nothing to fill

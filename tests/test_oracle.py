@@ -6,22 +6,19 @@ import pytest
 
 from heattrace import oracle, rank1
 from heattrace.errors import IllConditionedFitError, SafetyLimitError
-from heattrace.oracle import (
-    ScaledRational,
-    default_grid,
-    fit_coefficients,
-    heat_trace,
-    sphere_volume,
-)
+from heattrace.oracle import default_grid, fit_coefficients, heat_trace, sphere_volume
 from heattrace.rank1 import SpaceModel, rank1_series
 
-from _oracles import direct_heat_trace, harmonic_dimension
+from _oracles import direct_heat_trace, harmonic_dimension, rank1_prefactor
 
 
 def _sphere(m):
     eigenvalue, multiplicity = oracle._sphere_levels(m)
     return {"eigenvalue": eigenvalue, "multiplicity": multiplicity}
 
+
+# Spectra other than the sphere's reach the summation loop as oracle._sum_levels's
+# arguments, or through the one seam heat_trace reads, oracle._sphere_levels.
 
 # eigenvalues k^2 with multiplicity 2 for k >= 1
 _flat_circle = {"eigenvalue": lambda k: Fraction(k * k),
@@ -71,19 +68,30 @@ class TestSpectrum:
                 oracle._sphere_levels(m)
 
 
+def _seam(monkeypatch, eigenvalue, multiplicity):
+    """Make heat_trace sum the given levels in place of the sphere's."""
+    monkeypatch.setattr(oracle, "_sphere_levels", lambda m: (eigenvalue, multiplicity))
+
+
+def _summed(spec, t, precision):
+    return oracle._sum_levels(spec["eigenvalue"], spec["multiplicity"], Fraction(t),
+                              precision + 10)
+
+
 class TestVolume:
     def test_textbook_values(self):
-        assert sphere_volume(2) == ScaledRational(Fraction(4), 1)
-        assert sphere_volume(3) == ScaledRational(Fraction(2), 2)
-        assert sphere_volume(4) == ScaledRational(Fraction(8, 3), 2)
-        assert sphere_volume(6) == ScaledRational(Fraction(16, 15), 3)
+        assert sphere_volume(2) == (Fraction(4), 1)
+        assert sphere_volume(3) == (Fraction(2), 2)
+        assert sphere_volume(4) == (Fraction(8, 3), 2)
+        assert sphere_volume(6) == (Fraction(16, 15), 3)
 
     def test_matches_rank1_calibration(self):
         # dual route: the closed-form volume constant = the textbook volume
         for mbar in (1, 2, 3, 4):
             row = rank1._row("sphere", mbar)
-            constant = row.pref() * rank1._boundary_at_zero(row, row.table())
-            assert ScaledRational(constant, row.pi_power) == sphere_volume(2 * mbar)
+            pref, pi_power = rank1_prefactor("sphere", mbar)
+            constant = pref * rank1._boundary_at_zero(row, row.table())
+            assert (constant, pi_power) == sphere_volume(2 * mbar)
 
 
 class TestHeatTrace:
@@ -108,19 +116,21 @@ class TestHeatTrace:
         with mp.workdps(prec + 20):
             assert abs(base - total) < mp.mpf(10) ** (-prec) * total
 
-    def test_custom_spectrum_hook(self):
-        v = heat_trace(1, 1, precision=30, **_flat_circle)
+    def test_custom_spectrum_hook(self, monkeypatch):
+        _seam(monkeypatch, _flat_circle["eigenvalue"], _flat_circle["multiplicity"])
+        v = heat_trace(2, 1, precision=30)
         with mp.workdps(40):
             theta = 1 + 2 * mp.nsum(lambda k: mp.exp(-k * k), [1, mp.inf])
             assert abs(v - theta) < 1e-28
 
     def test_fast_ladder_matches_generic_path(self):
         # the weight recurrence and tail bound against a per-level exp sum
-        cases = [(m, {}, _sphere(m)) for m in (2, 3, 5)]
-        cases += [(1, spec, spec) for spec in (_flat_circle, _cubic, _half_integer)]
-        for m, hooks, spec in cases:
+        cases = [(lambda t, m=m: heat_trace(m, t, precision=40), _sphere(m)) for m in (2, 3, 5)]
+        cases += [(lambda t, spec=spec: _summed(spec, t, 40), spec)
+                  for spec in (_flat_circle, _cubic, _half_integer)]
+        for summed, spec in cases:
             for t in (Fraction(1, 3), Fraction(1, 64), Fraction(1, 4096)):
-                got = heat_trace(m, t, precision=40, **hooks)
+                got = summed(t)
                 ref = direct_heat_trace(spec, t, 40)
                 with mp.workdps(60):
                     assert abs(got - ref) < mp.mpf(10) ** (-40) * ref
@@ -142,12 +152,12 @@ class TestHeatTrace:
         (1, Fraction(20), 50, _valley),
     ], ids=["S200", "k2+5-t50", "k2+5-t100", "S3-precision1", "S3-precision500", "valley-t20"])
     def test_fixed_point_edge_cases(self, m, t, precision, spec):
-        got = heat_trace(m, t, precision, **(spec or {}))
+        got = heat_trace(m, t, precision) if spec is None else _summed(spec, t, precision)
         ref = direct_heat_trace(spec or _sphere(m), t, precision)
         with mp.workdps(precision + 20):
             assert abs(got - ref) < mp.mpf(10) ** (-precision) * ref
 
-    def test_small_t_sums_few_levels(self):
+    def test_small_t_sums_few_levels(self, monkeypatch):
         # S^3 at t = 2^-19: sqrt(60 ln 10 / t) ~ 8500 levels reach 60 digits
         levels = []
         eigenvalue, multiplicity = oracle._sphere_levels(3)
@@ -156,29 +166,29 @@ class TestHeatTrace:
             levels.append(k)
             return eigenvalue(k)
 
-        heat_trace(3, Fraction(1, 2 ** 19), precision=50, eigenvalue=counted,
-                   multiplicity=multiplicity)
+        _seam(monkeypatch, counted, multiplicity)
+        heat_trace(3, Fraction(1, 2 ** 19), precision=50)
         assert max(k for k in levels if k != oracle._MAX_TERMS) <= 10_000
 
-    def test_unreachable_truncation_refused_up_front(self):
+    def test_unreachable_truncation_refused_up_front(self, monkeypatch):
         calls = []
 
         def counted(hook):
             return lambda k: calls.append(k) or hook(k)
 
         eigenvalue, multiplicity = oracle._sphere_levels(2)
+        _seam(monkeypatch, counted(eigenvalue), counted(multiplicity))
         with pytest.raises(SafetyLimitError):
-            heat_trace(2, Fraction(1, 10 ** 15), 30, eigenvalue=counted(eigenvalue),
-                       multiplicity=counted(multiplicity))
+            heat_trace(2, Fraction(1, 10 ** 15), 30)
         assert len(calls) <= 2
         # the factor that must fall is relative to level 0's, however large that is
         levels = []
+        _seam(monkeypatch, lambda k: k + 10 ** 9, lambda k: levels.append(k) or 1)
         with pytest.raises(SafetyLimitError):
-            heat_trace(1, Fraction(1, 10 ** 5), 30, eigenvalue=lambda k: k + 10 ** 9,
-                       multiplicity=lambda k: levels.append(k) or 1)
+            heat_trace(2, Fraction(1, 10 ** 5), 30)
         assert levels == []
 
-    def test_level_limit_probe_reads_only_the_eigenvalue(self):
+    def test_level_limit_probe_reads_only_the_eigenvalue(self, monkeypatch):
         eigenvalue, multiplicity = [], []
 
         def eig(k):
@@ -189,9 +199,10 @@ class TestHeatTrace:
             multiplicity.append(k)
             return (k + 1) ** 2
 
-        heat_trace(3, Fraction(1, 64), 30, eigenvalue=eig, multiplicity=mult)
+        _seam(monkeypatch, eig, mult)
+        heat_trace(3, Fraction(1, 64), 30)
         with pytest.raises(SafetyLimitError):
-            heat_trace(3, Fraction(1, 10 ** 15), 30, eigenvalue=eig, multiplicity=mult)
+            heat_trace(3, Fraction(1, 10 ** 15), 30)
         assert oracle._MAX_TERMS in eigenvalue
         assert oracle._MAX_TERMS not in multiplicity
         assert max(multiplicity) < 1000
@@ -211,8 +222,8 @@ class TestHeatTrace:
             heat_trace(2, 1, 501)
         with pytest.raises(SafetyLimitError):
             heat_trace(2, Fraction(1, 10 ** 15), precision=30)
-        with pytest.raises(ValueError):
-            heat_trace(1, 1, 30, eigenvalue=lambda k: k * k)
+        with pytest.raises(ValueError, match="sphere dimension must be >= 2"):
+            heat_trace(1, 1, 30)
 
 
 class TestFit:
@@ -238,10 +249,11 @@ class TestFit:
                 e = mp.mpf(1) / math.factorial(n)
                 assert abs((vals[n] - e) / e) < 1e-6
 
-    def test_refinement_within_error_estimates(self):
+    def test_refinement_within_error_estimates(self, monkeypatch):
         vals1, errs1 = fit_coefficients(2, orders=4, precision=40)
-        grid = default_grid(4, t0=Fraction(1, 16))
-        vals2, errs2 = fit_coefficients(2, orders=4, precision=60, t_grid=grid)
+        finer = [t / 2 for t in default_grid(4)]  # the ladder from 1/16
+        monkeypatch.setattr(oracle, "default_grid", lambda orders: finer)
+        vals2, errs2 = fit_coefficients(2, orders=4, precision=60)
         for n in range(5):
             assert abs(vals1[n] - vals2[n]) <= max(errs1[n], errs2[n])
 
@@ -257,9 +269,13 @@ class TestFit:
                 e = mp.mpf(chain[n].numerator) / chain[n].denominator
                 assert abs((vals[n] - e) / e) < 1e-6
 
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            fit_coefficients(2, orders=4, t_grid=[Fraction(1, 8)] * 3)
+    def test_grid_validation(self, monkeypatch):
+        # a ladder of orders + 12 points spans at most 12 orders
+        assert [len(default_grid(orders)) for orders in (0, 5, 12)] == [12, 17, 24]
+        assert oracle.MAX_ORDERS == 12
+        monkeypatch.setattr(oracle, "heat_trace", None)  # refused before any trace
+        with pytest.raises(ValueError, match="spans at most 12 orders, not 13"):
+            fit_coefficients(2, orders=13)
 
     def test_ill_conditioned_fit_refuses(self):
         from heattrace.errors import IllConditionedFitError

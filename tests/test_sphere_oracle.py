@@ -1,10 +1,11 @@
 """Exact all-order check of the even-sphere closed forms against the spectrum.
 
-``_oracles.sphere_exact`` builds the unit S^{2 mbar} coefficients from the
-Hurwitz-zeta form of the spectrum (Cahn & Wolf 1976), on the independent
-Bernoulli recurrence; the package's closed forms must equal it at every exact
-index up to 300 for mbar 1 and 2, and up to 120 for mbar 5 and 10, where the
-mbar-term boundary sum carries the low orders.  Its growth must sit in the
+``_oracles.sphere_exact``, the sphere case of ``_oracles.spectral_exact``,
+builds the unit S^{2 mbar} coefficients from the Hurwitz-zeta form of the
+spectrum (Cahn & Wolf 1976), on the independent Bernoulli recurrence; the
+package's closed forms must equal it at every exact index up to 300 for
+mbar 1 and 2, and up to 120 for mbar 3, 4, 5 and 10, where the mbar-term
+boundary sum carries more and more of the low orders.  Its growth must sit in the
 eps = 0.2 band around 1/pi^2, the constant ``verify.GROWTH_LAW_TABLE`` uses
 for the spheres.
 """
@@ -40,7 +41,7 @@ def test_closed_form_equals_spectral_zeta(mbar, spectral, series300):
     assert not bad, f"closed form departs from the spectrum at n = {bad[:5]}"
 
 
-@pytest.mark.parametrize("mbar", [5, 10])
+@pytest.mark.parametrize("mbar", [3, 4, 5, 10])
 def test_boundary_dominated_spheres_equal_spectral_zeta(mbar, bernoulli):
     s = rank1_series(SpaceModel("sphere", mbar), DEEP_N_MAX)
     spectral = sphere_exact(mbar, DEEP_N_MAX, bernoulli)

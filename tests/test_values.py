@@ -6,7 +6,6 @@ import pytest
 
 from heattrace import rank1
 from heattrace.growth import GrowthReport
-from heattrace.oracle import ScaledRational
 from heattrace.plancherel import ExpPolyForm, build_family
 from heattrace.rank1 import SpaceModel
 from heattrace.seedpolys import SignedTable, beta_table
@@ -20,7 +19,6 @@ def frozen_pairs():
     return [
         (SpaceModel("sphere", 3), SpaceModel("sphere", 3)),
         (row, rank1._Row(**vars(row))),
-        (ScaledRational(Fraction(0), 5), ScaledRational(0)),
         (beta_table(3), SignedTable(beta_table(3).values, "beta", 3)),
         (ExpPolyForm(Fraction(-1, 4), (Fraction(1),), 3, 1),
          ExpPolyForm(Fraction(-1, 4), (Fraction(1),), 3, 1)),
@@ -52,8 +50,8 @@ def test_a_model_with_a_density_dict_is_unhashable():
 
 def test_values_of_different_classes_never_compare_equal():
     assert CheckResult("a", True) != ("a", True, "")
-    assert SpaceModel("sphere", 2) != ScaledRational(Fraction(1, 2))
-    assert ScaledRational(Fraction(1), 1) != ScaledRational(Fraction(1), 2)
+    assert SpaceModel("sphere", 2) != SignedTable((Fraction(1),), "sphere", 2)
+    assert SpaceModel("sphere", 1) != SpaceModel("sphere", 2)
 
 
 def test_heat_series_equality_and_repr_ignore_exppoly():
@@ -82,7 +80,7 @@ def test_mutable_records_are_unhashable_and_assignable():
 
 
 def test_repr_spells_the_fields_in_order():
-    assert (repr(ScaledRational(Fraction(4), 1))
-            == "ScaledRational(rational=Fraction(4, 1), pi_power=1)")
+    assert (repr(ExpPolyForm(Fraction(-1, 4), (Fraction(1),), 3, 1))
+            == "ExpPolyForm(kappa=Fraction(-1, 4), poly=(Fraction(1, 1),), m=3, r=1)")
     assert repr(SpaceModel("cayley_plane", 2)) == "SpaceModel(family='cayley_plane', mbar=2)"
     assert repr(CheckResult("k", True)) == "CheckResult(name='k', ok=True, detail='')"
