@@ -348,8 +348,7 @@ def rank1_series(model: SpaceModel, n_max: int,
         require_oracle_fill(model)
         import mpmath as mp
 
-        fitted, _errors = fit_coefficients(model.dimension, orders=thr - 1,
-                                           precision=oracle_precision)
+        fitted = fit_coefficients(model.dimension, orders=thr - 1, precision=oracle_precision)
         coeffs[1:] = [Fraction(*mp.libmp.to_rational(f._mpf_)) for f in fitted[1:gap + 1]]
         flags[1:] = [APPROXIMATE] * gap
     if n_max >= thr:

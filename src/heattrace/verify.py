@@ -108,7 +108,7 @@ def _fit_rel_errors(mbar: int, precision: int = 50):
     m = 2 * mbar
     thr = mbar
     exact_series = rank1.rank1_series(rank1.SpaceModel("sphere", mbar), 5)
-    fitted, _ = oracle.fit_coefficients(m, orders=5, precision=precision)
+    fitted = oracle.fit_coefficients(m, orders=5, precision=precision)
     rel = []
     for n in range(thr, 6):
         exact = exact_series[n]
@@ -139,7 +139,7 @@ def check_unit_s3_chain() -> list[CheckResult]:
     import mpmath as mp
 
     out = []
-    fitted, _ = oracle.fit_coefficients(3, orders=5, precision=50)
+    fitted = oracle.fit_coefficients(3, orders=5, precision=50)
     worst = 0.0
     for n in range(6):
         with mp.workdps(40):

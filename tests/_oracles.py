@@ -18,6 +18,10 @@ coordinates, where the form is not diagonal, so that reference runs their
 densities through a nontrivial congruence; the package builds them in N = r + 1
 ambient coordinates.  :func:`parse_document`, the reader of the CLI's JSON
 documents, lifts the interpreter's int-digit limit with the CLI's own guard.
+:func:`sum_levels_reference` is the package's fixed-point summation loop as it
+was before its stop test compared bit lengths first, kept verbatim so that the
+faster test can be held to the same totals and the same stopping level.
+Bernoulli numbers are memoized: one table, extended to the deepest index asked.
 """
 
 from __future__ import annotations
@@ -31,20 +35,31 @@ from operator import add, mul
 import mpmath as mp
 
 from heattrace.cli import _any_int_digits
-from heattrace.errors import DegenerateModelError
+from heattrace.errors import DegenerateModelError, SafetyLimitError
+from heattrace.oracle import _MAX_TERMS
 from heattrace.plancherel import PlancherelModel, diagonalize_form
 from heattrace.series import HeatSeries
 
 
+_BERNOULLI = [Fraction(1)]
+
+
 def bernoulli_recurrence(n_top: int) -> list[Fraction]:
-    """B_0..B_n_top from sum_{j<=n} C(n+1, j) B_j = 0 (B_1 = -1/2 convention)."""
-    B = [Fraction(1)]
-    for n in range(1, n_top + 1):
-        acc = Fraction(0)
-        for j in range(n):
-            acc += math.comb(n + 1, j) * B[j]
-        B.append(-acc / (n + 1))
-    return B
+    """B_0..B_n_top from sum_{j<=n} C(n+1, j) B_j = 0 (B_1 = -1/2 convention).
+
+    The numbers are kept in one module table that grows to the deepest index
+    asked, so each B_n is computed once per test session; callers get a copy.
+    Each sum runs in ints over the lcm of the denominators, with the binomial
+    row carried from Pascal's rule.
+    """
+    B = _BERNOULLI
+    row = [math.comb(len(B), j) for j in range(len(B) + 1)]
+    for n in range(len(B), n_top + 1):
+        row = [1, *map(add, row, row[1:]), 1]  # C(n + 1, j)
+        den = math.lcm(*(b.denominator for b in B))
+        acc = sum(c * b.numerator * (den // b.denominator) for c, b in zip(row, B))
+        B.append(Fraction(-acc, den * (n + 1)))
+    return B[: n_top + 1]
 
 
 def direct_heat_trace(spectrum: dict, t, digits: int):
@@ -69,6 +84,72 @@ def direct_heat_trace(spectrum: dict, t, digits: int):
                 return total
             total += multiplicity(k) * mp.exp(-tt * mp.mpf(eig.numerator) / eig.denominator)
             k += 1
+
+
+def sum_levels_reference(eigenvalue, multiplicity, t: Fraction, digits: int) -> mp.mpf:
+    """``heattrace.oracle._sum_levels`` before the bit-length pretest, verbatim.
+
+    Sum mult * exp(-t * eig) over the levels until the tail is negligible.
+
+    Each weight is the previous one times step = exp(-t * gap), and step is
+    updated by ratio = exp(-t * (gap_k - gap_{k-1})), recomputed only when that
+    second difference changes: a quadratic spectrum costs two multiplications
+    a level.  Step and ratio are B-bit int mantissas with binary exponents.
+    The weight, relative to level 0's Boltzmann factor, is an int on the
+    total's scale 2^-scale; when a product would leave it under B bits, the
+    weight, the total and prev are shifted up together first.  Terms are then
+    exact int multiples of B-bit weights, and the sum is exact.
+    """
+    # The 64 bits past the working precision absorb the (k+1)^2 * 2^(2-B)
+    # rounding bound above for every k below the 2^21 level limit.
+    bits = math.ceil((digits + 15) * math.log2(10)) + 64
+
+    def exp_neg(x: Fraction) -> tuple[int, int]:
+        # exp(-x) as a bits-bit mantissa and its binary exponent
+        with mp.workprec(bits + 16 + (x.numerator // x.denominator).bit_length()):
+            _, man, exp, bc = mp.exp(-mp.mpf(x.numerator) / x.denominator)._mpf_
+        lift = bits - bc
+        return (man << lift if lift >= 0 else man >> -lift), exp - lift
+
+    tens = 10 ** digits
+    eig0 = eig = eigenvalue(0)
+    gap, d2 = 0, None
+    step, step_exp = 1 << (bits - 1), 1 - bits
+    weight = 1 << bits
+    scale = bits
+    total = prev = multiplicity(0) * weight
+    for k in range(1, _MAX_TERMS + 1):
+        eig_k = eigenvalue(k)
+        new_gap = eig_k - eig
+        if new_gap - gap != d2:
+            d2 = new_gap - gap
+            ratio, ratio_exp = exp_neg(t * d2)
+        step = (step * ratio) >> (bits - 1)
+        step_exp += ratio_exp + bits - 1
+        if step >> bits:
+            step >>= 1
+            step_exp += 1
+        product = weight * step
+        shift = -step_exp
+        lift = bits + shift - product.bit_length()
+        if lift > 0:
+            total <<= lift
+            prev <<= lift
+            scale += lift
+            shift -= lift
+        weight = product >> shift if shift >= 0 else product << -shift
+        eig, gap = eig_k, new_gap
+        term = multiplicity(k) * weight
+        total += term
+        # Past the peak, the term ratio r = term/prev of a convex spectrum with
+        # polynomial multiplicities only falls, so the tail after this term is
+        # at most term * r/(1 - r) < term/(1 - r) = term*prev/(prev - term).
+        if term < prev and term * prev * tens < total * (prev - term):
+            boltzmann0, exp0 = exp_neg(t * eig0)
+            with mp.workdps(digits + 5):
+                return mp.ldexp(mp.mpf(total * boltzmann0), exp0 - scale)
+        prev = term
+    raise SafetyLimitError(f"heat trace at t={float(t)} needs more than {_MAX_TERMS} terms")
 
 
 def parse_document(text: str) -> tuple[dict, HeatSeries]:

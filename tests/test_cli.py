@@ -19,12 +19,22 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _no_traces(monkeypatch):
+    """Make any heat trace the spectral oracle sums fail the test."""
+    from heattrace import oracle
+
+    def no_trace(*args):
+        raise AssertionError("a heat trace was summed")
+
+    monkeypatch.setattr(oracle, "heat_trace", no_trace)
+
+
 # sha256 of the --no-timestamp stdout of each argv: the rank1-deep benchmark pool
 # at n = 300 and op2 at its growth-band depth 360 (first, so that op2 to 300
 # reads its build), the plancherel-algebra pool's closed forms and products, the
-# oracle-fit pool (its fits print the same bytes under mpmath 1.3.0), and the
-# kernel suite.  The documents are fixed across commits: a digest that moves
-# is a change of output.
+# oracle-fit pool (its fits print the same bytes under mpmath 1.3.0), two deep
+# fills at or above their orders' least precision, and the kernel suite.  The
+# documents are fixed across commits: a digest that moves is a change of output.
 GOLDEN = {
     ("coeffs", "--space", "op2", "--n-max", "360", "--format", "json"):
         "2cc340f7ca58ec16cf4c3177333049ff22492b05d6af774fa93b5754bb1eb008",
@@ -106,6 +116,11 @@ GOLDEN = {
         "8a7498c3abd0fc719f2d82153c17f26c813b99a68bb95984d622f7ef63c32f07",
     ("coeffs", "--space", "sphere:5", "--n-max", "20", "--oracle-fill"):
         "b2e601851af0cbc5fb300ce0309cdafbc700e6c12baa0e3d7192f4b711de5820",
+    ("coeffs", "--space", "sphere:9", "--n-max", "10", "--oracle-fill"):
+        "27a0e79832325feda36897c34b47898def5f5dd79da0a438b44b47b514259ace",
+    ("coeffs", "--space", "sphere:10", "--n-max", "11", "--oracle-fill",
+     "--oracle-precision", "31"):
+        "374b87fa320161ba44f6e87a5caab35d073de346c055ca273ec2a66e84e2bc33",
     ("verify", "--suite", "unit-s3-chain"):
         "06db9fa7a50e5b67226761db60ab7e5db9e750bdb4c6d1a18bfcbab2fb6309a6",
     ("verify", "--suite", "kernel"):
@@ -305,12 +320,7 @@ class TestCoeffsCommand:
         assert doc["coefficients"][2]["validity"] == "exact"
 
     def test_oracle_precision_refused_before_the_fit(self, capsys, monkeypatch):
-        import mpmath
-
-        def no_svd(*args, **kwargs):
-            raise AssertionError("the SVD ran")
-
-        monkeypatch.setattr(mpmath, "svd_r", no_svd)
+        _no_traces(monkeypatch)
         for precision in ("3000", "100000"):
             code, out, err = run(capsys, "coeffs", "--space", "sphere:3", "--n-max", "20",
                                  "--oracle-fill", "--oracle-precision", precision)
@@ -346,7 +356,26 @@ class TestCoeffsCommand:
         code, out, err = run(capsys, "coeffs", "--space", "sphere:13", "--n-max", "14",
                              "--oracle-fill")
         assert code == 2 and out == ""
-        assert "exceeds the working precision; refusing to return garbage" in err
+        assert ("a spectral fit to order 12 needs at least 60 digits "
+                "(--oracle-precision 60), not 30") in err
+
+    @pytest.mark.parametrize("spec, precision, orders, need", [
+        ("sphere:9", "22", 8, 23),
+        ("sphere:10", "30", 9, 31),
+        ("sphere:11", "30", 10, 40),
+        ("sphere:12", "33", 11, 50),
+        ("sphere:13", "38", 12, 60),
+    ])
+    def test_oracle_fill_below_its_least_precision_refused_before_any_trace(
+            self, capsys, monkeypatch, spec, precision, orders, need):
+        # without the per-order table these fills sum every trace, then stop in
+        # the QR solver
+        _no_traces(monkeypatch)
+        code, out, err = run(capsys, "coeffs", "--space", spec, "--n-max", str(orders + 2),
+                             "--oracle-fill", "--oracle-precision", precision)
+        assert code == 2 and out == ""
+        assert (f"a spectral fit to order {orders} needs at least {need} digits "
+                f"(--oracle-precision {need}), not {precision}") in err
 
     def test_oracle_fill_of_gapless_atoms_is_accepted(self, capsys):
         # sphere:1 and cp:2 have threshold 1, so there is nothing to fill

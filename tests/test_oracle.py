@@ -1,15 +1,23 @@
 import math
 from fractions import Fraction
+from itertools import count
 
 import mpmath as mp
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from heattrace import oracle, rank1
 from heattrace.errors import IllConditionedFitError, SafetyLimitError
 from heattrace.oracle import default_grid, fit_coefficients, heat_trace, sphere_volume
 from heattrace.rank1 import SpaceModel, rank1_series
 
-from _oracles import direct_heat_trace, harmonic_dimension, rank1_prefactor
+from _oracles import (
+    direct_heat_trace,
+    harmonic_dimension,
+    rank1_prefactor,
+    sum_levels_reference,
+)
 
 
 def _sphere(m):
@@ -228,7 +236,7 @@ class TestHeatTrace:
 
 class TestFit:
     def test_s2_known_coefficients(self):
-        vals, errs = fit_coefficients(2, orders=5, precision=50)
+        vals = fit_coefficients(2, orders=5, precision=50)
         exact_series = rank1_series(SpaceModel("sphere", 1), 5)
         assert abs(vals[0] - 1) < 1e-8
         for n in range(1, 6):
@@ -239,23 +247,31 @@ class TestFit:
 
     def test_volume_self_consistency(self):
         for m in range(2, 9):
-            vals, _ = fit_coefficients(m, orders=2, precision=40)
+            vals = fit_coefficients(m, orders=2, precision=40)
             assert abs(vals[0] - 1) < 1e-8
 
     def test_unit_s3_is_exponential(self):
-        vals, _ = fit_coefficients(3, orders=5, precision=50)
+        vals = fit_coefficients(3, orders=5, precision=50)
         for n in range(6):
             with mp.workdps(40):
                 e = mp.mpf(1) / math.factorial(n)
                 assert abs((vals[n] - e) / e) < 1e-6
 
     def test_refinement_within_error_estimates(self, monkeypatch):
-        vals1, errs1 = fit_coefficients(2, orders=4, precision=40)
+        # The bounds are the residual-based error estimates the fit used to
+        # return, max over the two fits: 7.6e-16 at A_0 to 3.1e-12 at A_4.
+        # Both fits actually lie 1e-16 to 1e-35 from the exact values.
+        bounds = [7.7e-16, 6.2e-15, 4.9e-14, 4.0e-13, 3.2e-12]
+        vals1 = fit_coefficients(2, orders=4, precision=40)
         finer = [t / 2 for t in default_grid(4)]  # the ladder from 1/16
         monkeypatch.setattr(oracle, "default_grid", lambda orders: finer)
-        vals2, errs2 = fit_coefficients(2, orders=4, precision=60)
-        for n in range(5):
-            assert abs(vals1[n] - vals2[n]) <= max(errs1[n], errs2[n])
+        vals2 = fit_coefficients(2, orders=4, precision=60)
+        exact = rank1_series(SpaceModel("sphere", 1), 4)
+        with mp.workdps(80):
+            for n in range(5):
+                e = mp.mpf(exact[n].numerator) / exact[n].denominator
+                assert abs(vals1[n] - e) <= bounds[n]
+                assert abs(vals2[n] - e) <= bounds[n]
 
     def test_duality_chain_through_three_modules(self):
         from heattrace.plancherel import build_family, closed_form, to_series
@@ -263,7 +279,7 @@ class TestFit:
 
         form = closed_form(build_family("hyperbolic_odd", 1))
         chain = rescale(dualize(to_series(form, 5)), 4)
-        vals, _ = fit_coefficients(3, orders=5, precision=50)
+        vals = fit_coefficients(3, orders=5, precision=50)
         for n in range(6):
             with mp.workdps(40):
                 e = mp.mpf(chain[n].numerator) / chain[n].denominator
@@ -298,9 +314,107 @@ class TestFit:
 
     @pytest.mark.parametrize("precision", [0, 501, 3000, 100_000])
     def test_precision_refused_before_the_svd(self, monkeypatch, precision):
-        def no_svd(*args, **kwargs):
-            raise AssertionError("the SVD ran")
-
-        monkeypatch.setattr(mp, "svd_r", no_svd)
+        # an out-of-range precision is refused before any work: no trace is summed
+        monkeypatch.setattr(oracle, "heat_trace", _no_trace)
         with pytest.raises(ValueError, match=r"precision must lie in \[1, 500\]"):
             fit_coefficients(6, orders=2, precision=precision)
+
+
+def _no_trace(*args):
+    raise AssertionError("a heat trace was summed")
+
+
+# The least precision at which mpmath's Householder QR, run at precision + 30
+# digits like the fit, solves the scaled ladder system of each order 0..12;
+# one digit less stops it with "matrix is numerically singular".
+_SOLVER_MIN = (1, 1, 1, 1, 1, 1, 8, 15, 23, 31, 40, 50, 60)
+
+
+def _design(orders):
+    """The fit's scaled design matrix from the exact ladder: t_j^i / max_j t_j^i."""
+    ladder = default_grid(orders)
+    ncols = orders + oracle._GUARD_TERMS + 1
+    rows = [[t ** i / max(s ** i for s in ladder) for i in range(ncols)] for t in ladder]
+    assert rows == [[Fraction(1, 2 ** (i * j)) for i in range(ncols)] for j in range(len(ladder))]
+    return mp.matrix([[mp.ldexp(1, -i * j) for i in range(ncols)] for j in range(len(ladder))])
+
+
+def _solves(A, precision):
+    with mp.workdps(precision + 30):
+        try:
+            mp.qr_solve(A, mp.matrix([1] * A.rows))
+        except ValueError:
+            return False
+    return True
+
+
+class TestMinimumPrecision:
+    """The per-order table is the larger of the condition rule's and the solver
+    rule's minimum, both recomputed here on A = 2^(-ij)."""
+
+    @pytest.mark.parametrize("orders", range(oracle.MAX_ORDERS + 1))
+    def test_table_is_the_larger_of_the_two_rules(self, orders):
+        A = _design(orders)
+        with mp.workdps(110):
+            sing = mp.svd_r(A, compute_uv=False)
+            cond = sing[0] / sing[len(sing) - 1]
+            cond_min = next(p for p in count(1) if cond <= mp.mpf(10) ** (p + 10))
+        solver_min = _SOLVER_MIN[orders]
+        assert _solves(A, solver_min)
+        assert solver_min == 1 or not _solves(A, solver_min - 1)
+        assert oracle._MIN_PRECISION[orders] == max(cond_min, solver_min)
+
+    @pytest.mark.parametrize("orders", range(oracle.MAX_ORDERS + 1))
+    def test_refused_below_the_table_before_any_trace(self, monkeypatch, orders):
+        need = oracle._MIN_PRECISION[orders]
+        m = 2 * orders + 2
+        monkeypatch.setattr(oracle, "heat_trace", _no_trace)
+        if need > 1:
+            with pytest.raises(IllConditionedFitError,
+                               match=rf"order {orders} needs at least {need} digits "
+                                     rf"\(--oracle-precision {need}\), not {need - 1}"):
+                fit_coefficients(m, orders, need - 1)
+        with pytest.raises(AssertionError, match="a heat trace was summed"):
+            fit_coefficients(m, orders, need)  # accepted: it goes on to the traces
+        monkeypatch.setattr(oracle, "heat_trace", lambda m, t, precision: mp.mpf(1))
+        assert len(fit_coefficients(m, orders, need)) == orders + 1
+
+
+# The spectra of TestHeatTrace.test_fixed_point_edge_cases and of
+# test_fast_ladder_matches_generic_path, as (spectrum, t) pairs.
+_EDGE_SPECTRA = [
+    (_sphere(200), Fraction(1, 64)),
+    (_shifted_square, Fraction(50)),
+    (_shifted_square, Fraction(100)),
+    (_sphere(3), Fraction(1, 2 ** 12)),
+    (_valley, Fraction(20)),
+    (_flat_circle, Fraction(1, 3)),
+    (_cubic, Fraction(1, 64)),
+    (_half_integer, Fraction(1, 64)),
+]
+
+
+class TestStopRulePretest:
+    """The bit-length pretest of the stop rule changes no total and no stopping
+    level: the loop equals the loop without it, bit for bit."""
+
+    @pytest.mark.parametrize("digits", [11, 40, 60])
+    def test_spheres_on_the_ladder(self, digits):
+        for m in (2, 3, 6, 10):
+            eigenvalue, multiplicity = oracle._sphere_levels(m)
+            for t in default_grid(5):
+                args = eigenvalue, multiplicity, t, digits
+                assert oracle._sum_levels(*args)._mpf_ == sum_levels_reference(*args)._mpf_
+
+    @pytest.mark.parametrize("digits", [11, 40, 60])
+    def test_edge_spectra(self, digits):
+        for spec, t in _EDGE_SPECTRA:
+            args = spec["eigenvalue"], spec["multiplicity"], t, digits
+            assert oracle._sum_levels(*args)._mpf_ == sum_levels_reference(*args)._mpf_
+
+    @given(st.lists(st.integers(1, 2 ** 300), min_size=5, max_size=5))
+    def test_bit_lengths_decide_the_skipped_comparisons(self, xs):
+        a, b, c, d, e = xs
+        bl = int.bit_length
+        if bl(a) + bl(b) + bl(c) - 3 >= bl(d) + bl(e):
+            assert not a * b * c < d * e
