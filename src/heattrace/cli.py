@@ -27,8 +27,10 @@ import argparse
 import io
 import json
 import sys
+from collections.abc import Callable
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import reduce
 
 from . import plancherel, rank1, series, verify
 from .errors import HeatTraceError, InvariantViolation
@@ -123,14 +125,10 @@ def _atom(token: str) -> dict:
     if not param:
         raise SpecError(f"{name} needs a parameter, e.g. {name}:2")
     if name == "complex-group":
-        if not (param[:1].isalpha() and param[1:].isdigit()):
+        if not (param.isascii() and param[:1].isalpha() and param[1:].isdigit()):
             raise SpecError(f"complex-group parameter must look like 'A2', got {param!r}")
-    elif not param.isdigit():
+    elif not (param.isascii() and param.isdigit()):
         raise SpecError(f"{name} parameter must be a positive integer, got {param!r}")
-    if name in rank1.ATOMS:  # refuse an unsupported model before any work
-        rank1.atom_model(name, param)
-    else:
-        plancherel.root_data(name.replace("-", "_"), param)
     return {"kind": "atom", "family": name, "param": param}
 
 
@@ -156,59 +154,57 @@ def _number(token: str) -> Fraction:
     return value
 
 
-def _plancherel_model(atom: dict) -> plancherel.PlancherelModel:
-    return plancherel.build_family(atom["family"].replace("-", "_"), atom["param"])
+def _plan(tree: dict, n_max: int, oracle_precision: int | None = None,
+          n_min: int | None = None) -> tuple[range, Callable[[], series.HeatSeries]]:
+    """Check a request on a parsed space tree before any series is built.
 
-
-def evaluate_space(tree: dict, n_max: int,
-                   oracle_precision: int | None = None) -> series.HeatSeries:
-    """Evaluate a parsed space tree into a coefficient series; a sphere's gap is
-    filled from the spectral oracle at ``oracle_precision`` when it is given."""
-    kind = tree["kind"]
-    if kind == "atom":
-        family = tree["family"]
-        if family in rank1.ATOMS:
-            return rank1.rank1_series(rank1.atom_model(family, tree["param"]), n_max,
-                                      oracle_precision)
-        return plancherel.to_series(plancherel.closed_form(_plancherel_model(tree)), n_max)
-    if kind == "dual":
-        return series.dualize(evaluate_space(tree["child"], n_max, oracle_precision))
-    if kind == "scale":
-        return series.rescale(evaluate_space(tree["child"], n_max, oracle_precision),
-                              Fraction(tree["c2"]))
-    if kind == "product":
-        parts = [evaluate_space(c, n_max, oracle_precision) for c in tree["children"]]
-        out = parts[0]
-        for p in parts[1:]:
-            out = series.product(out, p)
-        return out
-    raise SpecError(f"cannot evaluate node kind {kind!r}")
-
-
-def _gap(tree: dict, n_max: int) -> range:
-    """The indices in 0..n_max that ``evaluate_space(tree, n_max)`` flags unavailable.
+    One walk builds each atom's model once, which applies the model's own
+    refusals, and refuses an oracle fill at ``oracle_precision`` that a
+    gapped atom's fit cannot serve.  Given a growth window from ``n_min``, it
+    refuses one that is not exact, and one under 50 indices when a rank-one
+    atom keeps the series from vanishing, as :func:`growth_report` would
+    after the build.  Returns the gap, the indices in 0..n_max that the build
+    flags as not exact, and a zero-argument builder that reuses the models.
 
     A rank-one atom leaves 1..threshold-1 open, dual and scale keep their
     child's gap, and a product's flag is the prefix minimum of its factors',
     so one gapped factor leaves every index from its first gap on open.
     """
-    kind = tree["kind"]
-    if kind == "atom":
-        if tree["family"] in rank1.ATOMS:
-            thr = rank1.atom_model(tree["family"], tree["param"]).threshold
-            return range(1, min(thr, n_max + 1))
-        return range(0)
-    if kind in ("dual", "scale"):
-        return _gap(tree["child"], n_max)
-    starts = [g.start for g in (_gap(c, n_max) for c in tree["children"]) if g]
-    return range(min(starts), n_max + 1) if starts else range(0)
+    rank_one = False
 
+    def walk(node: dict) -> tuple[range, Callable[[], series.HeatSeries]]:
+        nonlocal rank_one
+        kind = node["kind"]
+        if kind == "atom" and node["family"] in rank1.ATOMS:
+            rank_one = True
+            model = rank1.atom_model(node["family"], node["param"])
+            gap = range(1, min(model.threshold, n_max + 1))
+            if oracle_precision is not None and gap:
+                rank1.require_oracle_fill(model, oracle_precision)
+            return gap, lambda: rank1.rank1_series(model, n_max, oracle_precision)
+        if kind == "atom":
+            model = plancherel.build_family(node["family"].replace("-", "_"), node["param"])
+            return range(0), lambda: plancherel.to_series(plancherel.closed_form(model), n_max)
+        if kind in ("dual", "scale"):
+            gap, build = walk(node["child"])
+            if kind == "dual":
+                return gap, lambda: series.dualize(build())
+            c2 = Fraction(node["c2"])
+            return gap, lambda: series.rescale(build(), c2)
+        parts = [walk(c) for c in node["children"]]
+        starts = [gap.start for gap, _ in parts if gap]
+        return (range(min(starts), n_max + 1) if starts else range(0),
+                lambda: reduce(series.product, (build() for _, build in parts)))
 
-def _atoms(tree: dict) -> list[dict]:
-    """The atoms of a parsed space tree, left to right."""
-    if tree["kind"] == "atom":
-        return [tree]
-    return [a for c in tree.get("children") or [tree["child"]] for a in _atoms(c)]
+    gap, build = walk(tree)
+    if n_min is not None:
+        n = max(gap.start, n_min)
+        if n in gap:
+            raise SpecError(f"A_{n} is unavailable: growth diagnostics need exact "
+                            f"coefficients on [n_min, n_max] = [{n_min}, {n_max}]")
+        if rank_one and n_max < n_min + 50:
+            raise SpecError("need n_max >= n_min + 50 to classify a non-vanishing series")
+    return gap, build
 
 
 def _normalization(tree: dict) -> dict:
@@ -323,11 +319,8 @@ def _check_n_max(args) -> None:
 def cmd_coeffs(args, out) -> int:
     _check_n_max(args)
     tree = parse_space(args.space)
-    if args.oracle_fill:  # refused here, before any series is built
-        for atom in _atoms(tree):
-            if atom["family"] in rank1.ATOMS and _gap(atom, args.n_max):
-                rank1.require_oracle_fill(rank1.atom_model(atom["family"], atom["param"]))
-    s = evaluate_space(tree, args.n_max, args.oracle_precision if args.oracle_fill else None)
+    _, build = _plan(tree, args.n_max, args.oracle_precision if args.oracle_fill else None)
+    s = build()
     if args.format == "csv":
         out.write(render_csv(s))
     else:
@@ -345,7 +338,7 @@ def cmd_closed_form(args, out) -> int:
         if tree["kind"] != "atom" or tree["family"] not in _PLANCHEREL_ATOMS:
             raise SpecError("closed-form expects a polynomial-Plancherel family atom "
                             "(hyperbolic-odd:M, su-star:M, e6-f4, complex-group:XN)")
-        model = _plancherel_model(tree)
+        model = plancherel.build_family(tree["family"].replace("-", "_"), tree["param"])
     form = plancherel.closed_form(model)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -375,12 +368,8 @@ def cmd_growth(args, out) -> int:
         raise SpecError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}: "
                         "the growth window would be empty")
     tree = parse_space(args.space)
-    gap = _gap(tree, args.n_max)
-    n = max(gap.start, args.n_min)
-    if n in gap:  # refused here, before any series is built
-        raise SpecError(f"A_{n} is unavailable: growth diagnostics need exact coefficients "
-                        f"on [n_min, n_max] = [{args.n_min}, {args.n_max}]")
-    s = evaluate_space(tree, args.n_max)
+    _, build = _plan(tree, args.n_max, n_min=args.n_min)
+    s = build()
     report = growth_report(s, n_min=args.n_min, epsilons=tuple(args.epsilon))
     doc = {
         "schema_version": SCHEMA_VERSION,

@@ -63,6 +63,7 @@ __all__ = [
     "sphere_volume",
     "heat_trace",
     "default_grid",
+    "require_fit",
     "fit_coefficients",
 ]
 
@@ -207,19 +208,11 @@ def default_grid(orders: int) -> list[Fraction]:
     return [Fraction(1, 8) / 2 ** j for j in range(orders + MAX_ORDERS)]
 
 
-def fit_coefficients(m: int, orders: int, precision: int = 50) -> list[mp.mpf]:
-    """Least-squares estimates of the normalized coefficients A_0..A_orders of S^m.
-
-    Samples R(t) = (4 pi t)^{m/2} * trace(t) / Vol on the ladder of
-    :func:`default_grid` and fits a polynomial of degree orders + _GUARD_TERMS
-    with column scaling; the guard terms absorb the truncated high-order
-    behavior so the reported coefficients are clean.  Refuses with
-    ``ValueError`` an order past :data:`MAX_ORDERS`, and with
-    :class:`IllConditionedFitError`, before summing any trace, a precision
-    below the order's entry in :data:`_MIN_PRECISION` (see the module
-    docstring): there the scaled system's condition number would eat the
-    working precision, or the QR solver would stop on it as singular.
-    """
+def require_fit(orders: int, precision: int) -> None:
+    """Refuse a fit to ``orders`` at ``precision`` digits that cannot be trusted:
+    ``ValueError`` outside the fit's ranges, :class:`IllConditionedFitError`
+    below the order's least precision in :data:`_MIN_PRECISION` (see the
+    module docstring).  It reads only that table, so it runs before any trace."""
     if orders < 0:
         raise ValueError("orders must be nonnegative")
     if not 1 <= precision <= 500:
@@ -233,6 +226,18 @@ def fit_coefficients(m: int, orders: int, precision: int = 50) -> list[mp.mpf]:
             f"(--oracle-precision {need}), not {precision}: below that its ladder "
             "system is too ill-conditioned to solve"
         )
+
+
+def fit_coefficients(m: int, orders: int, precision: int = 50) -> list[mp.mpf]:
+    """Least-squares estimates of the normalized coefficients A_0..A_orders of S^m.
+
+    Samples R(t) = (4 pi t)^{m/2} * trace(t) / Vol on the ladder of
+    :func:`default_grid` and fits a polynomial of degree orders + _GUARD_TERMS
+    with column scaling; the guard terms absorb the truncated high-order
+    behavior so the reported coefficients are clean.  A fit that
+    :func:`require_fit` refuses is refused before any trace is summed.
+    """
+    require_fit(orders, precision)
     import mpmath as mp
 
     ncols = orders + _GUARD_TERMS + 1

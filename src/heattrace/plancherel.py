@@ -281,29 +281,10 @@ def _from_roots(family: str, label: str, roots: list[tuple[int, ...]], mult: int
     scale = sigma * sigma / _killing_scalar(roots, mult, r)
     form = tuple(tuple(scale if i == j else Fraction(0) for j in range(n)) for i in range(n))
     rho = [Fraction(mult * sum(alpha[i] for alpha in roots), 2 * sigma) for i in range(n)]
-    return PlancherelModel(family, label, r, r + mult * len(roots), None, form,
-                           scale * sum(x * x for x in rho), notes=(notes,),
-                           factors=(roots, shifts))
-
-
-def build_family(family: str, param: int | str | None = None) -> PlancherelModel:
-    """Construct a built-in polynomial-Plancherel model.
-
-    Families: ``hyperbolic_odd`` (param 1 <= mbar <= 500, the space H^{2 mbar + 1}),
-    ``su_star`` (param 2 <= mbar <= 5), ``e6_f4`` (no param), and
-    ``complex_group`` (param like ``"A2"``; classical types A (rank <= 5) and
-    B/C/D (rank <= 6)).  On a 2-core box the CLI ``closed-form`` takes about
-    2.3 s on su_star:5 (expanding its 276,063-term density) and 0.5 s on
-    hyperbolic_odd:500; every complex group reads P = 1 from its root data
-    and takes the CLI's start-up of about 0.15 s.  su_star:6 would run for
-    minutes, so it is refused by :func:`root_data`, and so are complex groups
-    past those ranks: their closed form is cheap, but reading ``model.p`` of
-    A6 expands a 1.39-million-term density.  In process, hyperbolic_odd:500
-    takes about 0.3 s to its closed form and 1.1 s more to a series to
-    n = 1000, and mbar = 1000 takes 2.7 s and 3.3 s, so mbar > 500 is refused.
-    """
-    model = _from_roots(family, *root_data(family, param))
-    anchor = _ANCHORS.get(model.label)
+    model = PlancherelModel(family, label, r, r + mult * len(roots), None, form,
+                            scale * sum(x * x for x in rho), notes=(notes,),
+                            factors=(roots, shifts))
+    anchor = _ANCHORS.get(label)
     if anchor is not None and model.rho_sq != Fraction(1, 4):
         raise InvariantViolation(f"{anchor} anchor rho_sq = 1/4 failed")
     return model
@@ -318,27 +299,42 @@ _COMPLEX_NOTE = ("rho_sq derived from root data (Killing normalization); "
                  "rank-one consistency anchor)")
 
 
-def root_data(family: str, param: int | str | None = None) -> tuple:
-    """The one check of (family, param) for :func:`build_family`, and the family's
-    label and root data: the arguments of :func:`_from_roots` after ``family``.
+def build_family(family: str, param: int | str | None = None) -> PlancherelModel:
+    """Construct a built-in polynomial-Plancherel model, after the one check of
+    (family, param).
 
-    Cheap, since no density is built, so the CLI refuses a bad atom with it
-    before any work.
+    Families: ``hyperbolic_odd`` (param 1 <= mbar <= 500, the space H^{2 mbar + 1}),
+    ``su_star`` (param 2 <= mbar <= 5), ``e6_f4`` (no param), and
+    ``complex_group`` (param like ``"A2"``; classical types A (rank <= 5) and
+    B/C/D (rank <= 6)).  Cheap, since no density is expanded, so the CLI
+    builds every atom's model before any series.  On a 2-core box the CLI
+    ``closed-form`` takes about 2.3 s on su_star:5 (expanding its
+    276,063-term density) and 0.5 s on hyperbolic_odd:500; every complex
+    group reads P = 1 from its root data and takes the CLI's start-up of
+    about 0.15 s.  su_star:6 would run for minutes, so it is refused, and so
+    are complex groups past those ranks: their closed form is cheap, but
+    reading ``model.p`` of A6 expands a 1.39-million-term density.  In
+    process, hyperbolic_odd:500 takes about 0.3 s to its closed form and
+    1.1 s more to a series to n = 1000, and mbar = 1000 takes 2.7 s and
+    3.3 s, so mbar > 500 is refused.
     """
     if family == "hyperbolic_odd":
         mbar = int(param)  # type: ignore[arg-type]
         if not 1 <= mbar <= 500:
             raise ValueError("hyperbolic_odd requires 1 <= mbar <= 500")
-        return f"hyperbolic_odd:{mbar}", [(1,)], 2 * mbar, False, 1, range(mbar), _ROOT_NOTE
+        return _from_roots(family, f"hyperbolic_odd:{mbar}", [(1,)], 2 * mbar, False, 1,
+                           range(mbar), _ROOT_NOTE)
 
     if family == "su_star":
         mbar = int(param)  # type: ignore[arg-type]
         if not 2 <= mbar <= 5:
             raise ValueError("su_star requires 2 <= mbar <= 5")
-        return f"su_star:{mbar}", _a_positive_roots(mbar - 1), 4, True, 2, range(2), _ROOT_NOTE
+        return _from_roots(family, f"su_star:{mbar}", _a_positive_roots(mbar - 1), 4, True, 2,
+                           range(2), _ROOT_NOTE)
 
     if family == "e6_f4":
-        return "e6_f4", _a_positive_roots(2), 8, True, 2, range(4), _ROOT_NOTE
+        return _from_roots(family, "e6_f4", _a_positive_roots(2), 8, True, 2, range(4),
+                           _ROOT_NOTE)
 
     if family == "complex_group":
         label = str(param).strip().upper()
@@ -358,7 +354,8 @@ def root_data(family: str, param: int | str | None = None) -> tuple:
         if kind == "D" and rank < 3:
             raise ValueError("D-type needs rank >= 3 (D2 is not simple)")
         roots = _a_positive_roots(rank) if kind == "A" else _bcd_positive_roots(kind, rank)
-        return f"complex_group:{label}", roots, 2, kind == "A", 1, range(1), _COMPLEX_NOTE
+        return _from_roots(family, f"complex_group:{label}", roots, 2, kind == "A", 1,
+                           range(1), _COMPLEX_NOTE)
 
     raise UnsupportedSpaceError(f"unknown Plancherel family {family!r}")
 

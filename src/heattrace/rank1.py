@@ -83,12 +83,14 @@ with base in the boundary instead, hp:2 and hp:3 depart from their spectral
 series further still (the ratio above by -16.1 and -1.42, against -2.15 and
 -0.557 as tabulated), so the spectrum does not favour that reading.  As
 tabulated, the volume constant boundary[0] * pref is positive only for
-M = 2, 3 and 5 of the M up to 60, so :class:`SpaceModel` refuses an hp model
+M = 2, 3 and 5 of the M up to 300, so :class:`SpaceModel` refuses an hp model
 whose n = 0 boundary entry is not positive.  It reads that entry alone,
-without a build, so the refusal stays cheap: hp:500 takes about 0.7 s,
-against 7 s for the boundary vector to n = 0 (a shared 2-core box).  The other rows need no
-refusal: boundary[0] is (m-1)! for the sphere, (m+1)^m (m-2)! (m-1) m / 6 for
-cp, and a fixed positive constant for op2.
+without a build, but from the whole seed table, whose cost grows about as
+M^3, so every M past 300 is refused without the check: hp:300 is refused in
+about 0.4 s in a fresh process, against 8.6 s for hp:1000 and past 60 s for
+hp:5000 with the check (a shared 2-core box).  The other rows need no
+refusal: boundary[0] is (m-1)! for the sphere, (m+1)^m (m-2)! (m-1) m / 6
+for cp, and a fixed positive constant for op2.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ from fractions import Fraction
 from ._value import Frozen
 from .errors import InvariantViolation, UnsupportedSpaceError
 from .exactnum import c_coeffs, d_coeffs
-from .oracle import MAX_ORDERS, fit_coefficients
+from .oracle import fit_coefficients, require_fit
 from .seedpolys import (SignedTable, beta_table, delta_table, eta_table, expected_signs,
                         gamma_table)
 from .series import APPROXIMATE, EXACT, UNAVAILABLE, HeatSeries, convolve, exp_times
@@ -116,6 +118,9 @@ FAMILIES = ("sphere", "complex_projective", "quaternionic_projective", "cayley_p
 
 _fact = math.factorial
 
+# The largest M whose HP^M volume sign is checked (see the module docstring).
+_HP_CHECKED = 300
+
 
 class SpaceModel(Frozen):
     """A compact rank-one space in its family's built-in normalization.
@@ -129,11 +134,16 @@ class SpaceModel(Frozen):
 
     def __init__(self, family: str, mbar: int) -> None:
         row = _row(family, mbar)
-        if family == "quaternionic_projective" and _boundary_at_zero(row, row.table()) <= 0:
-            raise UnsupportedSpaceError(
-                f"the tabulated HP^M closed form has a non-positive volume constant "
-                f"for M = {mbar}, so hp:{mbar} cannot be normalized"
-            )
+        if family == "quaternionic_projective":
+            if mbar > _HP_CHECKED:
+                raise UnsupportedSpaceError(
+                    f"hp:{mbar} is past hp:{_HP_CHECKED}, the largest HP^M whose volume "
+                    f"constant is checked (positive only for M = 2, 3 and 5 up to there)")
+            if _boundary_at_zero(row, row.table()) <= 0:
+                raise UnsupportedSpaceError(
+                    f"the tabulated HP^M closed form has a non-positive volume constant "
+                    f"for M = {mbar}, so hp:{mbar} cannot be normalized"
+                )
         super().__init__(family=family, mbar=mbar)
 
     @property
@@ -316,16 +326,14 @@ def _coefficients(family: str, mbar: int, n_max: int) -> list[Fraction]:
     return hit
 
 
-def require_oracle_fill(model: SpaceModel) -> None:
-    """Refuse to fill the model's gap from the spectral oracle unless it is a sphere
-    whose gap, indices 1..threshold - 1, the oracle's fit spans."""
+def require_oracle_fill(model: SpaceModel, precision: int) -> None:
+    """Refuse to fill the model's gap from the spectral oracle at ``precision``
+    digits unless it is a sphere whose gap, indices 1..threshold - 1, the
+    oracle's fit spans at that precision (:func:`~heattrace.oracle.require_fit`)."""
     if model.family != "sphere":
         raise UnsupportedSpaceError(
             f"oracle fill is only available for spheres, not {model.family}")
-    if model.threshold - 1 > MAX_ORDERS:
-        raise UnsupportedSpaceError(
-            f"oracle fill of sphere:{model.mbar} needs a fit of {model.threshold - 1} orders, "
-            f"past the spectral fit's limit of {MAX_ORDERS} orders")
+    require_fit(model.threshold - 1, precision)
 
 
 def rank1_series(model: SpaceModel, n_max: int,
@@ -345,7 +353,7 @@ def rank1_series(model: SpaceModel, n_max: int,
     coeffs: list[Fraction] = [Fraction(1)] + [Fraction(0)] * gap
     flags: list[str] = [EXACT] + [UNAVAILABLE] * gap
     if oracle_precision is not None and gap > 0:
-        require_oracle_fill(model)
+        require_oracle_fill(model, oracle_precision)
         import mpmath as mp
 
         fitted = fit_coefficients(model.dimension, orders=thr - 1, precision=oracle_precision)

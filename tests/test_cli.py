@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heattrace.cli import _gap, evaluate_space, main, parse_space
+from heattrace.cli import SpecError, _plan, main, parse_space
 
 from _oracles import parse_document
 
@@ -17,6 +17,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def evaluate(spec: str, n_max: int):
+    """The series the CLI builds for a space spec to n_max."""
+    return _plan(parse_space(spec), n_max)[1]()
 
 
 def _no_traces(monkeypatch):
@@ -153,15 +158,23 @@ def test_golden_closed_forms(capsys, family):
     assert hashlib.sha256(out.encode()).hexdigest() == CLOSED_FORM_GOLDEN[family]
 
 
+def _patch_builders(monkeypatch, builder):
+    """Replace every series builder the CLI reaches: the rank-one series, the
+    Plancherel closed form and the Cauchy product."""
+    from heattrace import plancherel, rank1, series
+
+    for module, name in ((rank1, "rank1_series"), (plancherel, "closed_form"),
+                         (series, "product")):
+        monkeypatch.setattr(module, name, builder)
+
+
 @pytest.fixture
 def no_build(monkeypatch):
     """Make any series build fail the test: the request must be refused first."""
-    import heattrace.cli as cli
-
     def no_build(*args, **kwargs):
         raise AssertionError("a refused request built a series")
 
-    monkeypatch.setattr(cli, "evaluate_space", no_build)
+    _patch_builders(monkeypatch, no_build)
 
 
 class TestSpaceSpecParser:
@@ -182,6 +195,23 @@ class TestSpaceSpecParser:
                     "product(sphere:1)", "sphere:1 extra", "scale(sphere:1, -2)"):
             with pytest.raises(ValueError):
                 parse_space(bad)
+        # str.isdigit accepts other scripts' digits and superscripts
+        for bad in ("sphere:\u0663", "sphere:\u00b2"):
+            with pytest.raises(SpecError, match="must be a positive integer"):
+                parse_space(bad)
+        with pytest.raises(SpecError, match="must look like 'A2'"):
+            parse_space("complex-group:A\u0663")
+
+    def test_parsing_builds_no_model(self, monkeypatch):
+        from heattrace import plancherel, rank1
+
+        def no_model(*args):
+            raise AssertionError("parsing built a model")
+
+        monkeypatch.setattr(rank1, "atom_model", no_model)
+        monkeypatch.setattr(plancherel, "build_family", no_model)
+        tree = parse_space("product(sphere:0, hp:4, su-star:9, complex-group:A9)")
+        assert [c["param"] for c in tree["children"]] == ["0", "4", "9", "A9"]
 
     @pytest.mark.parametrize("argv, message", [
         (("coeffs", "--space", "product(sphere:1, su-star:9)", "--n-max", "1000"),
@@ -206,7 +236,7 @@ class TestSpaceSpecParser:
         assert parse_space("hyperbolic-odd:500")["param"] == "500"
 
     def test_evaluator_matches_library(self):
-        s = evaluate_space(parse_space("scale(dual(hyperbolic-odd:1), 4)"), 10)
+        s = evaluate("scale(dual(hyperbolic-odd:1), 4)", 10)
         for n in range(11):
             assert s[n] == Fraction(1, math.factorial(n))
 
@@ -334,7 +364,9 @@ class TestCoeffsCommand:
          "precision must lie in [1, 500]"),
         (("product(sphere:1, sphere:3)", "--oracle-fill", "--oracle-precision", "501"),
          "precision must lie in [1, 500]"),
-    ], ids=["non-sphere", "precision-0", "precision-501"])
+        (("product(sphere:1, sphere:13)", "--oracle-fill"),
+         "a spectral fit to order 12 needs at least 60 digits (--oracle-precision 60)"),
+    ], ids=["non-sphere", "precision-0", "precision-501", "ill-conditioned"])
     def test_oracle_fill_refused_before_any_build(self, capsys, no_build, argv, message):
         start = time.perf_counter()
         code, out, err = run(capsys, "coeffs", "--n-max", "1000", "--space", *argv)
@@ -349,8 +381,7 @@ class TestCoeffsCommand:
             code, out, err = run(capsys, "coeffs", "--space", spec, "--n-max", "14",
                                  "--oracle-fill")
             assert code == 2 and out == ""
-            assert ("oracle fill of sphere:14 needs a fit of 13 orders, "
-                    "past the spectral fit's limit of 12 orders") in err
+            assert "the spectral fit spans at most 12 orders, not 13" in err
 
     def test_oracle_fill_of_sphere13_is_refused_as_ill_conditioned(self, capsys):
         code, out, err = run(capsys, "coeffs", "--space", "sphere:13", "--n-max", "14",
@@ -385,7 +416,7 @@ class TestCoeffsCommand:
         assert "approximate" not in out and "unavailable" not in out
 
     def test_refuses_hp_without_a_positive_volume(self, capsys):
-        for spec in ("hp:4", "product(hp:6, sphere:1)"):
+        for spec in ("hp:4", "product(hp:6, sphere:1)", "hp:300"):
             code, out, err = run(capsys, "coeffs", "--space", spec, "--n-max", "30")
             assert code == 2 and out == ""
             assert "non-positive volume constant" in err
@@ -393,6 +424,14 @@ class TestCoeffsCommand:
             code, out, _ = run(capsys, "coeffs", "--space", spec, "--n-max", "30",
                                "--format", "csv")
             assert code == 0 and out.count("\n") == 32
+
+    @pytest.mark.parametrize("spec", ["hp:301", "hp:1000", "product(sphere:1, hp:5000)"])
+    def test_hp_past_the_checked_range_refused_quickly(self, capsys, no_build, spec):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "coeffs", "--space", spec, "--n-max", "1000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "is past hp:300, the largest HP^M whose volume constant is checked" in err
 
     @pytest.mark.parametrize("c2", ["1e5000", "1e10000000", "1E+99_999_999", "5e-5000",
                                     "1e-10000000"])
@@ -489,8 +528,10 @@ class TestClosedFormCommand:
         assert f"model file {path}: cannot read key {key!r}" in err
 
     def test_rejects_rank1_atom(self, capsys):
-        code, _, err = run(capsys, "closed-form", "--family", "sphere:1")
-        assert code == 2
+        for family in ("sphere:1", "sphere:0", "hp:4"):
+            code, out, err = run(capsys, "closed-form", "--family", family)
+            assert code == 2 and out == ""
+            assert "closed-form expects a polynomial-Plancherel family atom" in err
 
     def test_refuses_ranks_that_cannot_finish(self, capsys):
         for family in ("complex-group:A6", "complex-group:B7", "su-star:6"):
@@ -546,17 +587,23 @@ class TestGrowthRefusals:
         assert code == 2 and out == ""
         assert flag in err
 
+    def test_short_window_refused_before_any_build(self, capsys, no_build):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "growth", "--space", "product(sphere:1, cp:2)",
+                             "--n-max", "600", "--n-min", "580")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "need n_max >= n_min + 50" in err
+
     @pytest.mark.parametrize("spec", ["sphere:1", "product(sphere:1, cp:2)"])
     def test_exact_window_reaches_the_build(self, monkeypatch, spec):
-        import heattrace.cli as cli
-
         class Built(Exception):
             pass
 
         def build(*args, **kwargs):
             raise Built
 
-        monkeypatch.setattr(cli, "evaluate_space", build)
+        _patch_builders(monkeypatch, build)
         with pytest.raises(Built):
             main(["growth", "--space", spec])
 
@@ -577,13 +624,63 @@ def _combined(inner):
 _DEPTH_1 = st.one_of(_CHEAP_ATOMS, _combined(_CHEAP_ATOMS))
 
 
-@given(spec=st.one_of(_DEPTH_1, _combined(_DEPTH_1)), n_max=st.integers(0, 12))
+_TREES = st.one_of(_DEPTH_1, _combined(_DEPTH_1))
+
+
+@given(spec=_TREES, n_max=st.integers(0, 12))
 def test_gap_agrees_with_the_built_flags(spec, n_max):
-    # growth refuses from _gap before building; it must name exactly the
-    # indices that the build flags as not exact
+    # growth refuses from the plan's gap before building; it must name exactly
+    # the indices that the plan's builder flags as not exact
+    gap, build = _plan(parse_space(spec), n_max)
+    flags = build().validity
+    assert list(gap) == [n for n, f in enumerate(flags) if f != "exact"], spec
+
+
+@given(spec=_TREES, n_max=st.integers(1, 110), window=st.integers(0, 109))
+def test_short_window_refused_exactly_when_the_report_would(spec, n_max, window):
+    # With a rank-one atom the series never vanishes, so the 50-index window rule
+    # moves before the build; a tree of Plancherel atoms alone keeps the late rule.
+    from heattrace.growth import growth_report
+
+    n_min = max(1, n_max - window)
     tree = parse_space(spec)
-    flags = evaluate_space(tree, n_max).validity
-    assert list(_gap(tree, n_max)) == [n for n, f in enumerate(flags) if f != "exact"], spec
+    _, build = _plan(tree, n_max)
+    try:
+        _plan(tree, n_max, n_min=n_min)
+        early = ""
+    except SpecError as exc:
+        early = str(exc)
+    try:
+        growth_report(build(), n_min=n_min)
+        late = ""
+    except ValueError as exc:
+        late = str(exc)
+    short = "need n_max >= n_min + 50"
+    rank_one = any(atom in spec for atom in ("sphere:", "cp:", "hp:", "op2"))
+    assert (short in early) == (rank_one and short in late), (spec, early, late)
+    assert late or not early, (spec, early)
+
+
+@pytest.mark.parametrize("argv, atoms", [
+    (("growth", "--space", "hp:2"), 1),
+    (("coeffs", "--space", "sphere:3", "--n-max", "20", "--oracle-fill"), 1),
+    (("closed-form", "--family", "su-star:3"), 1),
+    (("coeffs", "--space", "product(cp:2, dual(hyperbolic-odd:1))", "--n-max", "20"), 2),
+], ids=["growth", "coeffs-oracle-fill", "closed-form", "coeffs-product"])
+def test_each_atom_model_is_built_once(capsys, monkeypatch, argv, atoms):
+    from heattrace.plancherel import PlancherelModel
+    from heattrace.rank1 import SpaceModel
+
+    built = []
+    for cls in (SpaceModel, PlancherelModel):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            built.append(args)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    code, _, err = run(capsys, *argv, "--no-timestamp")
+    assert code == 0, err
+    assert len(built) == atoms, built
 
 
 class TestNMaxLimit:
@@ -616,7 +713,7 @@ def test_plancherel_products_skip_the_full_convolution(monkeypatch):
     monkeypatch.setattr(series, "convolve", short_only)
     for spec in ("product(su-star:3, e6-f4, dual(hyperbolic-odd:4))",
                  "product(hyperbolic-odd:1, dual(hyperbolic-odd:1))"):
-        s = evaluate_space(parse_space(spec), 300)
+        s = evaluate(spec, 300)
         assert s.exppoly is not None and s.n_max == 300
 
 
@@ -665,7 +762,7 @@ class TestExitCodes:
         def boom(*a, **k):
             raise InvariantViolation("synthetic")
 
-        monkeypatch.setattr("heattrace.cli.evaluate_space", boom)
+        monkeypatch.setattr("heattrace.rank1.rank1_series", boom)
         code, _, err = run(capsys, "coeffs", "--space", "sphere:1", "--n-max", "2")
         assert code == 3
         assert "invariant" in err
@@ -717,7 +814,7 @@ class TestOutputFile:
         def boom(*a, **k):
             raise InvariantViolation("synthetic")
 
-        monkeypatch.setattr("heattrace.cli.evaluate_space", boom)
+        monkeypatch.setattr("heattrace.rank1.rank1_series", boom)
         code, out, _ = run(capsys, "coeffs", "--space", "sphere:1", "--n-max", "2",
                            "-o", str(target))
         assert code == 3 and out == ""

@@ -153,6 +153,16 @@ class TestQuaternionicProjective:
         with pytest.raises(InvariantViolation):
             rank1._build("quaternionic_projective", 4, 10)
 
+    def test_hp_past_the_checked_range_refused_without_a_table(self, monkeypatch):
+        # the volume-sign check expands delta_table(M), about O(M^3): hp:5000 ran past 60 s
+        def no_table(mbar):
+            raise AssertionError(f"built delta_table({mbar})")
+
+        monkeypatch.setattr(rank1, "delta_table", no_table)
+        for mbar in (301, 1000, 5000):
+            with pytest.raises(UnsupportedSpaceError, match=f"hp:{mbar} is past hp:300"):
+                SpaceModel("quaternionic_projective", mbar)
+
     def test_boundary_at_zero_matches_the_boundary_vector(self):
         rows = ([("quaternionic_projective", m) for m in range(2, 31)]
                 + [("sphere", m) for m in range(1, 8)]

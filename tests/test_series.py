@@ -268,10 +268,12 @@ def test_convolve_split_shapes(la, lb):
 @pytest.fixture(scope="module")
 def rank1_product_operands():
     """The operands of the benchmark's rank-one products to n = 300."""
-    from heattrace.cli import evaluate_space, parse_space
+    from heattrace.cli import _plan, parse_space
 
-    cp2 = evaluate_space(parse_space("cp:2"), 300)
-    return cp2, {m: evaluate_space(parse_space(f"dual(sphere:{m})"), 300) for m in (1, 2, 3)}
+    def evaluate(spec):
+        return _plan(parse_space(spec), 300)[1]()
+
+    return evaluate("cp:2"), {m: evaluate(f"dual(sphere:{m})") for m in (1, 2, 3)}
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
