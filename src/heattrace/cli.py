@@ -161,48 +161,60 @@ def _plan(tree: dict, n_max: int, oracle_precision: int | None = None,
     One walk builds each atom's model once, which applies the model's own
     refusals, and refuses an oracle fill at ``oracle_precision`` that a
     gapped atom's fit cannot serve.  Given a growth window from ``n_min``, it
-    refuses one that is not exact, and one under 50 indices when a rank-one
-    atom keeps the series from vanishing, as :func:`growth_report` would
-    after the build.  Returns the gap, the indices in 0..n_max that the build
-    flags as not exact, and a zero-argument builder that reuses the models.
+    refuses one that is not exact, and one under 50 indices when the series
+    cannot be classified as vanishing, as :func:`growth_report` would after
+    the build.  Returns the gap, the indices in 0..n_max that the build flags
+    as not exact, and a zero-argument builder that reuses the models.
 
     A rank-one atom leaves 1..threshold-1 open, dual and scale keep their
     child's gap, and a product's flag is the prefix minimum of its factors',
     so one gapped factor leaves every index from its first gap on open.
-    """
-    rank_one = False
 
-    def walk(node: dict) -> tuple[range, Callable[[], series.HeatSeries]]:
-        nonlocal rank_one
+    A series with a rank-one atom never vanishes.  A tree of Plancherel atoms
+    alone is e^{kappa t} P(t), and the walk knows kappa (-rho_sq per atom,
+    negated by dual, times c2 under scale, summed over a product) and a bound
+    on deg P ((m - r) / 2 per atom, summed over a product) before any closed
+    form.  With kappa != 0, A_n = kappa^n / n! Q(n) for a nonzero polynomial Q
+    of degree deg P, so at most deg P coefficients vanish; when that is at
+    most max(10, n_max // 10) the report cannot call the series vanishing,
+    and the 50-index rule applies before the build too.
+    """
+
+    def walk(node: dict) -> tuple[range, Callable[[], series.HeatSeries],
+                                  tuple[Fraction, int] | None]:
+        """The gap, the builder, and (kappa, deg bound) of a Plancherel-only tree."""
         kind = node["kind"]
         if kind == "atom" and node["family"] in rank1.ATOMS:
-            rank_one = True
             model = rank1.atom_model(node["family"], node["param"])
             gap = range(1, min(model.threshold, n_max + 1))
             if oracle_precision is not None and gap:
                 rank1.require_oracle_fill(model, oracle_precision)
-            return gap, lambda: rank1.rank1_series(model, n_max, oracle_precision)
+            return gap, lambda: rank1.rank1_series(model, n_max, oracle_precision), None
         if kind == "atom":
             model = plancherel.build_family(node["family"].replace("-", "_"), node["param"])
-            return range(0), lambda: plancherel.to_series(plancherel.closed_form(model), n_max)
+            return (range(0), lambda: plancherel.to_series(plancherel.closed_form(model), n_max),
+                    (-model.rho_sq, (model.m - model.r) // 2))
         if kind in ("dual", "scale"):
-            gap, build = walk(node["child"])
+            gap, build, form = walk(node["child"])
             if kind == "dual":
-                return gap, lambda: series.dualize(build())
+                return gap, lambda: series.dualize(build()), form and (-form[0], form[1])
             c2 = Fraction(node["c2"])
-            return gap, lambda: series.rescale(build(), c2)
+            return gap, lambda: series.rescale(build(), c2), form and (c2 * form[0], form[1])
         parts = [walk(c) for c in node["children"]]
-        starts = [gap.start for gap, _ in parts if gap]
+        starts = [gap.start for gap, _, _ in parts if gap]
+        forms = [form for _, _, form in parts]
         return (range(min(starts), n_max + 1) if starts else range(0),
-                lambda: reduce(series.product, (build() for _, build in parts)))
+                lambda: reduce(series.product, (build() for _, build, _ in parts)),
+                None if None in forms else (sum(k for k, _ in forms), sum(d for _, d in forms)))
 
-    gap, build = walk(tree)
+    gap, build, form = walk(tree)
     if n_min is not None:
         n = max(gap.start, n_min)
         if n in gap:
             raise SpecError(f"A_{n} is unavailable: growth diagnostics need exact "
                             f"coefficients on [n_min, n_max] = [{n_min}, {n_max}]")
-        if rank_one and n_max < n_min + 50:
+        never_vanishing = form is None or (form[0] != 0 and form[1] <= max(10, n_max // 10))
+        if never_vanishing and n_max < n_min + 50:
             raise SpecError("need n_max >= n_min + 50 to classify a non-vanishing series")
     return gap, build
 

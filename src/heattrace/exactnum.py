@@ -4,13 +4,16 @@ Provides Bernoulli numbers, the tail coefficients of the half-integer and
 integer Gaussian lattice sums, and an overflow-safe natural log for
 rationals whose numerators can reach ~10^5 digits.
 
-Everything except :func:`log_abs` returns :class:`fractions.Fraction`
-(always in lowest terms with positive denominator) and is computed exactly,
-with no floating point anywhere on the value path.  All of it is read from
+Everything except :func:`log_abs` and the integer forms of the lattice
+coefficients returns :class:`fractions.Fraction` (always in lowest terms with
+positive denominator), and all of it is computed exactly, with no floating
+point anywhere on the value path.  All of it is read from
 one table, the tangent numbers T_1..T_n, which :func:`_extend_tangent` builds
 to exactly the depth asked and which the readers take whole: a Bernoulli
-number is one exact division of a table entry, and :func:`c_coeffs` and
-:func:`d_coeffs` return a whole prefix in one pass.  A rebuild replaces the
+number is one exact division of a table entry, and :func:`c_numerators` and
+:func:`d_numerators` return a whole prefix in one pass, as integers over one
+denominator (the rank-one tails read these), which :func:`c_coeffs` and
+:func:`d_coeffs` return as reduced Fractions.  A rebuild replaces the
 module's list instead of editing it, and every reader reads the list its own
 :func:`_extend_tangent` call returned, so concurrent readers stay exact; at
 worst two threads build a table twice, or the cache keeps the shallower of
@@ -22,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["bernoulli", "c_coeffs", "d_coeffs", "log_abs"]
+__all__ = ["bernoulli", "c_coeffs", "d_coeffs", "c_numerators", "d_numerators", "log_abs"]
 
 
 # --- Bernoulli numbers ------------------------------------------------------
@@ -72,6 +75,49 @@ def bernoulli(k: int) -> Fraction:
 # --- lattice-sum tail coefficients ------------------------------------------
 
 
+def _lattice_terms(n: int, half_integer: bool) -> tuple[list[int], list[int]]:
+    """c_0..c_n (``half_integer``) or d_0..d_n as lowest-terms numerators and
+    denominators.
+
+    With k = i + 1 and T_k a tangent number, d_i = 2 T_k / (4^k (4^k - 1)) and
+    c_i = T_k (2^(2k-1) - 1) / (2^(4k-2) (4^k - 1)).  The factor 2^(2k-1) - 1
+    is prime to 4^k - 1, so each entry is reduced by one gcd of T_k with the
+    2k-bit odd part 4^k - 1 and a shift for the power of two.
+    """
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    nums, dens = [], []
+    for k, t in enumerate(_extend_tangent(n + 1)[1 : n + 2], 1):
+        odd = (1 << (2 * k)) - 1  # 4^k - 1
+        g = math.gcd(t, odd)
+        if half_integer:
+            num, twos = t // g * ((1 << (2 * k - 1)) - 1), 4 * k - 2
+        else:
+            num, twos = 2 * t // g, 2 * k
+        shift = min((num & -num).bit_length() - 1, twos)
+        nums.append(num >> shift)
+        dens.append(odd // g << (twos - shift))
+    return nums, dens
+
+
+def _over_lcm(terms: tuple[list[int], list[int]]) -> tuple[list[int], int]:
+    nums, dens = terms
+    den = math.lcm(*dens)
+    return [x * (den // d) for x, d in zip(nums, dens)], den
+
+
+def c_numerators(n: int) -> tuple[list[int], int]:
+    """Integers ``nums`` and one ``den`` with c_i = nums[i] / den for i <= n, den
+    the least such (see :func:`c_coeffs`)."""
+    return _over_lcm(_lattice_terms(n, True))
+
+
+def d_numerators(n: int) -> tuple[list[int], int]:
+    """Integers ``nums`` and one ``den`` with d_i = nums[i] / den for i <= n, den
+    the least such (see :func:`d_coeffs`)."""
+    return _over_lcm(_lattice_terms(n, False))
+
+
 def c_coeffs(n: int) -> list[Fraction]:
     """Tail coefficients c_0..c_n of the half-integer lattice heat sum.
 
@@ -82,11 +128,7 @@ def c_coeffs(n: int) -> list[Fraction]:
     namely c_n = (-1)^n B_{2n+2} (1 - 2^{-2n-1}) / (n+1) = d_n (1 - 2^{-2n-1}).
     All c_n > 0.
     """
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    halves = [1 << (2 * i + 1) for i in range(n + 1)]  # 2^(2i+1), so 4^(i+1) = 2 * half
-    return [Fraction(t * (h - 1), h * h * (2 * h - 1))
-            for t, h in zip(_extend_tangent(n + 1)[1:], halves)]
+    return list(map(Fraction, *_lattice_terms(n, True)))
 
 
 def d_coeffs(n: int) -> list[Fraction]:
@@ -100,10 +142,7 @@ def d_coeffs(n: int) -> list[Fraction]:
     B_{2m} = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)) this is the one exact
     division d_n = 2 T_{n+1} / (4^(n+1) (4^(n+1) - 1)) of a tangent number.
     """
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    fours = [1 << (2 * i + 2) for i in range(n + 1)]  # 4^(i+1)
-    return [Fraction(2 * t, f * (f - 1)) for t, f in zip(_extend_tangent(n + 1)[1:], fours)]
+    return list(map(Fraction, *_lattice_terms(n, False)))
 
 
 # --- overflow-safe logarithms -----------------------------------------------

@@ -20,10 +20,11 @@ tests hold it, with the per-index reference sums that read it.
 * The tail is  sum_k base^k/k! * h^i S(i)/i!  at i = n - start - k, the
   binomial convolution of e^{base t} with Y_t = sum_i h^i S(i)/i! t^i, the
   inner sums S(i) = sum_j (-1)^j table[j] coeff(i + j) taken from i = lo on
-  (zero below).  The inner sums are the correlation of the signed table with
-  the coefficient vector, one :func:`~heattrace.series.convolve`; the vector
-  is one call of :func:`~heattrace.exactnum.c_coeffs` or
-  :func:`~heattrace.exactnum.d_coeffs`, read from entry lo on.  Every term
+  (zero below).  The inner sums are the correlation of the table's
+  numerators, signed, with the integer numerators of the coefficient vector,
+  one integer :func:`~heattrace.series._cauchy`; the vector is one call of
+  :func:`~heattrace.exactnum.c_numerators` or
+  :func:`~heattrace.exactnum.d_numerators`, read from entry lo on.  Every term
   of every inner sum shares the row's sign (the no-cancellation invariant).
   It is checked once per table, against the table's sign law, and once per
   coefficient vector, for positivity; together these cover every term of
@@ -44,16 +45,22 @@ over c-coefficients (odd m) or d-coefficients (even m).
 The tail is zero at n = 0, so boundary[0] * pref is the volume constant that
 makes A_0 = 1, and A_n = (boundary[n] + tail[n]) / boundary[0].  The builder
 reads boundary[0] as one integer sum (:func:`_boundary_at_zero`) and divides
-the generators by it before the exponential, which is linear in them, so each
-A_n is reduced once, inside :func:`~heattrace.series.exp_times`.  Where the
-tail base is B and the tail keeps every exponential term (sphere, odd cp,
-op2), boundary and tail are one generator Y_b + t^(max(s) + start) Y_t and one
-:func:`exp_times`; for op2 the two overlap at t^7 and are added there.  The
-hp boundary has its own exponential (B = base^2), and the even-mbar cp tail
-keeps only the k < m terms of e^{base t} with base B/(m+1), so it is the
-truncated Cauchy product of those m terms with Y_t, one
-:func:`~heattrace.series.convolve`; either second term is added into the same
-list.
+the generators by it before the exponential, which is linear in them.  It
+forms them as integers in exponential form, entry k times k!, over one
+denominator: d_t d_c num(boundary[0]), with d_t and d_c the denominators of
+the table and of the coefficient vector.  A boundary entry is k! W_j, and a
+tail entry k = at + i is (k!/i!) h^i S(i), from a running rising factorial,
+so no factorial sits in that denominator.  A power of two common to all of
+them (the h^i = (m+1)^i of odd cp against the powers of two in the
+denominators of c_n) is shifted out.  Where the tail base is B and the tail
+keeps every exponential term (sphere, odd cp, op2), boundary and tail are one
+generator Y_b + t^(max(s) + start) Y_t and one
+:func:`~heattrace.series.exp_numerators`; for op2 the two overlap at t^7 and
+are added there.  The hp boundary has its own exponential (B = base^2), and
+the even-mbar cp tail keeps only the k < m terms of e^{base t} with base
+B/(m+1), a binomial sum of m terms per index.  Either second term is brought
+to the first's scale by an integer factor and added as an integer, and each
+A_n is reduced once, at the end.
 
 :func:`rank1_series` is the one reader.  It reads one cached list per
 (family, mbar), ``_tail_cache``, behind the one check of (family, mbar) in
@@ -101,11 +108,12 @@ from fractions import Fraction
 
 from ._value import Frozen
 from .errors import InvariantViolation, UnsupportedSpaceError
-from .exactnum import c_coeffs, d_coeffs
+from .exactnum import c_numerators, d_numerators
 from .oracle import fit_coefficients, require_fit
 from .seedpolys import (SignedTable, beta_table, delta_table, eta_table, expected_signs,
                         gamma_table)
-from .series import APPROXIMATE, EXACT, UNAVAILABLE, HeatSeries, convolve, exp_times
+from .series import (APPROXIMATE, EXACT, UNAVAILABLE, HeatSeries, _cauchy,
+                     _over_common_denominator, exp_numerators)
 
 __all__ = [
     "SpaceModel",
@@ -174,7 +182,7 @@ class _Row(Frozen):
 
     def __init__(self, *, table: Callable[[], SignedTable], b: Fraction, shifts: range,
                  base: Fraction, lo: int, sign: int, thr: int, h: int = 1,
-                 coeff: Callable[[int], list[Fraction]] = c_coeffs, start: int = 0,
+                 coeff: Callable[[int], tuple[list[int], int]] = c_numerators, start: int = 0,
                  terms: int | None = None) -> None:
         super().__init__(table=table, b=b, shifts=shifts, base=base, lo=lo, sign=sign,
                          thr=thr, h=h, coeff=coeff, start=start, terms=terms)
@@ -209,7 +217,7 @@ def _row(family: str, m: int) -> _Row:
         b = Fraction(m * m, 4 * (m + 1))
         return _Row(table=lambda: gamma_table(m), b=b, shifts=range(2 - m, 2),
                     base=b if odd else b / (m + 1), lo=0, sign=1 if odd else -1,
-                    thr=m - 1, h=m + 1, coeff=c_coeffs if odd else d_coeffs,
+                    thr=m - 1, h=m + 1, coeff=c_numerators if odd else d_numerators,
                     start=m - 1, terms=None if odd else m)
     if family == "quaternionic_projective":
         base = Fraction((2 * m - 1) ** 2, 8 * (m + 1))
@@ -248,30 +256,33 @@ def _boundary_at_zero(row: _Row, table: SignedTable) -> Fraction:
     return Fraction(total, den * g[0])
 
 
-def _inner_sums(table: SignedTable, coeffs_fn, lo: int, i_max: int,
-                expect_sign: int) -> list[Fraction]:
-    """S(0..i_max), S(i) = sum_j (-1)^j table[j] coeff(i + j) from i = lo on, else 0.
+def _inner_sums(table: SignedTable, ws: list[int], coeffs_fn, lo: int, i_max: int,
+                expect_sign: int) -> tuple[list[int], int]:
+    """S(0..i_max) as integers over one denominator: ``(sums, d)`` with
+    S(i) = sums[i] / (d_t d), where ``ws`` are the table's numerators over d_t and
+    S(i) = sum_j (-1)^j table[j] coeff(i + j) from i = lo on, else 0.
 
-    With K = len(table) and u[K - 1 - j] = (-1)^j table[j], S(i) is entry
-    i - lo + K - 1 of the Cauchy product of u with coeff(lo..i_max + K - 1),
-    the slice from lo of one ``coeffs_fn(i_max + K - 1)``, so the whole vector
-    is one :func:`convolve`.  Every term has ``expect_sign`` exactly when the
-    table obeys its sign law, (-1)^j times that law is ``expect_sign`` on
-    every nonzero entry, and every coefficient read is positive; both checks
-    run once here.
+    With K = len(table), u[K - 1 - j] = (-1)^j ws[j] and x the numerators of
+    coeff(lo..i_max + K - 1) over d, the slice from lo of one
+    ``coeffs_fn(i_max + K - 1)``, sums[i] is entry i - lo + K - 1 of the
+    Cauchy product of u with x, one integer :func:`_cauchy`.  Every term has
+    ``expect_sign`` exactly when the table obeys its sign law, (-1)^j times
+    that law is ``expect_sign`` on every nonzero entry, and every coefficient
+    read is positive; both checks run once here, on the integers.
     """
     if i_max < lo:
-        return [Fraction(0)] * (i_max + 1)
+        return [0] * (i_max + 1), 1
     k = len(table)
-    for j, (w, sign) in enumerate(zip(table.values, expected_signs(table))):
+    for j, (w, sign) in enumerate(zip(ws, expected_signs(table))):
         if (w > 0) - (w < 0) != sign or (sign != 0 and (-1) ** j * sign != expect_sign):
             raise InvariantViolation(f"tail term sign violated for {table.family} at j={j}")
-    cs = coeffs_fn(i_max + k - 1)[lo:]
+    cs, den = coeffs_fn(i_max + k - 1)
+    cs = cs[lo:]
     bad = next((i for i, c in enumerate(cs, lo) if c <= 0), None)
     if bad is not None:
         raise InvariantViolation(f"lattice coefficient {bad} of {table.family} is not positive")
-    u = [(-1) ** j * w for j, w in enumerate(table.values)][::-1]
-    return [Fraction(0)] * lo + convolve(u, cs, i_max - lo + k - 1)[k - 1:]
+    u = [(-1) ** j * w for j, w in enumerate(ws)][::-1]
+    return [0] * lo + _cauchy(u, cs, i_max - lo + k - 1)[k - 1:], den
 
 
 def _build(family: str, mbar: int, n_max: int) -> list[Fraction]:
@@ -285,30 +296,67 @@ def _build(family: str, mbar: int, n_max: int) -> list[Fraction]:
     b0 = _boundary_at_zero(row, table)
     if b0 <= 0:
         raise InvariantViolation(f"volume constant of {family}:{mbar} is not positive")
+    ws, d_t = _over_common_denominator(table.values)
     top = max(row.shifts)
-    ys = [Fraction(0)] * len(table)
-    for j, (w, s) in enumerate(zip(table.values, row.shifts)):
-        ys[top - s] = w * _fact(j) * row.h ** (j + 1) / b0
     nu_max = n_max - row.start
-    yt = []
-    if nu_max >= 0:
-        inner = _inner_sums(table, row.coeff, row.lo, nu_max, row.sign)
-        yt = [row.h ** i * s / (_fact(i) * b0) for i, s in enumerate(inner)]
+    sums, d_c = _inner_sums(table, ws, row.coeff, row.lo, nu_max, row.sign)
+    # Both generators in exponential form over den = d_t d_c num(b0): entry k of
+    # Y_b is W_j / b0 at k = top - s_j, entry i of Y_t is h^i S(i) / (i! b0), and
+    # gen[k] = den k! Y[k], so Y_t's entries are tail[i] = h^i sums[i] den(b0).
+    den = d_t * d_c * b0.numerator
+    gen = [0] * (top - min(row.shifts) + 1)
+    for j, (w, s) in enumerate(zip(ws, row.shifts)):
+        gen[top - s] = _fact(top - s) * _fact(j) * row.h ** (j + 1) * w * d_c * b0.denominator
+    tail = []
+    power = b0.denominator
+    for x in sums:
+        tail.append(power * x)
+        power *= row.h
     one_exponential = row.base == row.b and row.terms is None
-    if one_exponential:  # Y_b + t^(top + start) Y_t
+    if one_exponential:  # Y_b + t^(top + start) Y_t: entry at + i is (at + i)!/i! tail[i]
         at = top + row.start
-        ys += [Fraction(0)] * (at + len(yt) - len(ys))
-        for i, y in enumerate(yt, at):
-            ys[i] += y
-    out = exp_times(row.b, ys, n_max + top)[top:]
-    if yt and not one_exponential:
-        if row.terms is None:
-            tail = exp_times(row.base, yt, nu_max)
-        else:  # the even-mbar cp tail keeps only the terms k < row.terms of e^{base t}
-            tail = convolve(yt, [row.base ** k / _fact(k) for k in range(row.terms)], nu_max)
-        for i, y in enumerate(tail, row.start):
-            out[i] += y
-    return out
+        gen += [0] * (at + len(tail) - len(gen))
+        rising = _fact(at)
+        for i, x in enumerate(tail):
+            gen[at + i] += rising * x
+            rising = rising * (at + i + 1) // (i + 1)
+        tail = []
+    # A power of two common to den and every entry (the h^i of odd-mbar cp
+    # against the powers of two in the denominators of c_n) is shifted out.
+    shift = min((x & -x).bit_length() for x in (den, *gen, *tail) if x) - 1
+    den >>= shift
+    gen = [x >> shift for x in gen]
+    tail = [x >> shift for x in tail]
+    q = row.b.denominator
+    nums = exp_numerators(row.b, gen, n_max + top)[top:]
+    # The second term of hp and even-mbar cp, over den c qt^nu nu! at nu = n - start,
+    # is added over the first's den c q^N N! at N = n + top, times f = q^N N! / (qt^nu nu!).
+    c = 1
+    if tail:
+        if row.terms is None:  # hp: a second exponential, with qt = den(base) dividing q
+            qt = row.base.denominator
+            second = exp_numerators(row.base, tail, nu_max)
+        else:  # even-mbar cp: the terms k < row.terms of e^{base t}, over c = Q^(terms - 1)
+            qt = 1
+            p_b, q_b = row.base.numerator, row.base.denominator
+            c = q_b ** (row.terms - 1)
+            weights = [p_b ** k * q_b ** (row.terms - 1 - k) for k in range(row.terms)]
+            second = [sum(math.comb(nu, k) * w * tail[nu - k]
+                          for k, w in enumerate(weights[: nu + 1]))
+                      for nu in range(nu_max + 1)]
+        big_n = row.start + top
+        f = q ** big_n * _fact(big_n)
+        for nu, x in enumerate(second):
+            n = row.start + nu
+            nums[n] = nums[n] * c + x * f
+            f = f * (q // qt) * (big_n + nu + 1) // (nu + 1)
+        for n in range(row.start):
+            nums[n] *= c
+    scale = den * c * q ** top * _fact(top)
+    for n, v in enumerate(nums):
+        nums[n] = Fraction(v, scale)
+        scale *= q * (n + top + 1)
+    return nums
 
 
 # The one cache: A_0..A_depth per (family, mbar), built to exactly the depth

@@ -9,12 +9,17 @@ geometric rescaling (homothety, t -> c2*t).
 The two whole-series kernels, :func:`exp_times` and the Cauchy convolution
 :func:`convolve`, work on integer numerators over one shared denominator and
 reduce each output coefficient to lowest terms once, instead of paying a
-``gcd`` on every term of an O(n^2) Fraction sum.  :func:`convolve` is the one
-exact convolution: :func:`product` calls it, and so do the inner sums of
-every tail in :mod:`heattrace.rank1` (a correlation of the seed table with
-the lattice coefficients) and its even-mbar CP tail.  It multiplies by
-Karatsuba on the coefficient index, so two full series of length n cost
-O(n^1.58) big-integer products instead of n^2/2.
+``gcd`` on every term of an O(n^2) Fraction sum.  Their integer cores,
+:func:`_cauchy` and :func:`exp_numerators`, are what
+:mod:`heattrace.rank1` builds its tails with, so a rank-one coefficient is
+reduced once in all.  :func:`_cauchy` is the one exact convolution:
+:func:`product` calls it through :func:`convolve`, and so do the inner sums
+of every tail in :mod:`heattrace.rank1` (a correlation of the seed table
+with the lattice coefficients).  It multiplies by Toom-3 on the coefficient
+index, five third-size products in place of nine, so two full series of
+length n cost O(n^1.47) big-integer products instead of n^2/2.
+:func:`exp_numerators` reads its generator in exponential form, k! y_k over
+one denominator, so no factorial lands in that denominator.
 
 A series may remember its closed form: ``exppoly = (kappa, P)`` states that
 its coefficients are those of e^{kappa t} * P(t), with P a short polynomial
@@ -49,6 +54,7 @@ __all__ = [
     "product",
     "convolve",
     "exp_times",
+    "exp_numerators",
     "dualize",
     "rescale",
     "EXACT",
@@ -101,21 +107,35 @@ def _over_common_denominator(values: list[Fraction | int]) -> tuple[list[int], i
 # Below this length of the shorter operand the schoolbook loop beats a split.
 _LEAF = 4
 
+# Toom-3 evaluates at x = 0, 1, -1, -2 and infinity (Bodrato and Zanoni,
+# ISSAC 2007).  Inverting that evaluation, 6 a b is the sum over the five
+# pointwise products w of w(t) * sum_j c_j x^j, with the (j, c_j) below: the
+# inverse of Bodrato's interpolation sequence, whose divisions by 2 and 3
+# become one exact division by 6.  A finite point x enters as (x, x^2), the
+# value there being a0 + x a1 + x^2 a2.
+_FOLD_0 = ((0, 6), (1, 3), (2, -6), (3, -3))
+_FOLD_INF = ((1, -12), (2, -6), (3, 12), (4, 6))
+_POINTS = (((1, 1), ((1, 2), (2, 3), (3, 1))),
+           ((-1, 1), ((1, -6), (2, 3), (3, 3))),
+           ((-2, 4), ((1, 1), (3, -1))))
+
 
 def _cauchy(a: list[int], b: list[int], n: int) -> list[int]:
     """Entries 0..n of the Cauchy product of the integer lists a and b (fewer
     if the product is shorter).
 
-    Karatsuba on the coefficient index: with a = a0 + t^h a1 and
-    b = b0 + t^h b1,
-
-        a b = z0 + t^h ((a0 + a1)(b0 + b1) - z0 - z2) + t^(2h) z2,
-
-    z0 = a0 b0 and z2 = a1 b1, so three half-size products replace four, and
-    each is taken only to the entries that land at index <= n.  z0 becomes
-    the output list; z2 and the middle product are added into it and
-    dropped.  When the shorter operand has at most ``_LEAF`` entries, or
-    fits twice into the longer one, the schoolbook loop runs, so a short
+    Toom-3 on the coefficient index: with a = a0 + x a1 + x^2 a2 and
+    b = b0 + x b1 + x^2 b2 for x = t^h, h = ceil(len(a) / 3), the product is
+    read back from its values at x = 0, 1, -1, -2 and infinity, five
+    third-size products instead of nine.  The interpolation is folded in
+    product by product: each is added, times its small integer weights
+    (``_FOLD_0``, ``_FOLD_INF``, ``_POINTS``), into 6 times the truncated
+    output and dropped, and one exact division by 6 ends it, so at most one
+    sub-product is alive at a time; the folds and the division run in place,
+    entry by entry, so no entry of the output is held twice.  Each sub-product is taken only to the
+    entries that land at index <= n: w(0) to n, the others, which start at
+    t^h, to n - h.  When the shorter operand has at most ``_LEAF`` entries,
+    or fits twice into the longer one, the schoolbook loop runs, so a short
     operand costs O(n len(b)).
     """
     a, b = a[: n + 1], b[: n + 1]
@@ -128,20 +148,26 @@ def _cauchy(a: list[int], b: list[int], n: int) -> list[int]:
         top = lb - 1
         return [sum(map(mul, a[max(0, k - top) : k + 1], rev[max(0, top - k) :]))
                 for k in range(size)]
-    h = la // 2  # lb > h, so a1 and b1 are both non-empty
-    out = _cauchy(a[:h], b[:h], n)
-    z0_len = len(out)
-    out += [0] * (size - z0_len)
-    for k in range(min(z0_len - 1, n - h), -1, -1):  # downwards: out[k] is still z0[k]
-        out[h + k] -= out[k]
-    for k, v in enumerate(_cauchy(a[h:], b[h:], n - h)):
-        out[h + k] -= v
-        if k <= n - 2 * h:
-            out[2 * h + k] += v
-    a = [x + y for x, y in zip_longest(a[:h], a[h:], fillvalue=0)]
-    b = [x + y for x, y in zip_longest(b[:h], b[h:], fillvalue=0)]
-    for k, v in enumerate(_cauchy(a, b, n - h), h):
-        out[k] += v
+    h = (la + 2) // 3  # lb > h, so b1 is non-empty; b2 may be empty
+    a0, a1, a2 = a[:h], a[h : 2 * h], a[2 * h :]
+    b0, b1, b2 = b[:h], b[h : 2 * h], b[2 * h :]
+    out = [0] * size
+
+    def fold(w: list[int], weights: tuple[tuple[int, int], ...]) -> None:
+        for j, c in weights:
+            lo = j * h
+            for k, v in enumerate(w[: max(0, size - lo)], lo):
+                out[k] += c * v
+
+    fold(_cauchy(a0, b0, n), _FOLD_0)
+    if b2:
+        fold(_cauchy(a2, b2, n - h), _FOLD_INF)
+    for (x, x2), weights in _POINTS:
+        fold(_cauchy([u + x * v + x2 * w for u, v, w in zip_longest(a0, a1, a2, fillvalue=0)],
+                     [u + x * v + x2 * w for u, v, w in zip_longest(b0, b1, b2, fillvalue=0)],
+                     n - h), weights)
+    for k in range(size):
+        out[k] //= 6
     return out
 
 
@@ -149,7 +175,7 @@ def convolve(xs: list[Fraction | int], ys: list[Fraction | int], n_max: int) -> 
     """Entries 0..n_max of the Cauchy product of xs and ys (zero past their ends).
 
     The integer numerators over ``lcm(den xs) * lcm(den ys)`` go through the
-    Karatsuba kernel :func:`_cauchy`, and each entry is reduced once.
+    Toom-3 kernel :func:`_cauchy`, and each entry is reduced once.
     """
     xs, dx = _over_common_denominator(xs)
     ys, dy = _over_common_denominator(ys)
@@ -191,33 +217,52 @@ def product(a: HeatSeries, b: HeatSeries) -> HeatSeries:
                       flags, provenance)
 
 
-def exp_times(b: Fraction | int, ys: list[Fraction | int], n_max: int) -> list[Fraction]:
-    """Coefficients 0..n_max of e^{b t} * sum_k ys[k] t^k, exactly.
+def exp_numerators(b: Fraction, egf: list[int], n_max: int) -> list[int]:
+    """The integers V_0..V_{n_max} of e^{b t} times an exponential generator.
 
-    Entry n is sum_{k <= n} ys[k] b^(n-k) / (n-k)!, with ys[k] = 0 past the
-    end of ``ys``.  For b = p/q, D = lcm(den ys) and t_k = k! q^k D ys[k],
+    For b = p/q in lowest terms and integers E_k = egf[k] (zero past the end),
 
-        n! q^n D [t^n] = sum_k C(n, k) p^(n-k) t_k = V_n,
+        V_n = n! q^n [t^n] e^{b t} sum_k E_k t^k / k! = sum_k C(n, k) p^(n-k) q^k E_k,
 
-    which the Pascal triangle row'[j] = p*row[j] + row[j+1] builds as
-    V_n = row_n[0]: n^2/2 products by the small integer p, no big-by-big
-    products.  Rows keep only the entries later V_n still need, so a short
-    ``ys`` (a polynomial) costs O(n_max * len(ys)).
+    which the Pascal triangle row'[j] = p*row[j] + row[j+1], started from
+    q^k E_k, builds as V_n = row_n[0]: n^2/2 products by the small integer
+    p, no big-by-big products.  Rows keep only the entries later V_n still
+    need, so a short generator costs O(n_max * len(egf)).  Entry n of the
+    series is V_n / (n! q^n) times whatever the E_k are over.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    b = Fraction(b)
     p, q = b.numerator, b.denominator
-    nums, den = _over_common_denominator(ys[: n_max + 1])
-    row = [math.factorial(k) * q ** k * x for k, x in enumerate(nums)]
-    out = [Fraction(row[0], den)]
-    scale = den
+    row, power = [], 1
+    for x in egf[: n_max + 1]:
+        row.append(power * x)
+        power *= q
+    out = [row[0]]
     for n in range(1, n_max + 1):
         row.append(0)
         row = [p * x + y for x, y in zip(row, row[1:])]
         del row[n_max - n + 1 :]
-        scale *= q * n
-        out.append(Fraction(row[0], scale))
+        out.append(row[0])
+    return out
+
+
+def exp_times(b: Fraction | int, ys: list[Fraction | int], n_max: int) -> list[Fraction]:
+    """Coefficients 0..n_max of e^{b t} * sum_k ys[k] t^k, exactly.
+
+    Entry n is sum_{k <= n} ys[k] b^(n-k) / (n-k)!, with ys[k] = 0 past the
+    end of ``ys``.  The generator goes to :func:`exp_numerators` in
+    exponential form, E_k = D k! ys[k] over the one denominator
+    D = lcm(den k! ys[k]), so the k! of a generator whose entries carry 1/k!
+    cancels before the Pascal rows instead of sitting in D and in every row
+    entry; entry n is V_n / (D n! q^n), reduced once.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    b = Fraction(b)
+    egf, scale = _over_common_denominator(
+        [y * math.factorial(k) for k, y in enumerate(ys[: n_max + 1])])
+    out = exp_numerators(b, egf, n_max)
+    for n, v in enumerate(out):
+        out[n] = Fraction(v, scale)
+        scale *= b.denominator * (n + 1)
     return out
 
 

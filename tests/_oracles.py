@@ -9,7 +9,7 @@ spectrum rather than from the closed-form tail sums.  Heat traces are summed
 with one exponential per level out to a generous fixed cutoff instead of
 the package's weight recurrence and tail bound.  Cauchy products come from
 the plain O(n^2) loop (:func:`schoolbook_convolve`) instead of the package's
-Karatsuba split.  The one exception is :func:`closed_form_reference`, which
+Toom-3 split.  The one exception is :func:`closed_form_reference`, which
 takes its diagonalizing congruence from
 ``heattrace.plancherel.diagonalize_form`` and differs from the package in how
 it substitutes: it expands every monomial of p(T y) in full.
@@ -393,8 +393,9 @@ def spectral_exact(roots: list[Fraction], lead: Fraction, a: Fraction, rho_sq: F
     for k in range(n_max - top):
         z = sum(c[q] * zeta(k + q + 1) for q in range(top + 1))
         g[k + top + 1] += Fraction((-1) ** k, math.factorial(k)) * z
+    g = [x / g[0] for x in g]
     ex = [rho_sq ** i / math.factorial(i) for i in range(n_max + 1)]
-    return [sum(ex[i] * g[n - i] for i in range(n + 1)) / g[0] for n in range(n_max + 1)]
+    return schoolbook_convolve(ex, g, n_max)  # e^{rho_sq t} g(t), over one denominator
 
 
 def rank1_spectrum(family: str, mbar: int) -> tuple[list[Fraction], Fraction, Fraction, Fraction]:

@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from heattrace.cli import SpecError, _plan, main, parse_space
@@ -595,6 +595,18 @@ class TestGrowthRefusals:
         assert code == 2 and out == ""
         assert "need n_max >= n_min + 50" in err
 
+    @pytest.mark.parametrize("spec, n_max", [("su-star:5", 1000), ("scale(su-star:5, 3)", 400)])
+    def test_short_window_of_a_plancherel_tree_refused_before_any_build(self, capsys, no_build,
+                                                                        spec, n_max):
+        # kappa != 0 and deg P <= 20: at most 20 coefficients vanish, so the series
+        # cannot be classified as vanishing (each built for about 2 s before)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "growth", "--space", spec,
+                             "--n-max", str(n_max), "--n-min", str(n_max - 20))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "need n_max >= n_min + 50" in err
+
     @pytest.mark.parametrize("spec", ["sphere:1", "product(sphere:1, cp:2)"])
     def test_exact_window_reaches_the_build(self, monkeypatch, spec):
         class Built(Exception):
@@ -657,8 +669,48 @@ def test_short_window_refused_exactly_when_the_report_would(spec, n_max, window)
         late = str(exc)
     short = "need n_max >= n_min + 50"
     rank_one = any(atom in spec for atom in ("sphere:", "cp:", "hp:", "op2"))
-    assert (short in early) == (rank_one and short in late), (spec, early, late)
+    assert short not in early or short in late, (spec, early, late)
+    if rank_one:
+        assert (short in early) == (short in late), (spec, early, late)
     assert late or not early, (spec, early)
+
+
+@pytest.mark.parametrize("spec", ["hyperbolic-odd:500", "product(hyperbolic-odd:500, su-star:5)",
+                                  "product(hyperbolic-odd:1, dual(hyperbolic-odd:1))"])
+def test_short_window_left_to_the_report_when_the_series_may_vanish(spec):
+    # deg P may reach 500 > max(10, 1000 // 10), or kappa is 0: the series may
+    # vanish, so only growth_report can tell, after the build
+    _plan(parse_space(spec), 1000, n_min=980)
+
+
+# Cheap Plancherel atoms: kappa = -rho_sq != 0 and deg P <= (m - r) / 2, which is 1
+# for hyperbolic-odd:1 and 12 for e6-f4; products with duals reach kappa = 0.
+_PLANCHEREL_ATOMS = st.sampled_from(["hyperbolic-odd:1", "hyperbolic-odd:2", "hyperbolic-odd:5",
+                                     "su-star:3", "e6-f4", "complex-group:A2"])
+_PLANCHEREL_DEPTH_1 = st.one_of(_PLANCHEREL_ATOMS, _combined(_PLANCHEREL_ATOMS))
+
+
+@example(spec="product(hyperbolic-odd:1, dual(hyperbolic-odd:1))", n_max=60, window=20)
+@example(spec="product(e6-f4, dual(e6-f4))", n_max=120, window=30)
+@example(spec="scale(su-star:3, 1/3)", n_max=100, window=10)
+@given(spec=st.one_of(_PLANCHEREL_DEPTH_1, _combined(_PLANCHEREL_DEPTH_1)),
+       n_max=st.integers(1, 140), window=st.integers(0, 139))
+def test_early_window_refusal_of_plancherel_trees_only_where_the_report_raises(
+        spec, n_max, window):
+    # kappa != 0 and a degree bound of at most max(10, n_max // 10) keep the series
+    # from vanishing, so _plan refuses a short window up front; it must never
+    # refuse one that growth_report would have classified
+    from heattrace.growth import growth_report
+
+    n_min = max(1, n_max - window)
+    tree = parse_space(spec)
+    _, build = _plan(tree, n_max)
+    try:
+        _plan(tree, n_max, n_min=n_min)
+    except SpecError as exc:
+        assert "need n_max >= n_min + 50" in str(exc)
+        with pytest.raises(ValueError, match="need n_max >= n_min \\+ 50"):
+            growth_report(build(), n_min=n_min)
 
 
 @pytest.mark.parametrize("argv, atoms", [

@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heattrace import exactnum, verify
-from heattrace.exactnum import bernoulli, c_coeffs, d_coeffs, log_abs
+from heattrace.exactnum import (bernoulli, c_coeffs, c_numerators, d_coeffs, d_numerators,
+                                log_abs)
 
 from _oracles import bernoulli_recurrence
 
@@ -82,6 +83,21 @@ def test_cd_equal_their_bernoulli_definitions_to_100():
         d = Fraction((-1) ** n, n + 1) * ref[2 * n + 2]
         assert ds[n] == d
         assert cs[n] == d * (1 - Fraction(1, 2 ** (2 * n + 1)))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 100, 310])
+def test_integer_vectors_are_the_coefficients_over_their_least_denominator(n):
+    for numerators, coeffs in ((c_numerators, c_coeffs), (d_numerators, d_coeffs)):
+        nums, den = numerators(n)
+        values = coeffs(n)
+        assert den == math.lcm(*(v.denominator for v in values))
+        assert [Fraction(x, den) for x in nums] == values
+
+
+def test_negative_index_refused_by_the_integer_vectors():
+    for numerators in (c_numerators, d_numerators):
+        with pytest.raises(ValueError, match="nonnegative"):
+            numerators(-1)
 
 
 def test_cd_positivity_to_300():

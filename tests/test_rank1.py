@@ -1,10 +1,14 @@
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from heattrace import rank1, series
+from heattrace.cli import _any_int_digits
 from heattrace.errors import InvariantViolation, UnsupportedSpaceError
-from heattrace.exactnum import c_coeffs, log_abs
+from heattrace.exactnum import c_numerators, log_abs
 from heattrace.oracle import sphere_volume
 from heattrace.rank1 import SpaceModel, rank1_series, threshold
 from heattrace.seedpolys import SignedTable
@@ -138,11 +142,11 @@ class TestQuaternionicProjective:
         def no_build(family, mbar, n_max):
             raise AssertionError("a refused model built its vector")
 
-        def no_exp_times(*args):
+        def no_exponential(*args):
             raise AssertionError("the volume-sign check ran an exponential")
 
         monkeypatch.setattr(rank1, "_build", no_build)
-        monkeypatch.setattr(rank1, "exp_times", no_exp_times)
+        monkeypatch.setattr(rank1, "exp_numerators", no_exponential)
         for mbar in (4, 6, 7):
             with pytest.raises(UnsupportedSpaceError, match="non-positive volume constant"):
                 SpaceModel("quaternionic_projective", mbar)
@@ -232,19 +236,21 @@ class TestTailKernel:
         ("quaternionic_projective", 20, (45, 38)),
     ])
     def test_big_table_at_shallow_depth(self, monkeypatch, family, mbar, ns, bernoulli):
-        # more table entries than inner sums, so the correlation splits by Karatsuba
-        depth = [0, 0]
+        # about as many table entries as inner sums, so the correlation splits by Toom-3:
+        # the first call makes four or five sub-products on third-size operands
+        calls, depth = [], [0]
         cauchy = series._cauchy
 
         def tracking(a, b, n):
+            calls.append((depth[0], max(len(a), len(b))))
             depth[0] += 1
-            depth[1] = max(depth)
             try:
                 return cauchy(a, b, n)
             finally:
                 depth[0] -= 1
 
         monkeypatch.setattr(series, "_cauchy", tracking)
+        monkeypatch.setattr(rank1, "_cauchy", tracking)
         # hp:20 has no positive volume constant, so the vector is built with
         # normalizer 1: the unnormalized boundary[n] + tail[n] of every row
         monkeypatch.setattr(rank1, "_boundary_at_zero", lambda row, table: Fraction(1))
@@ -253,7 +259,23 @@ class TestTailKernel:
         for n in ns:
             assert raw[n] * pref == (rank1_boundary_reference(family, mbar, n)
                                      + rank1_tail_reference(family, mbar, n, bernoulli)), n
-        assert depth[1] > 1
+        h = -(-calls[0][1] // 3)
+        children = [length for d, length in calls if d == 1]
+        assert len(children) in (4, 5) and max(children) == h
+        assert max(d for d, _ in calls) > 1
+
+    # sha256 of the "num/den" lines of rank1._build(family, mbar, 600), recorded
+    # before _build moved to integer generators and the Toom-3 kernel
+    BUILD_GOLDEN = json.loads(
+        (Path(__file__).parent / "data" / "rank1_build_sha256.json").read_text())
+
+    @pytest.mark.parametrize("key", sorted(BUILD_GOLDEN))
+    def test_deep_vectors_are_byte_identical(self, key):
+        family, mbar = key.split(":")
+        vec = rank1._build(family, int(mbar), 600)
+        with _any_int_digits():
+            text = "".join(f"{c.numerator}/{c.denominator}\n" for c in vec)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.BUILD_GOLDEN[key]
 
     def test_a_miss_rebuilds_to_exactly_the_depth_asked(self, monkeypatch):
         builds = []
@@ -354,14 +376,14 @@ class TestSignInvariant:
         with pytest.raises(InvariantViolation):
             rank1._build("sphere", 3, 10)
 
-    @pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1, 7)])
+    @pytest.mark.parametrize("bad", [0, -7])
     def test_non_positive_lattice_coefficient_raises(self, monkeypatch, bad):
         row = rank1._row
 
         def coeff(n):
-            cs = c_coeffs(n)  # op2 reads c(8..17) to n = 10
-            cs[12] = bad
-            return cs
+            nums, den = c_numerators(n)  # op2 reads c(8..17) to n = 10
+            nums[12] = bad
+            return nums, den
 
         monkeypatch.setattr(rank1, "_row",
                             lambda f, m: rank1._Row(**{**vars(row(f, m)), "coeff": coeff}))

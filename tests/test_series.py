@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from _oracles import schoolbook_convolve
 from heattrace.series import (
+    _LEAF,
     APPROXIMATE,
     EXACT,
     UNAVAILABLE,
@@ -145,16 +146,34 @@ def test_product_with_zero_operand():
     assert product(z, a).coeffs == [0] * 8
 
 
+def naive_exp_times(b, ys, n_max):
+    return [sum((ys[k] * b ** (n - k) / math.factorial(n - k)
+                 for k in range(min(n, len(ys) - 1) + 1)), Fraction(0))
+            for n in range(n_max + 1)]
+
+
 @given(st.one_of(frac, st.integers(-6, 6)),
        st.lists(st.one_of(st.just(Fraction(0)), frac), min_size=1, max_size=8),
        st.integers(0, 14))
 def test_exp_times_equals_naive_sum(b, ys, n_max):
-    naive = [
-        sum((ys[h] * b ** (n - h) / math.factorial(n - h) for h in range(min(n, len(ys) - 1) + 1)),
-            Fraction(0))
-        for n in range(n_max + 1)
-    ]
-    assert exp_times(b, ys, n_max) == naive
+    assert exp_times(b, ys, n_max) == naive_exp_times(b, ys, n_max)
+
+
+# The rank-one generators carry 1/k! (or 1/i! for i = k - shift) in entry k,
+# the factorials that the exponential form of exp_times cancels.
+factorial_generator = st.builds(
+    lambda ys, shift: [y / math.factorial(max(0, k - shift)) for k, y in enumerate(ys)],
+    st.lists(st.one_of(st.just(Fraction(0)), frac,
+                       st.fractions(min_value=-10 ** 30, max_value=10 ** 30,
+                                    max_denominator=10 ** 6)), min_size=1, max_size=30),
+    st.integers(0, 8))
+
+
+@settings(max_examples=60)
+@given(st.one_of(st.just(Fraction(0)), frac.map(lambda x: -abs(x) - Fraction(1, 7)), frac),
+       factorial_generator, st.integers(0, 40))
+def test_exp_times_with_factorial_denominators(b, ys, n_max):
+    assert exp_times(b, ys, n_max) == naive_exp_times(b, ys, n_max)
 
 
 def test_exp_times_of_one_is_the_exponential():
@@ -235,7 +254,7 @@ def test_one_closed_form_operand_skips_the_full_convolution(monkeypatch):
         assert out.exppoly is None
 
 
-# --- the one convolution: Karatsuba on the coefficient index -------------------
+# --- the one convolution: Toom-3 on the coefficient index ---------------------
 
 big = st.fractions(min_value=-10 ** 30, max_value=10 ** 30, max_denominator=10 ** 6)
 # runs of nonzero entries of both signs and runs of zeros, up to about 80 entries
@@ -256,12 +275,24 @@ def test_convolve_equals_naive_cauchy_sum(xs, ys, n_max):
     assert convolve(xs, ys, n_max) == naive_cauchy(xs, ys, n_max)
 
 
+# Toom-3 splits at h = ceil(len / 3): lengths 3k - 1, 3k and 3k + 1 put one, none or
+# two entries short in the top third, and _LEAF +- 1 straddles the schoolbook branch.
+_TOOM_SHAPES = [(la, lb) for k in (7, 27) for la in (3 * k - 1, 3 * k, 3 * k + 1)
+                for lb in (la, 3 * k - 1)]
+_LEAF_SHAPES = [(la, lb) for la in (_LEAF - 1, _LEAF, _LEAF + 1, _LEAF + 2)
+                for lb in (_LEAF - 1, _LEAF, _LEAF + 1)]
+
+
 @pytest.mark.parametrize("la, lb", [(1, 80), (5, 5), (5, 6), (9, 80), (40, 81), (79, 80),
-                                    (81, 81), (33, 17)])
+                                    (81, 81), (33, 17), (21, 13), (82, 50), *_TOOM_SHAPES,
+                                    *_LEAF_SHAPES])
 def test_convolve_split_shapes(la, lb):
     xs = [Fraction((-1) ** k * (k * k + 1), k + 3) for k in range(la)]
     ys = [Fraction((-3) ** k, 2 * k + 1) for k in range(lb)]
-    for n_max in {0, 1, min(la, lb) - 1, max(la, lb) - 1, la + lb - 2, la + lb + 3}:
+    h = -(-max(la, lb) // 3)
+    full = la + lb - 2  # the last index of the product
+    for n_max in {0, 1, h - 1, h, 2 * h, min(la, lb) - 1, max(la, lb) - 1, full - 1, full,
+                  full + 3}:
         assert convolve(xs, ys, n_max) == naive_cauchy(xs, ys, n_max)
 
 
@@ -296,4 +327,5 @@ def test_full_product_makes_under_half_the_schoolbook_multiplies(rank1_product_o
     cp2, duals = rank1_product_operands
     monkeypatch.setattr(series_mod, "mul", counting_mul)
     product(cp2, duals[2])
-    assert 0 < count < 45_451 // 2  # the schoolbook loop makes 301 * 302 / 2
+    # the schoolbook loop makes 301 * 302 / 2 = 45,451 and a Karatsuba split 15,108
+    assert 0 < count <= 9_493
