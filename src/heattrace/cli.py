@@ -32,8 +32,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce
 
-from . import plancherel, rank1, series, verify
-from .errors import HeatTraceError, InvariantViolation
+from . import exactnum, oracle, plancherel, rank1, series, verify
+from .errors import HeatTraceError, InvariantViolation, UnsupportedSpaceError
 from .growth import growth_report
 
 SCHEMA_VERSION = "1.0"
@@ -133,25 +133,16 @@ def _atom(token: str) -> dict:
 
 
 _SCALE_USAGE = "scale(SPEC, C2) takes a space and a positive rational"
-_MAX_DIGITS = 4300  # the interpreter's default limit on int <-> str conversion
 
 
 def _number(token: str) -> Fraction:
-    """The rational a bare token spells, refused past _MAX_DIGITS digits in its
-    reduced numerator or denominator.  ``Fraction`` refuses a mantissa of more
-    than 2 * _MAX_DIGITS digits, so a nonzero value with an exponent past
-    3 * _MAX_DIGITS is refused before its power of ten is built."""
-    mantissa, _, exp = token.lower().partition("e")
+    """The rational a bare token spells, read by :func:`exactnum.parse_rational`."""
     try:
-        digits = exp.strip().lstrip("+-").replace("_", "")
-        huge = digits.isdigit() and abs(int(exp)) > 3 * _MAX_DIGITS
-        value = Fraction(mantissa if huge else token)
-    except (ValueError, ZeroDivisionError):
+        return exactnum.parse_rational(token)
+    except exactnum.DigitLimitError as exc:
+        raise SpecError(f"scale factor {exc}") from None
+    except ValueError:
         raise SpecError(_SCALE_USAGE) from None
-    if value and (huge or max(value.numerator, value.denominator) >= 10 ** _MAX_DIGITS):
-        raise SpecError(f"scale factor {token!r} has more than {_MAX_DIGITS} digits "
-                        "in its numerator or denominator")
-    return value
 
 
 def _plan(tree: dict, n_max: int, oracle_precision: int | None = None,
@@ -160,11 +151,14 @@ def _plan(tree: dict, n_max: int, oracle_precision: int | None = None,
 
     One walk builds each atom's model once, which applies the model's own
     refusals, and refuses an oracle fill at ``oracle_precision`` that a
-    gapped atom's fit cannot serve.  Given a growth window from ``n_min``, it
-    refuses one that is not exact, and one under 50 indices when the series
-    cannot be classified as vanishing, as :func:`growth_report` would after
-    the build.  Returns the gap, the indices in 0..n_max that the build flags
-    as not exact, and a zero-argument builder that reuses the models.
+    gapped atom's fit cannot serve.  Only a sphere's gap is filled: the build
+    fits the unit S^{2 mbar} to order threshold - 1 and writes the fit's exact
+    binary fractions there, flagged approximate.  Given a growth window from
+    ``n_min``, it refuses one that is not exact, and one under 50 indices when
+    the series cannot be classified as vanishing, as :func:`growth_report`
+    would after the build.  Returns the gap, the indices in 0..n_max that the
+    build flags as not exact, and a zero-argument builder that reuses the
+    models.
 
     A rank-one atom leaves 1..threshold-1 open, dual and scale keep their
     child's gap, and a product's flag is the prefix minimum of its factors',
@@ -187,9 +181,27 @@ def _plan(tree: dict, n_max: int, oracle_precision: int | None = None,
         if kind == "atom" and node["family"] in rank1.ATOMS:
             model = rank1.atom_model(node["family"], node["param"])
             gap = range(1, min(model.threshold, n_max + 1))
-            if oracle_precision is not None and gap:
-                rank1.require_oracle_fill(model, oracle_precision)
-            return gap, lambda: rank1.rank1_series(model, n_max, oracle_precision), None
+            if oracle_precision is None or not gap:
+                return gap, lambda: rank1.rank1_series(model, n_max), None
+            if model.family != "sphere":
+                raise UnsupportedSpaceError(
+                    f"oracle fill is only available for spheres, not {model.family}")
+            orders = model.threshold - 1
+            oracle.require_fit(orders, oracle_precision)
+
+            def filled() -> series.HeatSeries:
+                # The fit spans the whole gap whatever n_max cuts from it, so a
+                # cut gap holds the same values.
+                from mpmath.libmp import to_rational
+
+                s = rank1.rank1_series(model, n_max)
+                fitted = oracle.fit_coefficients(2 * model.mbar, orders, oracle_precision)
+                s.coeffs[1:gap.stop] = [Fraction(*to_rational(f._mpf_))
+                                        for f in fitted[1:gap.stop]]
+                s.validity[1:gap.stop] = [series.APPROXIMATE] * len(gap)
+                return s
+
+            return gap, filled, None
         if kind == "atom":
             model = plancherel.build_family(node["family"].replace("-", "_"), node["param"])
             return (range(0), lambda: plancherel.to_series(plancherel.closed_form(model), n_max),
@@ -430,16 +442,17 @@ def _positive_int(text: str) -> int:
 
 def _digits(text: str) -> int:
     value = _positive_int(text)
-    if value > _MAX_DIGITS:
-        raise argparse.ArgumentTypeError(f"must be at most {_MAX_DIGITS}, got {value}")
+    if value > exactnum.MAX_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {exactnum.MAX_DIGITS}, got {value}")
     return value
 
 
 def _precision(text: str) -> int:
     """An oracle precision, in the range ``oracle.heat_trace`` sums to."""
     value = _int(text)
-    if not 1 <= value <= 500:
-        raise argparse.ArgumentTypeError("precision must lie in [1, 500]")
+    if not 1 <= value <= oracle.MAX_PRECISION:
+        raise argparse.ArgumentTypeError(f"precision must lie in [1, {oracle.MAX_PRECISION}]")
     return value
 
 
@@ -467,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if decimal:
             p.add_argument("--decimal", type=_digits, default=None, metavar="D",
                            help="add decimal renderings with D significant digits "
-                                f"(1 to {_MAX_DIGITS})")
+                                f"(1 to {exactnum.MAX_DIGITS})")
         p.add_argument("-o", "--output", dest="out", default="-",
                        help="write to a file instead of stdout")
 
@@ -489,8 +502,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_coeffs)
 
     p = sub.add_parser("closed-form", help="exponential-times-polynomial trace form")
-    p.add_argument("--family", help="family atom, e.g. hyperbolic-odd:2")
-    p.add_argument("--model-file", help="JSON model description (see README)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--family", help="family atom, e.g. hyperbolic-odd:2")
+    source.add_argument("--model-file", help="JSON model description (see README)")
     common(p, decimal=True)
     p.set_defaults(fn=cmd_closed_form)
 

@@ -1,8 +1,10 @@
 """Exact rational arithmetic kernel.
 
 Provides Bernoulli numbers, the tail coefficients of the half-integer and
-integer Gaussian lattice sums, and an overflow-safe natural log for
-rationals whose numerators can reach ~10^5 digits.
+integer Gaussian lattice sums, an overflow-safe natural log for
+rationals whose numerators can reach ~10^5 digits, and
+:func:`parse_rational`, which reads a rational given as text and refuses one
+too large to compute with before building it.
 
 Everything except :func:`log_abs` and the integer forms of the lattice
 coefficients returns :class:`fractions.Fraction` (always in lowest terms with
@@ -25,7 +27,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["bernoulli", "c_coeffs", "d_coeffs", "c_numerators", "d_numerators", "log_abs"]
+__all__ = ["bernoulli", "c_coeffs", "d_coeffs", "c_numerators", "d_numerators", "log_abs",
+           "MAX_DIGITS", "DigitLimitError", "parse_rational"]
 
 
 # --- Bernoulli numbers ------------------------------------------------------
@@ -192,3 +195,35 @@ def log_abs(x: Fraction | int) -> float:
             return math.log1p(float(Fraction(a - b, b)))
         return math.log(float(Fraction(a, b)))
     return _log_pos_int(num) - _log_pos_int(den)
+
+
+# --- rationals read from text ----------------------------------------------
+
+MAX_DIGITS = 4300  # the interpreter's default limit on int <-> str conversion
+
+
+class DigitLimitError(ValueError):
+    """A rational read from text has more than MAX_DIGITS digits in its reduced
+    numerator or denominator."""
+
+
+def parse_rational(text: str) -> Fraction:
+    """The rational ``text`` spells, as ``Fraction(text)`` reads it.
+
+    Raises ``ValueError`` when it spells none (a zero denominator included),
+    and :class:`DigitLimitError` past MAX_DIGITS digits in its reduced
+    numerator or denominator.  ``Fraction`` refuses a mantissa of more than
+    2 * MAX_DIGITS digits, so a nonzero value with an exponent past
+    3 * MAX_DIGITS is refused before its power of ten is built.
+    """
+    mantissa, _, exp = text.lower().partition("e")
+    digits = exp.strip().lstrip("+-").replace("_", "")
+    huge = digits.isdigit() and abs(int(exp)) > 3 * MAX_DIGITS
+    try:
+        value = Fraction(mantissa if huge else text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
+    if value and (huge or max(value.numerator, value.denominator) >= 10 ** MAX_DIGITS):
+        raise DigitLimitError(f"{text!r} has more than {MAX_DIGITS} digits "
+                              "in its numerator or denominator")
+    return value

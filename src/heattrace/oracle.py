@@ -60,6 +60,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "MAX_ORDERS",
+    "MAX_PRECISION",
     "sphere_volume",
     "heat_trace",
     "default_grid",
@@ -72,6 +73,8 @@ _GUARD_TERMS = 6  # extra fit columns that absorb the truncated orders
 # The fit's ladder has orders + 12 points, and a stable fit needs at least
 # 2 * orders of them, so the fit spans at most 12 orders.
 MAX_ORDERS = 12
+# A trace or fit is summed to a precision of 1..MAX_PRECISION decimal digits.
+MAX_PRECISION = 500
 # The least precision (decimal digits) at which a fit to each order 0..12 is
 # trusted: the larger of the condition rule's minimum, 1 1 1 3 6 9 12 16 20 24
 # 28 33 38, and the solver rule's, 1 1 1 1 1 1 8 15 23 31 40 50 60.
@@ -192,8 +195,8 @@ def heat_trace(m: int, t: Fraction | int, precision: int = 50) -> mp.mpf:
     t = Fraction(t)
     if t <= 0:
         raise ValueError("t must be positive")
-    if not 1 <= precision <= 500:
-        raise ValueError("precision must lie in [1, 500]")
+    if not 1 <= precision <= MAX_PRECISION:
+        raise ValueError(f"precision must lie in [1, {MAX_PRECISION}]")
     eigenvalue, multiplicity = _sphere_levels(m)
     digits = precision + 10
     if t * (eigenvalue(_MAX_TERMS) - eigenvalue(0)) < digits * math.log(10):
@@ -215,8 +218,8 @@ def require_fit(orders: int, precision: int) -> None:
     module docstring).  It reads only that table, so it runs before any trace."""
     if orders < 0:
         raise ValueError("orders must be nonnegative")
-    if not 1 <= precision <= 500:
-        raise ValueError("precision must lie in [1, 500]")
+    if not 1 <= precision <= MAX_PRECISION:
+        raise ValueError(f"precision must lie in [1, {MAX_PRECISION}]")
     if orders > MAX_ORDERS:
         raise ValueError(f"the spectral fit spans at most {MAX_ORDERS} orders, not {orders}")
     need = _MIN_PRECISION[orders]

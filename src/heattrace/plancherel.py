@@ -45,6 +45,7 @@ from pathlib import Path
 
 from ._value import Frozen
 from .errors import DegenerateModelError, InvariantViolation, NotPositiveDefiniteError, UnsupportedSpaceError
+from .exactnum import parse_rational
 from .series import EXACT, HeatSeries, exp_times
 
 __all__ = [
@@ -484,7 +485,8 @@ def load_model_file(path: str | Path) -> PlancherelModel:
     Expected keys: ``r``, ``m``, ``rho_sq`` ("num/den" string or number),
     ``form`` (r x r nested lists of rational strings), and ``p`` (list of
     ``{"exponents": [...], "coeff": "num/den"}`` monomials).  Optional
-    ``label``.  A missing key or a value of the wrong shape raises a
+    ``label``.  A missing key, a value of the wrong shape, or a rational that
+    :func:`~heattrace.exactnum.parse_rational` refuses raises a
     ``ValueError`` that names the file and the key.
     """
     raw = json.loads(Path(path).read_text())
@@ -492,7 +494,7 @@ def load_model_file(path: str | Path) -> PlancherelModel:
     def read(obj, key: str, convert):
         try:
             return convert(obj[key])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"model file {path}: cannot read key {key!r} "
                              f"({type(exc).__name__}: {exc})") from None
 
@@ -503,15 +505,15 @@ def load_model_file(path: str | Path) -> PlancherelModel:
 
     r = read(raw, "r", integer)
     m = read(raw, "m", integer)
-    rho_sq = read(raw, "rho_sq", lambda x: Fraction(str(x)))
+    rho_sq = read(raw, "rho_sq", lambda x: parse_rational(str(x)))
     form = read(raw, "form",
-                lambda rows: tuple(tuple(Fraction(str(x)) for x in row) for row in rows))
+                lambda rows: tuple(tuple(parse_rational(str(x)) for x in row) for row in rows))
     if len(form) != r:
         raise ValueError("form matrix must be r x r")
     p: Poly = {}
     for mono in read(raw, "p", list):
         exps = read(mono, "exponents", lambda es: tuple(integer(e) for e in es))
-        coeff = read(mono, "coeff", lambda c: Fraction(str(c)))
+        coeff = read(mono, "coeff", lambda c: parse_rational(str(c)))
         if coeff:
             p[exps] = p.get(exps, Fraction(0)) + coeff
     label = str(raw.get("label", "custom"))

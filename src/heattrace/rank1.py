@@ -67,8 +67,9 @@ A_n is reduced once, at the end.
 :func:`_row`.  A request past the cached depth rebuilds to exactly the index
 asked, the rule of every cache in the package.  The closed form is valid
 only from a family-specific threshold index onward, so a request that ends
-below it builds nothing: those indices are flagged ``unavailable`` or filled
-from the spectral oracle.
+below it builds nothing: those indices are flagged ``unavailable``.  For a
+sphere, the CLI's ``--oracle-fill`` fills them from the spectral oracle;
+nothing here reads the oracle.
 
 Normalizations.  The sphere family is the unit-radius round sphere; it equals
 the exact series of its spectrum at every index, and the spectral oracle's
@@ -109,11 +110,10 @@ from fractions import Fraction
 from ._value import Frozen
 from .errors import InvariantViolation, UnsupportedSpaceError
 from .exactnum import c_numerators, d_numerators
-from .oracle import fit_coefficients, require_fit
 from .seedpolys import (SignedTable, beta_table, delta_table, eta_table, expected_signs,
                         gamma_table)
-from .series import (APPROXIMATE, EXACT, UNAVAILABLE, HeatSeries, _cauchy,
-                     _over_common_denominator, exp_numerators)
+from .series import (EXACT, UNAVAILABLE, HeatSeries, _cauchy, _over_common_denominator,
+                     exp_numerators)
 
 __all__ = [
     "SpaceModel",
@@ -153,15 +153,6 @@ class SpaceModel(Frozen):
                     f"for M = {mbar}, so hp:{mbar} cannot be normalized"
                 )
         super().__init__(family=family, mbar=mbar)
-
-    @property
-    def dimension(self) -> int:
-        return {
-            "sphere": 2 * self.mbar,
-            "complex_projective": 2 * self.mbar,
-            "quaternionic_projective": 4 * self.mbar,
-            "cayley_plane": 16,
-        }[self.family]
 
     @property
     def threshold(self) -> int:
@@ -374,25 +365,13 @@ def _coefficients(family: str, mbar: int, n_max: int) -> list[Fraction]:
     return hit
 
 
-def require_oracle_fill(model: SpaceModel, precision: int) -> None:
-    """Refuse to fill the model's gap from the spectral oracle at ``precision``
-    digits unless it is a sphere whose gap, indices 1..threshold - 1, the
-    oracle's fit spans at that precision (:func:`~heattrace.oracle.require_fit`)."""
-    if model.family != "sphere":
-        raise UnsupportedSpaceError(
-            f"oracle fill is only available for spheres, not {model.family}")
-    require_fit(model.threshold - 1, precision)
-
-
-def rank1_series(model: SpaceModel, n_max: int,
-                 oracle_precision: int | None = None) -> HeatSeries:
+def rank1_series(model: SpaceModel, n_max: int) -> HeatSeries:
     """Assemble the coefficient series A_0..A_{n_max} of a rank-one model.
 
     A_0 = 1 exactly.  Indices between 1 and the family threshold are not
-    produced by the closed form; they are flagged ``unavailable`` unless
-    ``oracle_precision`` is given, in which case spectral-fit estimates at that
-    precision are inserted and flagged ``approximate`` (supported for the
-    sphere family only).  Nothing is built when n_max is below the threshold.
+    produced by the closed form, so they are flagged ``unavailable`` (the CLI's
+    ``--oracle-fill`` may replace a sphere's with spectral estimates).  Nothing
+    is built when n_max is below the threshold.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -400,13 +379,6 @@ def rank1_series(model: SpaceModel, n_max: int,
     gap = min(thr, n_max + 1) - 1
     coeffs: list[Fraction] = [Fraction(1)] + [Fraction(0)] * gap
     flags: list[str] = [EXACT] + [UNAVAILABLE] * gap
-    if oracle_precision is not None and gap > 0:
-        require_oracle_fill(model, oracle_precision)
-        import mpmath as mp
-
-        fitted = fit_coefficients(model.dimension, orders=thr - 1, precision=oracle_precision)
-        coeffs[1:] = [Fraction(*mp.libmp.to_rational(f._mpf_)) for f in fitted[1:gap + 1]]
-        flags[1:] = [APPROXIMATE] * gap
     if n_max >= thr:
         coeffs += _coefficients(model.family, model.mbar, n_max)[thr : n_max + 1]
         flags += [EXACT] * (n_max + 1 - thr)

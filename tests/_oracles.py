@@ -5,7 +5,8 @@ the defining binomial recurrence instead of the tangent triangle, polynomial
 products are expanded over the full linear factorization, harmonic
 dimensions come from an exact kernel computation of the Laplacian on monomials,
 and the unit-sphere coefficients come from the Hurwitz-zeta form of the
-spectrum rather than from the closed-form tail sums.  Heat traces are summed
+spectrum (even spheres) or from its Gaussian moments (odd spheres) rather
+than from the closed-form tail sums or the Plancherel closed forms.  Heat traces are summed
 with one exponential per level out to a generous fixed cutoff instead of
 the package's weight recurrence and tail bound.  Cauchy products come from
 the plain O(n^2) loop (:func:`schoolbook_convolve`) instead of the package's
@@ -462,6 +463,43 @@ def sphere_exact(mbar: int, n_max: int, Bs: list[Fraction]) -> list[Fraction]:
     multiplicity vanishes at j = 1/2, ..., mbar - 3/2.
     """
     return spectral_exact(*rank1_spectrum("sphere", mbar), n_max, Bs)
+
+
+def odd_sphere_multiplicity(mbar: int) -> list[Fraction]:
+    """The multiplicity of the unit S^{2 mbar + 1} as an even polynomial in j, by
+    its coefficients in j^2, constant first.
+
+    Level k has eigenvalue k(k + 2 mbar) = j^2 - mbar^2 at j = k + mbar, and
+    multiplicity (j / mbar) C(j + mbar - 1, 2 mbar - 1)
+    = 2 j^2 prod_{i=1}^{mbar-1} (j^2 - i^2) / (2 mbar)!, which vanishes at
+    every j with |j| < mbar.
+    """
+    roots = [Fraction(0), Fraction(0), *(x for i in range(1, mbar) for x in (i, -i))]
+    lead = Fraction(2, math.factorial(2 * mbar))
+    return [lead * x for x in even_part(expand_linear_product(roots))]
+
+
+def odd_sphere_exact(mbar: int, n_max: int) -> list[Fraction]:
+    """Normalized A_0..A_n_max of the unit S^{2 mbar + 1} from its spectrum.
+
+    The second case of Cahn & Wolf (1976): the multiplicity p of
+    :func:`odd_sphere_multiplicity` is even and vanishes at |j| < mbar, so the
+    trace is e^{mbar^2 t} (1/2) sum_{j in Z} p(j) e^{-t j^2}.  By Poisson
+    summation the lattice sum equals its Gaussian integral,
+    sum_q c_q Gamma(q + 1/2) t^{-q-1/2} for p = sum_q c_q j^{2q}, up to terms
+    O(e^{-pi^2/t}) that add nothing to the series.  So the normalized series is
+    e^{mbar^2 t} Q(t), with Q(t) proportional to
+    sum_q c_q Gamma(q + 1/2) / sqrt(pi) t^{mbar - q}, Gamma(q + 1/2) / sqrt(pi)
+    = (2q)! / (4^q q!), and Q(0) = 1; its coefficients are summed term by term.
+    """
+    c = odd_sphere_multiplicity(mbar)
+    moments = [x * Fraction(math.factorial(2 * q), 4 ** q * math.factorial(q))
+               for q, x in enumerate(c)]
+    q_poly = [moments[mbar - i] / moments[mbar] for i in range(mbar + 1)]
+    kappa = Fraction(mbar * mbar)
+    return [sum(q_poly[i] * kappa ** (n - i) / math.factorial(n - i)
+                for i in range(min(n, mbar) + 1))
+            for n in range(n_max + 1)]
 
 
 def _halves(count: int) -> list[Fraction]:

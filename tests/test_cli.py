@@ -346,8 +346,23 @@ class TestCoeffsCommand:
         doc = json.loads(out)
         gap = doc["coefficients"][1]
         assert gap["validity"] == "approximate"
-        assert abs(float(gap["decimal"]) - 2.0) < 1e-8
+        assert abs(float(gap["decimal"]) - 2.0) < 1e-8  # A_1(S^4) = tau/6 = 2
         assert doc["coefficients"][2]["validity"] == "exact"
+        code, out, _ = run(capsys, "coeffs", "--space", "sphere:2", "--n-max", "3",
+                           "--format", "csv")
+        assert code == 0 and out.splitlines()[2] == "1,0,1,0,unavailable"
+
+    def test_oracle_fill_of_a_gap_cut_by_n_max(self, capsys):
+        # the fit spans sphere:3's whole gap, 1..2, whatever n_max keeps of it
+        docs = []
+        for n_max in ("1", "20"):
+            code, out, err = run(capsys, "coeffs", "--space", "sphere:3", "--n-max", n_max,
+                                 "--oracle-fill", "--no-timestamp")
+            assert code == 0, err
+            docs.append(json.loads(out)["coefficients"])
+        cut, whole = docs
+        assert [c["validity"] for c in cut] == ["exact", "approximate"]
+        assert cut[1] == whole[1]
 
     def test_oracle_precision_refused_before_the_fit(self, capsys, monkeypatch):
         _no_traces(monkeypatch)
@@ -358,6 +373,8 @@ class TestCoeffsCommand:
             assert "precision must lie in [1, 500]" in err
 
     @pytest.mark.parametrize("argv, message", [
+        (("cp:3", "--oracle-fill"),
+         "oracle fill is only available for spheres, not complex_projective"),
         (("product(sphere:1, cp:3)", "--oracle-fill"),
          "oracle fill is only available for spheres, not complex_projective"),
         (("product(sphere:1, sphere:3)", "--oracle-fill", "--oracle-precision", "0"),
@@ -366,7 +383,8 @@ class TestCoeffsCommand:
          "precision must lie in [1, 500]"),
         (("product(sphere:1, sphere:13)", "--oracle-fill"),
          "a spectral fit to order 12 needs at least 60 digits (--oracle-precision 60)"),
-    ], ids=["non-sphere", "precision-0", "precision-501", "ill-conditioned"])
+    ], ids=["non-sphere-atom", "non-sphere", "precision-0", "precision-501",
+            "ill-conditioned"])
     def test_oracle_fill_refused_before_any_build(self, capsys, no_build, argv, message):
         start = time.perf_counter()
         code, out, err = run(capsys, "coeffs", "--n-max", "1000", "--space", *argv)
@@ -518,14 +536,48 @@ class TestClosedFormCommand:
           "p": [{"exponents": [2.7], "coeff": "1"}]}, "exponents"),
         ({"r": 1, "m": 3, "rho_sq": "1/4", "form": [["1/4"]],
           "p": [{"exponents": ["2"], "coeff": "1"}]}, "exponents"),
+        ({"r": 1, "m": 3, "rho_sq": "1/4", "form": [["abc"]],
+          "p": [{"exponents": [2], "coeff": "1"}]}, "form"),
+        ({"r": 1, "m": 3, "rho_sq": "1/0", "form": [["1/4"]],
+          "p": [{"exponents": [2], "coeff": "1"}]}, "rho_sq"),
     ], ids=["missing-p", "scalar-exponents", "top-level-array", "float-r", "bool-m",
-            "float-exponent", "string-exponent"])
+            "float-exponent", "string-exponent", "malformed-form-entry", "zero-denominator"])
     def test_model_file_schema_errors(self, capsys, tmp_path, doc, key):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "closed-form", "--model-file", str(path))
         assert code == 2 and out == ""
         assert f"model file {path}: cannot read key {key!r}" in err
+
+    @pytest.mark.parametrize("key", ["rho_sq", "form", "coeff"])
+    @pytest.mark.parametrize("value", ["1e999999999", "1e-999999999", "1e5000"])
+    def test_oversized_model_file_rational_refused_quickly(self, capsys, tmp_path, key,
+                                                           value):
+        doc = {"r": 1, "m": 3, "rho_sq": "1/4", "form": [["1/4"]],
+               "p": [{"exponents": [2], "coeff": "1"}]}
+        if key == "rho_sq":
+            doc["rho_sq"] = value
+        elif key == "form":
+            doc["form"] = [[value]]
+        else:
+            doc["p"][0]["coeff"] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "closed-form", "--model-file", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert f"model file {path}: cannot read key {key!r}" in err
+        assert f"{value!r} has more than 4300 digits" in err
+
+    @pytest.mark.parametrize("flags", [(), ("--family", "hyperbolic-odd:1",
+                                            "--model-file", "m.json")],
+                             ids=["neither", "both"])
+    def test_needs_exactly_one_model_source(self, capsys, flags):
+        # main returns, where neither flag used to raise a TypeError from the spec parser
+        code, out, err = run(capsys, "closed-form", *flags)
+        assert code == 2 and out == ""
+        assert "--family" in err and "--model-file" in err
 
     def test_rejects_rank1_atom(self, capsys):
         for family in ("sphere:1", "sphere:0", "hp:4"):

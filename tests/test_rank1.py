@@ -12,7 +12,7 @@ from heattrace.exactnum import c_numerators, log_abs
 from heattrace.oracle import sphere_volume
 from heattrace.rank1 import SpaceModel, rank1_series, threshold
 from heattrace.seedpolys import SignedTable
-from heattrace.series import APPROXIMATE, EXACT, UNAVAILABLE, HeatSeries
+from heattrace.series import EXACT, UNAVAILABLE, HeatSeries
 
 from _oracles import (
     bernoulli_recurrence,
@@ -434,19 +434,6 @@ class TestSeriesAssembly:
             assert scaled.validity[n] == base.validity[n]
         assert scaled.provenance == "scale(sphere:1, 4)"
 
-    def test_oracle_fill_spheres_only(self):
-        with pytest.raises(UnsupportedSpaceError):
-            rank1_series(SpaceModel("complex_projective", 3), 5, oracle_precision=30)
-
-    def test_oracle_fill_marks_approximate(self):
-        s = rank1_series(SpaceModel("sphere", 2), 4, oracle_precision=30)
-        assert s.validity[1] == APPROXIMATE
-        assert abs(float(s[1]) - 2.0) < 1e-8  # A_1(S^4) = tau/6 = 2
-        assert s.validity[2] == EXACT
-        assert rank1_series(SpaceModel("sphere", 2), 4).validity[1] == UNAVAILABLE
-        cut = rank1_series(SpaceModel("sphere", 3), 1, oracle_precision=30)
-        assert cut.validity == [EXACT, APPROXIMATE]  # a gap cut by n_max is filled whole
-
     def test_model_validation(self):
         with pytest.raises(UnsupportedSpaceError):
             SpaceModel("klein_bottle", 2)
@@ -456,12 +443,6 @@ class TestSeriesAssembly:
             SpaceModel("complex_projective", 1)
         with pytest.raises(ValueError):
             SpaceModel("cayley_plane", 3)
-
-    def test_dimensions(self):
-        assert SpaceModel("sphere", 3).dimension == 6
-        assert SpaceModel("complex_projective", 3).dimension == 6
-        assert SpaceModel("quaternionic_projective", 2).dimension == 8
-        assert SpaceModel("cayley_plane", 2).dimension == 16
 
 
 class TestOracleCalibrationReport:
