@@ -48,9 +48,20 @@ class SpecError(ValueError):
     pass
 
 
+# The deepest combinator nesting a spec may have; the recursive parser and
+# the plan's walk stay far below the interpreter's recursion limit.
+_MAX_NESTING = 100
+
+
 def parse_space(text: str) -> dict:
-    """Parse a space spec into a tree of dicts (see module docstring)."""
+    """Parse a space spec into a tree of dicts (see module docstring); a spec
+    that nests combinators more than _MAX_NESTING deep is refused unread."""
     tokens = _tokenize(text)
+    depth = 0
+    for token in tokens:
+        depth += (token == "(") - (token == ")")
+        if depth > _MAX_NESTING:
+            raise SpecError(f"space spec nests combinators deeper than {_MAX_NESTING}")
     tree, pos = _parse_expr(tokens, 0, _atom)
     if pos != len(tokens):
         raise SpecError(f"trailing input in space spec: {tokens[pos:]}")
@@ -145,8 +156,19 @@ def _number(token: str) -> Fraction:
         raise SpecError(_SCALE_USAGE) from None
 
 
+def _model(node: dict) -> rank1.SpaceModel | plancherel.PlancherelModel:
+    """The model of an atom, which applies the model's own refusals."""
+    if node["family"] in rank1.ATOMS:
+        return rank1.atom_model(node["family"], node["param"])
+    return plancherel.build_family(node["family"].replace("-", "_"), node["param"])
+
+
+# The normalization label of an atom's family; a product's is "composite".
+_LABELS = {"sphere": "unit_curvature", **dict.fromkeys(_PLANCHEREL_ATOMS, "killing")}
+
+
 def _plan(tree: dict, n_max: int, oracle_precision: int | None = None,
-          n_min: int | None = None) -> tuple[range, Callable[[], series.HeatSeries]]:
+          n_min: int | None = None) -> tuple[range, Callable[[], series.HeatSeries], dict]:
     """Check a request on a parsed space tree before any series is built.
 
     One walk builds each atom's model once, which applies the model's own
@@ -157,12 +179,16 @@ def _plan(tree: dict, n_max: int, oracle_precision: int | None = None,
     ``n_min``, it refuses one that is not exact, and one under 50 indices when
     the series cannot be classified as vanishing, as :func:`growth_report`
     would after the build.  Returns the gap, the indices in 0..n_max that the
-    build flags as not exact, and a zero-argument builder that reuses the
-    models.
+    build flags as not exact, a zero-argument builder that reuses the
+    models, and the document's normalization {"label", "scale"}.
 
     A rank-one atom leaves 1..threshold-1 open, dual and scale keep their
     child's gap, and a product's flag is the prefix minimum of its factors',
     so one gapped factor leaves every index from its first gap on open.
+
+    An atom's normalization is its family's label (:data:`_LABELS`, else
+    "custom") at scale 1; dual keeps its child's, scale multiplies its
+    child's scale by c2, and a product is "composite" at scale 1.
 
     A series with a rank-one atom never vanishes.  A tree of Plancherel atoms
     alone is e^{kappa t} P(t), and the walk knows kappa (-rho_sq per atom,
@@ -175,14 +201,19 @@ def _plan(tree: dict, n_max: int, oracle_precision: int | None = None,
     """
 
     def walk(node: dict) -> tuple[range, Callable[[], series.HeatSeries],
-                                  tuple[Fraction, int] | None]:
-        """The gap, the builder, and (kappa, deg bound) of a Plancherel-only tree."""
+                                  tuple[Fraction, int] | None, tuple[str, Fraction]]:
+        """The gap, the builder, (kappa, deg bound) if Plancherel-only, and the normalization."""
         kind = node["kind"]
-        if kind == "atom" and node["family"] in rank1.ATOMS:
-            model = rank1.atom_model(node["family"], node["param"])
+        if kind == "atom":
+            model = _model(node)
+            norm = (_LABELS.get(node["family"], "custom"), Fraction(1))
+            if isinstance(model, plancherel.PlancherelModel):
+                return (range(0),
+                        lambda: plancherel.to_series(plancherel.closed_form(model), n_max),
+                        (-model.rho_sq, (model.m - model.r) // 2), norm)
             gap = range(1, min(model.threshold, n_max + 1))
             if oracle_precision is None or not gap:
-                return gap, lambda: rank1.rank1_series(model, n_max), None
+                return gap, lambda: rank1.rank1_series(model, n_max), None, norm
             if model.family != "sphere":
                 raise UnsupportedSpaceError(
                     f"oracle fill is only available for spheres, not {model.family}")
@@ -201,25 +232,22 @@ def _plan(tree: dict, n_max: int, oracle_precision: int | None = None,
                 s.validity[1:gap.stop] = [series.APPROXIMATE] * len(gap)
                 return s
 
-            return gap, filled, None
-        if kind == "atom":
-            model = plancherel.build_family(node["family"].replace("-", "_"), node["param"])
-            return (range(0), lambda: plancherel.to_series(plancherel.closed_form(model), n_max),
-                    (-model.rho_sq, (model.m - model.r) // 2))
+            return gap, filled, None, norm
         if kind in ("dual", "scale"):
-            gap, build, form = walk(node["child"])
+            gap, build, form, norm = walk(node["child"])
             if kind == "dual":
-                return gap, lambda: series.dualize(build()), form and (-form[0], form[1])
+                return gap, lambda: series.dualize(build()), form and (-form[0], form[1]), norm
             c2 = Fraction(node["c2"])
-            return gap, lambda: series.rescale(build(), c2), form and (c2 * form[0], form[1])
-        parts = [walk(c) for c in node["children"]]
-        starts = [gap.start for gap, _, _ in parts if gap]
-        forms = [form for _, _, form in parts]
+            return (gap, lambda: series.rescale(build(), c2), form and (c2 * form[0], form[1]),
+                    (norm[0], c2 * norm[1]))
+        gaps, builds, forms, _ = zip(*(walk(c) for c in node["children"]))
+        starts = [gap.start for gap in gaps if gap]
         return (range(min(starts), n_max + 1) if starts else range(0),
-                lambda: reduce(series.product, (build() for _, build, _ in parts)),
-                None if None in forms else (sum(k for k, _ in forms), sum(d for _, d in forms)))
+                lambda: reduce(series.product, (build() for build in builds)),
+                None if None in forms else (sum(k for k, _ in forms), sum(d for _, d in forms)),
+                ("composite", Fraction(1)))
 
-    gap, build, form = walk(tree)
+    gap, build, form, (label, scale) = walk(tree)
     if n_min is not None:
         n = max(gap.start, n_min)
         if n in gap:
@@ -228,29 +256,7 @@ def _plan(tree: dict, n_max: int, oracle_precision: int | None = None,
         never_vanishing = form is None or (form[0] != 0 and form[1] <= max(10, n_max // 10))
         if never_vanishing and n_max < n_min + 50:
             raise SpecError("need n_max >= n_min + 50 to classify a non-vanishing series")
-    return gap, build
-
-
-def _normalization(tree: dict) -> dict:
-    scale = Fraction(1)
-    node = tree
-    while node["kind"] == "scale":
-        scale *= Fraction(node["c2"])
-        node = node["child"]
-    if node["kind"] == "dual":
-        inner = _normalization(node["child"])
-        inner["scale"] = str(Fraction(inner["scale"]) * scale)
-        return inner
-    if node["kind"] != "atom":
-        return {"label": "composite", "scale": str(scale)}
-    family = node["family"]
-    if family == "sphere":
-        label = "unit_curvature"
-    elif family in _PLANCHEREL_ATOMS:
-        label = "killing"
-    else:
-        label = "custom"
-    return {"label": label, "scale": str(scale)}
+    return gap, build, {"label": label, "scale": str(scale)}
 
 
 # --- documents ----------------------------------------------------------------
@@ -296,13 +302,14 @@ def _stamped(doc: dict, timestamp: bool) -> dict:
     return doc
 
 
-def coefficients_document(spec: str, tree: dict, s: series.HeatSeries,
+def coefficients_document(spec: str, tree: dict, normalization: dict, s: series.HeatSeries,
                           decimal: int | None, timestamp: bool) -> dict:
+    """The coefficients document; ``normalization`` is :func:`_plan`'s."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "coefficients",
         "space": {"spec": spec, "tree": tree},
-        "normalization": _normalization(tree),
+        "normalization": normalization,
         "coefficients": [],
         "provenance": [s.provenance],
     }
@@ -343,12 +350,13 @@ def _check_n_max(args) -> None:
 def cmd_coeffs(args, out) -> int:
     _check_n_max(args)
     tree = parse_space(args.space)
-    _, build = _plan(tree, args.n_max, args.oracle_precision if args.oracle_fill else None)
+    _, build, normalization = _plan(tree, args.n_max,
+                                    args.oracle_precision if args.oracle_fill else None)
     s = build()
     if args.format == "csv":
         out.write(render_csv(s))
     else:
-        doc = coefficients_document(args.space, tree, s, args.decimal,
+        doc = coefficients_document(args.space, tree, normalization, s, args.decimal,
                                     not args.no_timestamp)
         out.write(render_json(doc))
     return 0
@@ -362,7 +370,7 @@ def cmd_closed_form(args, out) -> int:
         if tree["kind"] != "atom" or tree["family"] not in _PLANCHEREL_ATOMS:
             raise SpecError("closed-form expects a polynomial-Plancherel family atom "
                             "(hyperbolic-odd:M, su-star:M, e6-f4, complex-group:XN)")
-        model = plancherel.build_family(tree["family"].replace("-", "_"), tree["param"])
+        model = _model(tree)
     form = plancherel.closed_form(model)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -392,7 +400,7 @@ def cmd_growth(args, out) -> int:
         raise SpecError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}: "
                         "the growth window would be empty")
     tree = parse_space(args.space)
-    _, build = _plan(tree, args.n_max, n_min=args.n_min)
+    _, build, _ = _plan(tree, args.n_max, n_min=args.n_min)
     s = build()
     report = growth_report(s, n_min=args.n_min, epsilons=tuple(args.epsilon))
     doc = {
@@ -517,7 +525,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_growth)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("--suite", required=True, help=f"one of: {', '.join(verify.suite_names())}")
+    p.add_argument("--suite", required=True, help=f"one of: {', '.join(verify.SUITE_NAMES)}")
     common(p)
     p.set_defaults(fn=cmd_verify)
     return parser

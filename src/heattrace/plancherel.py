@@ -27,7 +27,8 @@ integer density once, on packed monomials (one int per monomial, see
 :func:`_expand`), and sum the moments from those keys.  Model files give the
 density as monomials; the shears serve their non-diagonal forms, and the
 sheared density is packed once for the same moment loop.  ``model.p``, the
-density as {exponent tuple: coefficient}, is expanded only when read.
+density as {exponent tuple: coefficient}, is expanded at each read and never
+kept.
 
 All inner products use the Killing normalization <X,Y> = -B(X, theta Y); the
 Gram matrices and rho_sq values are derived from restricted root data, never
@@ -129,13 +130,16 @@ class PlancherelModel(Frozen):
     """Spherical-density data of a polynomial-Plancherel symmetric space.
 
     The density is given either as ``p``, a dict {exponent tuple: coefficient},
-    or, for the built-in families, as ``factors = (roots, shifts)``: the
-    product over the roots alpha and the shifts h of (<alpha, x>^2 + h^2), on
-    a diagonal form.  Then :attr:`p` is expanded only when it is read;
-    :func:`closed_form` never reads it.
+    kept as its sorted ``monomials``, or, for the built-in families, as
+    ``factors = (roots, shifts)``: the product over the roots alpha and the
+    shifts h of (<alpha, x>^2 + h^2), on a diagonal form.  ``==``, ``hash``
+    and ``repr`` read that given data; :attr:`p` expands the factors at each
+    read, and :func:`closed_form` never reads it for a built-in.  A fault in
+    the data (a density of the wrong shape or degree, an odd m - r, a form
+    that is not square or not symmetric) raises ``ValueError``.
     """
 
-    _fields = ("family", "label", "r", "m", "p", "form", "rho_sq", "notes")
+    _fields = ("family", "label", "r", "m", "factors", "monomials", "form", "rho_sq", "notes")
 
     def __init__(self, family: str, label: str, r: int, m: int, p: Poly | None, form: Matrix,
                  rho_sq: Fraction, notes: tuple[str, ...] = (),
@@ -152,6 +156,7 @@ class PlancherelModel(Frozen):
             if any(x < 0 for e in p for x in e):
                 raise ValueError("monomial exponents must be nonnegative")
             degree = _poly_degree(p)
+            monomials = tuple(sorted(p.items()))
         else:
             roots, shifts = factors
             if any(len(alpha) != n or not any(alpha) for alpha in roots):
@@ -159,25 +164,25 @@ class PlancherelModel(Frozen):
             if any(form[i][j] for i in range(n) for j in range(n) if i != j):
                 raise ValueError("a density given by root factors needs a diagonal form")
             degree = 2 * len(roots) * len(shifts)
+            factors, monomials = (tuple(roots), shifts), None
         if (m - r) % 2 != 0:
-            raise InvariantViolation("m - r must be even for a polynomial density")
+            raise ValueError("m - r must be even for a polynomial density")
         if degree != m - r:
-            raise InvariantViolation(f"density degree {degree} != m - r = {m - r}")
+            raise ValueError(f"density degree {degree} != m - r = {m - r}")
         for i in range(n):
             for j in range(i):
                 if form[i][j] != form[j][i]:
-                    raise InvariantViolation("form matrix must be symmetric")
-        super().__init__(family=family, label=label, r=r, m=m, form=form, rho_sq=rho_sq,
-                         notes=notes, factors=factors, _p=p)
+                    raise ValueError("form matrix must be symmetric")
+        super().__init__(family=family, label=label, r=r, m=m, factors=factors,
+                         monomials=monomials, form=form, rho_sq=rho_sq, notes=notes)
 
     @property
     def p(self) -> Poly:
-        """The density as {exponent tuple: coefficient}, expanded from the factors on first read."""
-        if self._p is None:
-            w = _width(self.m - self.r)
-            # a cache, so it bypasses Frozen's refusal of assignment
-            self.__dict__["_p"] = _unpack(_expand(*self.factors, w), len(self.form), w)
-        return self._p
+        """The density as {exponent tuple: coefficient}, expanded from the factors at each read."""
+        if self.factors is None:
+            return dict(self.monomials)
+        w = _width(self.m - self.r)
+        return _unpack(_expand(*self.factors, w), len(self.form), w)
 
 
 class ExpPolyForm(Frozen):
@@ -478,6 +483,16 @@ def to_series(form: ExpPolyForm, n_max: int) -> HeatSeries:
 
 # --- user-supplied models --------------------------------------------------------
 
+# A model file's size is refused before any diagonalization or shear: the
+# moment table grows with m - r, the elimination of a dense form with the cube
+# of its coordinates, and the shears with C(m - r + N, N), the monomials of
+# degree at most m - r in N coordinates.  Each limit was set so that a file at
+# it finishes in about 1 s in a fresh CLI run on a shared 2-core box (README,
+# "User-supplied models", has the measurements).
+_MAX_FILE_DEGREE = 1000
+_MAX_FILE_COORDINATES = 12
+_MAX_FILE_SHEAR_TERMS = 10_000
+
 
 def load_model_file(path: str | Path) -> PlancherelModel:
     """Read a model description from JSON (see README for the schema).
@@ -487,7 +502,9 @@ def load_model_file(path: str | Path) -> PlancherelModel:
     ``{"exponents": [...], "coeff": "num/den"}`` monomials).  Optional
     ``label``.  A missing key, a value of the wrong shape, or a rational that
     :func:`~heattrace.exactnum.parse_rational` refuses raises a
-    ``ValueError`` that names the file and the key.
+    ``ValueError`` that names the file and the key, and so does a model past
+    the size limits above: m - r over 1000, more than 12 coordinates, or a
+    non-diagonal form whose sheared density may pass 10,000 terms.
     """
     raw = json.loads(Path(path).read_text())
 
@@ -504,12 +521,27 @@ def load_model_file(path: str | Path) -> PlancherelModel:
         return x
 
     r = read(raw, "r", integer)
+    if r > _MAX_FILE_COORDINATES:
+        raise ValueError(f"model file {path}: {r} coordinates exceed the limit "
+                         f"{_MAX_FILE_COORDINATES}")
     m = read(raw, "m", integer)
+    if m - r > _MAX_FILE_DEGREE:
+        raise ValueError(f"model file {path}: m - r = {m - r} exceeds the degree limit "
+                         f"{_MAX_FILE_DEGREE}")
     rho_sq = read(raw, "rho_sq", lambda x: parse_rational(str(x)))
-    form = read(raw, "form",
-                lambda rows: tuple(tuple(parse_rational(str(x)) for x in row) for row in rows))
-    if len(form) != r:
-        raise ValueError("form matrix must be r x r")
+
+    def matrix(rows):
+        if len(rows) != r or any(len(row) != r for row in rows):
+            raise ValueError("form matrix must be r x r")
+        return tuple(tuple(parse_rational(str(x)) for x in row) for row in rows)
+
+    form = read(raw, "form", matrix)
+    # with N = r coordinates, the term bound C(m - r + N, N) is C(m, r)
+    diagonal = not any(form[i][j] for i in range(r) for j in range(r) if i != j)
+    if not diagonal and m > r and math.comb(m, r) > _MAX_FILE_SHEAR_TERMS:
+        raise ValueError(f"model file {path}: a non-diagonal form may shear the density into "
+                         f"C(m, r) = {math.comb(m, r)} terms, past the limit "
+                         f"{_MAX_FILE_SHEAR_TERMS}")
     p: Poly = {}
     for mono in read(raw, "p", list):
         exps = read(mono, "exponents", lambda es: tuple(integer(e) for e in es))

@@ -19,7 +19,8 @@ from ._value import Value
 from .exactnum import bernoulli, c_coeffs, d_coeffs, log_abs
 
 __all__ = [
-    "CheckResult", "run_suite", "suite_names", "reference_series", "GROWTH_LAW_TABLE",
+    "CheckResult", "run_suite", "suite_names", "SUITE_NAMES", "reference_series",
+    "GROWTH_LAW_TABLE",
 ]
 
 
@@ -308,8 +309,12 @@ _SUITES = {
 }
 
 
+# The suite names, "all" last: --suite's help text reads them without a call.
+SUITE_NAMES = (*_SUITES, "all")
+
+
 def suite_names() -> list[str]:
-    return list(_SUITES) + ["all"]
+    return list(SUITE_NAMES)
 
 
 def run_suite(name: str) -> list[CheckResult]:

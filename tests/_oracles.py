@@ -19,6 +19,8 @@ coordinates, where the form is not diagonal, so that reference runs their
 densities through a nontrivial congruence; the package builds them in N = r + 1
 ambient coordinates.  :func:`parse_document`, the reader of the CLI's JSON
 documents, lifts the interpreter's int-digit limit with the CLI's own guard.
+:func:`normalization_reference` is the CLI's former separate walk for a
+document's normalization, kept as the reference for the plan's.
 :func:`sum_levels_reference` is the package's fixed-point summation loop as it
 was before its stop test compared bit lengths first, kept verbatim so that the
 faster test can be held to the same totals and the same stopping level.
@@ -165,6 +167,31 @@ def parse_document(text: str) -> tuple[dict, HeatSeries]:
             flags.append(entry["validity"])
     prov = doc.get("provenance") or [""]
     return doc, HeatSeries(coeffs, flags, prov[0])
+
+
+def normalization_reference(tree: dict) -> dict:
+    """The ``normalization`` field of a ``coeffs`` document, by the CLI's former
+    second walk over the parsed tree, kept as it was: peel the scales, pass
+    through a dual, and label what is left."""
+    scale = Fraction(1)
+    node = tree
+    while node["kind"] == "scale":
+        scale *= Fraction(node["c2"])
+        node = node["child"]
+    if node["kind"] == "dual":
+        inner = normalization_reference(node["child"])
+        inner["scale"] = str(Fraction(inner["scale"]) * scale)
+        return inner
+    if node["kind"] != "atom":
+        return {"label": "composite", "scale": str(scale)}
+    family = node["family"]
+    if family == "sphere":
+        label = "unit_curvature"
+    elif family in ("hyperbolic-odd", "su-star", "e6-f4", "complex-group"):
+        label = "killing"
+    else:
+        label = "custom"
+    return {"label": label, "scale": str(scale)}
 
 
 def schoolbook_convolve(xs: list[Fraction], ys: list[Fraction], n_max: int) -> list[Fraction]:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from heattrace.cli import SpecError, _plan, main, parse_space
 
-from _oracles import parse_document
+from _oracles import normalization_reference, parse_document
 
 
 def run(capsys, *argv):
@@ -202,6 +202,20 @@ class TestSpaceSpecParser:
         with pytest.raises(SpecError, match="must look like 'A2'"):
             parse_space("complex-group:A\u0663")
 
+    @pytest.mark.parametrize("depth", [100, 101, 1000])
+    def test_nesting_limit(self, capsys, depth):
+        # a deep spec used to end in a RecursionError traceback (exit 1) from
+        # depth 1000 on; past 100 it is refused before it is parsed
+        spec = "dual(" * depth + "sphere:1" + ")" * depth
+        code, out, err = run(capsys, "coeffs", "--space", spec, "--n-max", "3",
+                             "--no-timestamp")
+        if depth <= 100:
+            assert code == 0, err
+            assert json.loads(out)["normalization"] == {"label": "unit_curvature", "scale": "1"}
+        else:
+            assert code == 2 and out == ""
+            assert err == "error: space spec nests combinators deeper than 100\n"
+
     def test_parsing_builds_no_model(self, monkeypatch):
         from heattrace import plancherel, rank1
 
@@ -293,7 +307,8 @@ class TestCoeffsCommand:
         from heattrace.cli import coefficients_document, render_json
 
         again = render_json(coefficients_document(
-            doc["space"]["spec"], doc["space"]["tree"], series, None, False))
+            doc["space"]["spec"], doc["space"]["tree"], doc["normalization"], series, None,
+            False))
         assert again == out
 
     def test_round_trip_past_the_int_digit_limit(self):
@@ -305,7 +320,8 @@ class TestCoeffsCommand:
         big = Fraction(7 ** 6000, 3 ** 5000)  # 5071-digit numerator, 2386-digit denominator
         s = HeatSeries([Fraction(1), -big, big / 11], provenance="big")
         limit = sys.get_int_max_str_digits()
-        doc = coefficients_document("sphere:1", parse_space("sphere:1"), s, None, False)
+        doc = coefficients_document("sphere:1", parse_space("sphere:1"),
+                                    {"label": "unit_curvature", "scale": "1"}, s, None, False)
         text = render_json(doc)
         doc, back = parse_document(text)
         assert back.coeffs == s.coeffs
@@ -570,6 +586,63 @@ class TestClosedFormCommand:
         assert f"model file {path}: cannot read key {key!r}" in err
         assert f"{value!r} has more than 4300 digits" in err
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"r": 1, "m": 4, "rho_sq": "1/4", "form": [["1"]],
+          "p": [{"exponents": [3], "coeff": "1"}]}, "m - r must be even"),
+        ({"r": 1, "m": 5, "rho_sq": "1/4", "form": [["1"]],
+          "p": [{"exponents": [2], "coeff": "1"}]}, "density degree 2 != m - r = 4"),
+        ({"r": 2, "m": 4, "rho_sq": "1/4", "form": [["1", "1/2"], ["1/3", "1"]],
+          "p": [{"exponents": [2, 0], "coeff": "1"}]}, "form matrix must be symmetric"),
+    ], ids=["odd-m-minus-r", "degree-not-m-minus-r", "asymmetric-form"])
+    def test_model_file_faults_are_usage_errors(self, capsys, tmp_path, doc, message):
+        # a fault in a user's model is exit 2, not 3, which is kept for bugs
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "closed-form", "--model-file", str(path))
+        assert code == 2 and out == ""
+        assert message in err and "invariant" not in err
+
+    @staticmethod
+    def sized_model(r: int, degree: int, dense: bool) -> dict:
+        """A model file on r coordinates with the density x_1^degree, on the form
+        I + J when dense, else I."""
+        return {"r": r, "m": r + degree, "rho_sq": "1/4",
+                "form": [[str(int(i == j) + int(dense)) for j in range(r)] for i in range(r)],
+                "p": [{"exponents": [degree] + [0] * (r - 1), "coeff": "1"}]}
+
+    @pytest.mark.parametrize("r, degree, dense, message", [
+        (1, 1000, False, None),
+        (1, 1002, False, "m - r = 1002 exceeds the degree limit 1000"),
+        (1, 60_000, False, "m - r = 60000 exceeds the degree limit 1000"),
+        (1, 200_000, False, "m - r = 200000 exceeds the degree limit 1000"),
+        (12, 0, True, None),
+        (13, 0, False, "13 coordinates exceed the limit 12"),
+        (60, 0, True, "60 coordinates exceed the limit 12"),
+        (120, 0, True, "120 coordinates exceed the limit 12"),
+        (6, 10, True, None),
+        (6, 12, True, "C(m, r) = 18564 terms, past the limit 10000"),
+        (6, 40, True, "C(m, r) = 9366819 terms"),
+        (8, 40, True, "C(m, r) = 377348994 terms"),
+        (12, 1000, False, None),
+    ])
+    def test_model_file_size_limits(self, capsys, monkeypatch, tmp_path, r, degree, dense,
+                                    message):
+        # each refusal comes before any diagonalization or shear, and an
+        # accepted model at a limit finishes within about a second
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(self.sized_model(r, degree, dense)))
+        if message:
+            _patch_builders(monkeypatch, None)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "closed-form", "--model-file", str(path), "--no-timestamp")
+        assert time.perf_counter() - start < (1.0 if message else 3.0)
+        if message:
+            assert code == 2 and out == ""
+            assert f"model file {path}: " in err and message in err
+        else:
+            assert code == 0, err
+            assert json.loads(out)["degree_bound"] == degree // 2
+
     @pytest.mark.parametrize("flags", [(), ("--family", "hyperbolic-odd:1",
                                             "--model-file", "m.json")],
                              ids=["neither", "both"])
@@ -695,9 +768,37 @@ _TREES = st.one_of(_DEPTH_1, _combined(_DEPTH_1))
 def test_gap_agrees_with_the_built_flags(spec, n_max):
     # growth refuses from the plan's gap before building; it must name exactly
     # the indices that the plan's builder flags as not exact
-    gap, build = _plan(parse_space(spec), n_max)
+    gap, build, _ = _plan(parse_space(spec), n_max)
     flags = build().validity
     assert list(gap) == [n for n, f in enumerate(flags) if f != "exact"], spec
+
+
+# Any atom, and trees over atoms with dual, scale and product to depth 4.
+_ANY_TREES = st.sampled_from(["sphere:1", "sphere:3", "cp:2", "hp:2", "op2", "hyperbolic-odd:1",
+                              "su-star:3", "e6-f4", "complex-group:A2"])
+for _ in range(4):
+    _ANY_TREES = st.one_of(_ANY_TREES, _combined(_ANY_TREES))
+
+
+@given(spec=_ANY_TREES, n_max=st.integers(0, 12))
+def test_plan_normalization_matches_the_former_second_walk(spec, n_max):
+    tree = parse_space(spec)
+    assert _plan(tree, n_max)[2] == normalization_reference(tree), spec
+
+
+def test_closed_form_builds_its_atom_through_the_plan_model(capsys, monkeypatch):
+    from heattrace import cli
+
+    seen = []
+
+    def model(node, _model=cli._model):
+        seen.append(node["family"])
+        return _model(node)
+
+    monkeypatch.setattr(cli, "_model", model)
+    assert run(capsys, "closed-form", "--family", "su-star:3", "--no-timestamp")[0] == 0
+    assert run(capsys, "coeffs", "--space", "product(su-star:3, cp:2)", "--n-max", "3")[0] == 0
+    assert seen == ["su-star", "su-star", "cp"]
 
 
 @given(spec=_TREES, n_max=st.integers(1, 110), window=st.integers(0, 109))
@@ -708,7 +809,7 @@ def test_short_window_refused_exactly_when_the_report_would(spec, n_max, window)
 
     n_min = max(1, n_max - window)
     tree = parse_space(spec)
-    _, build = _plan(tree, n_max)
+    _, build, _ = _plan(tree, n_max)
     try:
         _plan(tree, n_max, n_min=n_min)
         early = ""
@@ -756,7 +857,7 @@ def test_early_window_refusal_of_plancherel_trees_only_where_the_report_raises(
 
     n_min = max(1, n_max - window)
     tree = parse_space(spec)
-    _, build = _plan(tree, n_max)
+    _, build, _ = _plan(tree, n_max)
     try:
         _plan(tree, n_max, n_min=n_min)
     except SpecError as exc:
@@ -822,6 +923,19 @@ def test_plancherel_products_skip_the_full_convolution(monkeypatch):
 
 
 class TestVerifyCommand:
+    def test_parser_calls_no_verify_function(self, capsys, monkeypatch):
+        # --suite's help text reads verify.SUITE_NAMES, so a traced job of any
+        # command counts no verify call
+        from heattrace import verify
+
+        def no_call():
+            raise AssertionError("building the parser called into verify")
+
+        monkeypatch.setattr(verify, "suite_names", no_call)
+        code, out, _ = run(capsys, "verify", "--help")
+        assert code == 0 and "corollary-1.7" in out and "kernel, all" in out
+        assert verify.SUITE_NAMES[-1] == "all" and len(verify.SUITE_NAMES) == 10
+
     def test_corollary_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "corollary-1.7")
         assert code == 0
