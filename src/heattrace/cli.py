@@ -32,9 +32,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce
 
-from . import exactnum, oracle, plancherel, rank1, series, verify
+from . import exactnum, growth, oracle, plancherel, rank1, series, verify
 from .errors import HeatTraceError, InvariantViolation, UnsupportedSpaceError
-from .growth import growth_report
 
 SCHEMA_VERSION = "1.0"
 
@@ -168,36 +167,28 @@ _LABELS = {"sphere": "unit_curvature", **dict.fromkeys(_PLANCHEREL_ATOMS, "killi
 
 
 def _plan(tree: dict, n_max: int, oracle_precision: int | None = None,
-          n_min: int | None = None) -> tuple[range, Callable[[], series.HeatSeries], dict]:
+          n_min: int | None = None) -> tuple[Callable[[], series.HeatSeries], dict]:
     """Check a request on a parsed space tree before any series is built.
 
     One walk builds each atom's model once, which applies the model's own
-    refusals, and refuses an oracle fill at ``oracle_precision`` that a
-    gapped atom's fit cannot serve.  Only a sphere's gap is filled: the build
-    fits the unit S^{2 mbar} to order threshold - 1 and writes the fit's exact
-    binary fractions there, flagged approximate.  Given a growth window from
-    ``n_min``, it refuses one that is not exact, and one under 50 indices when
-    the series cannot be classified as vanishing, as :func:`growth_report`
-    would after the build.  Returns the gap, the indices in 0..n_max that the
-    build flags as not exact, a zero-argument builder that reuses the
-    models, and the document's normalization {"label", "scale"}.
+    refusals; :func:`oracle.require_fit` refuses an oracle fill at
+    ``oracle_precision`` that a gapped atom's fit cannot serve.  Only a
+    sphere's gap is filled, with the exact binary fractions of a fit of the
+    unit S^{2 mbar} to order threshold - 1, flagged approximate.  Returns a
+    zero-argument builder that reuses the models, and the normalization.
 
-    A rank-one atom leaves 1..threshold-1 open, dual and scale keep their
-    child's gap, and a product's flag is the prefix minimum of its factors',
-    so one gapped factor leaves every index from its first gap on open.
+    A growth window from ``n_min`` is refused here, before the build, by
+    :func:`growth.check_window`, which owns the window rules.  It gets the
+    gap's flags (the build leaves a rank-one atom's 1..threshold-1 not exact;
+    dual and scale keep their child's flags, and a product's is the prefix
+    minimum of its factors') and, for a tree of Plancherel atoms alone, the
+    (kappa, deg P bound) of its e^{kappa t} P(t): -rho_sq and (m - r) / 2 per
+    atom, kappa negated by dual and times c2 under scale, both summed over a
+    product.  A tree with a rank-one atom never vanishes and passes none.
 
-    An atom's normalization is its family's label (:data:`_LABELS`, else
-    "custom") at scale 1; dual keeps its child's, scale multiplies its
-    child's scale by c2, and a product is "composite" at scale 1.
-
-    A series with a rank-one atom never vanishes.  A tree of Plancherel atoms
-    alone is e^{kappa t} P(t), and the walk knows kappa (-rho_sq per atom,
-    negated by dual, times c2 under scale, summed over a product) and a bound
-    on deg P ((m - r) / 2 per atom, summed over a product) before any closed
-    form.  With kappa != 0, A_n = kappa^n / n! Q(n) for a nonzero polynomial Q
-    of degree deg P, so at most deg P coefficients vanish; when that is at
-    most max(10, n_max // 10) the report cannot call the series vanishing,
-    and the 50-index rule applies before the build too.
+    An atom's normalization {"label", "scale"} is its family's label
+    (:data:`_LABELS`, else "custom") at scale 1; dual keeps its child's,
+    scale multiplies its child's scale by c2, and a product is "composite".
     """
 
     def walk(node: dict) -> tuple[range, Callable[[], series.HeatSeries],
@@ -249,14 +240,12 @@ def _plan(tree: dict, n_max: int, oracle_precision: int | None = None,
 
     gap, build, form, (label, scale) = walk(tree)
     if n_min is not None:
-        n = max(gap.start, n_min)
-        if n in gap:
-            raise SpecError(f"A_{n} is unavailable: growth diagnostics need exact "
-                            f"coefficients on [n_min, n_max] = [{n_min}, {n_max}]")
-        never_vanishing = form is None or (form[0] != 0 and form[1] <= max(10, n_max // 10))
-        if never_vanishing and n_max < n_min + 50:
-            raise SpecError("need n_max >= n_min + 50 to classify a non-vanishing series")
-    return gap, build, {"label": label, "scale": str(scale)}
+        flags = [series.UNAVAILABLE if n in gap else series.EXACT for n in range(n_max + 1)]
+        try:
+            growth.check_window(n_min, flags, exppoly=form)
+        except ValueError as exc:
+            raise SpecError(exc) from None
+    return build, {"label": label, "scale": str(scale)}
 
 
 # --- documents ----------------------------------------------------------------
@@ -267,8 +256,8 @@ def _any_int_digits():
     """Lift the interpreter's int <-> str digit limit for exact coefficients.
 
     Deep coefficients pass the default 4300-digit limit (sphere:1 at
-    n = 975); the limit guards parsing of untrusted numbers, and these are
-    exact values the package writes.
+    n = 975).  The limit guards the parsing of untrusted numbers, so in the
+    package only :func:`_frac_fields`, which writes exact values, lifts it.
     """
     if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the limit
         yield
@@ -281,9 +270,12 @@ def _any_int_digits():
         sys.set_int_max_str_digits(old)
 
 
-def _frac_fields(value: Fraction) -> dict:
+def _frac_fields(values: list[Fraction]) -> list[dict]:
+    """Each value's document fields: the one place a coefficient becomes text,
+    under one lift of the digit limit per document."""
     with _any_int_digits():
-        return {"num": str(value.numerator), "den": str(value.denominator), "pi_power": 0}
+        return [{"num": str(v.numerator), "den": str(v.denominator), "pi_power": 0}
+                for v in values]
 
 
 def _decimal(value: Fraction, digits: int) -> str:
@@ -313,10 +305,10 @@ def coefficients_document(spec: str, tree: dict, normalization: dict, s: series.
         "coefficients": [],
         "provenance": [s.provenance],
     }
-    for n, (value, flag) in enumerate(zip(s.coeffs, s.validity)):
-        entry = {"n": n, **_frac_fields(value), "validity": flag}
+    for n, (fields, flag) in enumerate(zip(_frac_fields(s.coeffs), s.validity)):
+        entry = {"n": n, **fields, "validity": flag}
         if decimal is not None:
-            entry["decimal"] = _decimal(value, decimal)
+            entry["decimal"] = _decimal(s.coeffs[n], decimal)
         doc["coefficients"].append(entry)
     return _stamped(doc, timestamp)
 
@@ -326,15 +318,10 @@ def render_json(doc: dict) -> str:
 
 
 def render_csv(s: series.HeatSeries) -> str:
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "num", "den", "pi_power", "validity"])
-    with _any_int_digits():
-        for n, (value, flag) in enumerate(zip(s.coeffs, s.validity)):
-            writer.writerow([n, value.numerator, value.denominator, 0, flag])
-    return buf.getvalue()
+    # every field is an integer or a flag word, so no field needs quoting
+    return "n,num,den,pi_power,validity\n" + "".join(
+        f"{n},{f['num']},{f['den']},{f['pi_power']},{flag}\n"
+        for n, (f, flag) in enumerate(zip(_frac_fields(s.coeffs), s.validity)))
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -350,8 +337,8 @@ def _check_n_max(args) -> None:
 def cmd_coeffs(args, out) -> int:
     _check_n_max(args)
     tree = parse_space(args.space)
-    _, build, normalization = _plan(tree, args.n_max,
-                                    args.oracle_precision if args.oracle_fill else None)
+    build, normalization = _plan(tree, args.n_max,
+                                 args.oracle_precision if args.oracle_fill else None)
     s = build()
     if args.format == "csv":
         out.write(render_csv(s))
@@ -372,6 +359,7 @@ def cmd_closed_form(args, out) -> int:
                             "(hyperbolic-odd:M, su-star:M, e6-f4, complex-group:XN)")
         model = _model(tree)
     form = plancherel.closed_form(model)
+    kappa, *poly = _frac_fields([form.kappa, *form.poly])
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "closed_form",
@@ -379,8 +367,8 @@ def cmd_closed_form(args, out) -> int:
         "m": model.m,
         "r": model.r,
         "rho_sq": f"{model.rho_sq.numerator}/{model.rho_sq.denominator}",
-        "kappa": _frac_fields(form.kappa),
-        "poly": [{"h": h, **_frac_fields(c)} for h, c in enumerate(form.poly)],
+        "kappa": kappa,
+        "poly": [{"h": h, **fields} for h, fields in enumerate(poly)],
         "degree": form.degree,
         "degree_bound": form.degree_bound,
         "leading_t_exponent": str(form.leading_t_exponent),
@@ -396,13 +384,10 @@ def cmd_closed_form(args, out) -> int:
 
 def cmd_growth(args, out) -> int:
     _check_n_max(args)
-    if args.n_min > args.n_max:
-        raise SpecError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}: "
-                        "the growth window would be empty")
     tree = parse_space(args.space)
-    _, build, _ = _plan(tree, args.n_max, n_min=args.n_min)
+    build, _ = _plan(tree, args.n_max, n_min=args.n_min)
     s = build()
-    report = growth_report(s, n_min=args.n_min, epsilons=tuple(args.epsilon))
+    report = growth.growth_report(s, n_min=args.n_min, epsilons=tuple(args.epsilon))
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "growth",

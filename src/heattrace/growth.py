@@ -9,12 +9,16 @@ two-sided band
 the equivalence notion under which polynomial prefactors and multiplicative
 constants are invisible.  All magnitude comparisons happen in log space via
 :func:`heattrace.exactnum.log_abs`, since the exact coefficients reach
-10^5-digit numerators long before n = 300.
+10^5-digit numerators long before n = 300.  The rules of the window
+[n_min, n_max] live in :func:`check_window` alone, which the diagnostics ask
+after a build and the CLI before one.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
+from fractions import Fraction
 
 from ._value import Value
 from .exactnum import log_abs
@@ -22,6 +26,7 @@ from .series import EXACT, HeatSeries
 
 __all__ = [
     "GrowthReport",
+    "check_window",
     "estimate_growth_constant",
     "find_band_start",
     "factorial_bound_witness",
@@ -41,27 +46,47 @@ def _require_unit_eps(eps: float) -> None:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
 
 
-def _require_exact_window(s: HeatSeries, n_min: int) -> None:
-    """Raise ValueError unless 1 <= n_min <= n_max and A_{n_min}..A_{n_max} are all exact."""
-    if not 1 <= n_min <= s.n_max:
-        raise ValueError(f"n_min must lie in [1, {s.n_max}], got {n_min}")
-    if not s.is_exact_on(n_min, s.n_max):
-        n = next(n for n in range(n_min, s.n_max + 1) if s.validity[n] != EXACT)
-        raise ValueError(
-            f"A_{n} is {s.validity[n]}: growth diagnostics need exact coefficients "
-            f"on [n_min, n_max] = [{n_min}, {s.n_max}]")
+def _zero_run(s: HeatSeries) -> int:
+    """The number of exact zeros the series ends in (a non-exact entry is not one)."""
+    return s.n_max - max((n for n, (c, flag) in enumerate(zip(s.coeffs, s.validity))
+                          if c != 0 or flag != EXACT), default=0)
+
+
+def check_window(n_min: int, flags: Sequence[str], zero_run: int = 0,
+                 exppoly: tuple[Fraction, int] | None = None) -> bool:
+    """Refuse a window [n_min, n_max] that the diagnostics cannot read; return
+    whether the series vanishes.  ``flags`` are A_0..A_{n_max}'s.
+
+    n_min must lie in [1, n_max], and the first non-exact A_n from n_min on is
+    refused.  A series ending in more than max(10, n_max // 10) exact zeros
+    (``zero_run``; 0 for one that cannot vanish) vanishes, and one that does
+    not needs n_max >= n_min + 50.  A series e^{kappa t} P(t) not yet built
+    passes ``exppoly`` = (kappa, a bound on deg P) instead: with kappa != 0,
+    A_n = kappa^n / n! Q(n) for a nonzero Q of degree deg P, so at most deg P
+    coefficients vanish; with kappa = 0 the series is P and may vanish.
+    """
+    n_max = len(flags) - 1
+    if not 1 <= n_min <= n_max:
+        raise ValueError(f"n_min must lie in [1, {n_max}], got {n_min}")
+    n = next((n for n in range(n_min, n_max + 1) if flags[n] != EXACT), None)
+    if n is not None:
+        raise ValueError(f"A_{n} is {flags[n]}: growth diagnostics need exact coefficients "
+                         f"on [n_min, n_max] = [{n_min}, {n_max}]")
+    if exppoly is not None:  # (kappa, deg P bound)
+        zero_run = exppoly[1] if exppoly[0] else math.inf
+    vanishing = zero_run > max(10, n_max // 10)
+    if not vanishing and n_max < n_min + 50:
+        raise ValueError("need n_max >= n_min + 50 to classify a non-vanishing series")
+    return vanishing
 
 
 def estimate_growth_constant(s: HeatSeries, n_min: int) -> float:
     """Estimate C in |A_n| ~ C^n n! as the n_max value of (|A_n|/n!)^(1/n).
 
-    Requires exact coefficients on [n_min, n_max] with a window of at least
-    50 indices.  Raises ValueError on a zero coefficient in the window (that
-    signals the vanishing classification instead).
+    Raises ValueError on a window that :func:`check_window` refuses, and on a
+    zero coefficient in the window, which signals vanishing instead.
     """
-    if s.n_max < n_min + 50:
-        raise ValueError("need n_max >= n_min + 50 for a growth estimate")
-    _require_exact_window(s, n_min)
+    check_window(n_min, s.validity, _zero_run(s))
     ratios = _log_ratios(s, n_min)
     if -math.inf in ratios:
         n = n_min + ratios.index(-math.inf)
@@ -74,15 +99,12 @@ def find_band_start(s: HeatSeries, C: float, eps: float, n_min: int = 1) -> int 
 
     The band holds on all of [n_min, n_max] exactly when this returns n_min;
     a zero coefficient fails it.  Raises ValueError unless eps lies in (0, 1),
-    C > 0, n_min lies in [1, n_max] and every coefficient on [n_min, n_max]
-    is exact.
+    C > 0 and :func:`check_window` accepts the window.
     """
     _require_unit_eps(eps)
     if C <= 0:
         raise ValueError("C must be positive")
-    if not 1 <= n_min <= s.n_max:
-        raise ValueError(f"N must lie in [1, {s.n_max}]")
-    _require_exact_window(s, n_min)
+    check_window(n_min, s.validity, _zero_run(s))
     lo = math.log(C * (1.0 - eps))
     hi = math.log(C * (1.0 + eps))
     bad = [n for n, lr in enumerate(_log_ratios(s, n_min), n_min) if not n * lo < lr < n * hi]
@@ -104,15 +126,8 @@ def factorial_bound_witness(s: HeatSeries) -> float:
 def _classify(s: HeatSeries, n_min: int) -> tuple[str, float]:
     """The classification of :func:`classify`, and the estimate of C when it is
     'factorial_growth' (0.0 otherwise)."""
-    _require_exact_window(s, n_min)
-    last_nonzero = 0
-    for n, (c, flag) in enumerate(zip(s.coeffs, s.validity)):
-        if c != 0 or flag != EXACT:
-            last_nonzero = n
-    if last_nonzero < s.n_max - max(10, s.n_max // 10):
+    if check_window(n_min, s.validity, _zero_run(s)):
         return "vanishing", 0.0
-    if s.n_max < n_min + 50:
-        raise ValueError("need n_max >= n_min + 50 to classify a non-vanishing series")
     ratios = _log_ratios(s, n_min)
     if -math.inf in ratios:
         return "vanishing", 0.0
@@ -130,13 +145,12 @@ def _classify(s: HeatSeries, n_min: int) -> tuple[str, float]:
 def classify(s: HeatSeries, n_min: int = 50) -> str:
     """One of 'vanishing', 'factorial_decay', 'factorial_growth', 'polynomial_exponential'.
 
-    Raises ValueError unless every coefficient on [n_min, n_max] is exact.
-    A series is vanishing when all coefficients beyond some index, or one
-    inside the window, are exactly zero (the zero placeholder of a
-    non-exact entry does not count); factorially decaying when the n-th
-    root ratio drops below 1e-3 by n_max; factorially growing when that
-    ratio stabilizes within 5% over the last 20% of the window.  Anything
-    else reports polynomial_exponential.
+    Raises ValueError on a window that :func:`check_window` refuses.  A
+    series is vanishing when :func:`check_window` says so or an exact zero
+    lies in the window; factorially decaying when the n-th root ratio drops
+    below 1e-3 by n_max; factorially growing when that ratio stabilizes
+    within 5% over the last 20% of the window.  Anything else reports
+    polynomial_exponential.
     """
     return _classify(s, n_min)[0]
 
@@ -158,8 +172,8 @@ class GrowthReport(Value):
 def growth_report(s: HeatSeries, n_min: int = 50, epsilons: tuple[float, ...] = (0.2,)) -> GrowthReport:
     """Full growth report: classification, C estimate, verified (eps, N) pairs, C1.
 
-    Raises ValueError unless every epsilon lies in (0, 1) and every
-    coefficient on [n_min, n_max] is exact.
+    Raises ValueError unless every epsilon lies in (0, 1) and
+    :func:`check_window` accepts the window.
     """
     for eps in epsilons:
         _require_unit_eps(eps)

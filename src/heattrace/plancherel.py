@@ -434,10 +434,11 @@ def closed_form(model: PlancherelModel) -> ExpPolyForm:
     # g(e) = (2e-1)!!/2^e up to the common sqrt(pi/d).  With d_j = u_j/v_j,
     # a monomial of total degree 2h contributes a * prod_j (2e_j-1)!! v_j^e_j
     # u_j^(-e_j) / 2^h; times the common prod_j u_j^H and the lcm of the
-    # density's denominators, every I_h below is an integer.
+    # density's denominators, every I_h below is an integer.  A sparse density
+    # reads few of these factors, so each row fills an entry on first read
+    # (every factor is positive, so 0 marks one not yet read).
     dfact = list(accumulate(range(1, 2 * H, 2), mul, initial=1))  # (2e-1)!!, e <= H
-    factors = [[dfact[e] * dj.denominator ** e * dj.numerator ** (H - e) for e in range(H + 1)]
-               for dj in d]
+    rows = [[0] * (H + 1) for _ in d]
     scale = math.lcm(*(a.denominator for a in packed.values()))
     # A monomial with an odd exponent integrates to zero; one with all
     # exponents even has its half-exponents in the same fields of key >> 1.
@@ -450,8 +451,10 @@ def closed_form(model: PlancherelModel) -> ExpPolyForm:
         key >>= 1
         term = a.numerator * (scale // a.denominator)
         h = 0
-        for row in factors:
+        for row, dj in zip(rows, d):
             e = key & mask
+            if not row[e]:
+                row[e] = dfact[e] * dj.denominator ** e * dj.numerator ** (H - e)
             term *= row[e]
             h += e
             key >>= w

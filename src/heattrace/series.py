@@ -94,9 +94,6 @@ class HeatSeries(Value):
     def __getitem__(self, n: int) -> Fraction:
         return self.coeffs[n]
 
-    def is_exact_on(self, lo: int, hi: int) -> bool:
-        return all(f == EXACT for f in self.validity[lo : hi + 1])
-
 
 def _over_common_denominator(values: list[Fraction | int]) -> tuple[list[int], int]:
     """Integers ``nums`` and one ``den`` with ``values[i] == nums[i] / den``."""

@@ -19,7 +19,7 @@ from ._value import Value
 from .exactnum import bernoulli, c_coeffs, d_coeffs, log_abs
 
 __all__ = [
-    "CheckResult", "run_suite", "suite_names", "SUITE_NAMES", "reference_series",
+    "CheckResult", "run_suite", "SUITE_NAMES", "reference_series",
     "GROWTH_LAW_TABLE",
 ]
 
@@ -313,10 +313,6 @@ _SUITES = {
 SUITE_NAMES = (*_SUITES, "all")
 
 
-def suite_names() -> list[str]:
-    return list(SUITE_NAMES)
-
-
 def run_suite(name: str) -> list[CheckResult]:
     """Run one named suite (or 'all'); returns the individual check results."""
     if name == "all":
@@ -327,5 +323,5 @@ def run_suite(name: str) -> list[CheckResult]:
     try:
         fn = _SUITES[name]
     except KeyError:
-        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(suite_names())}")
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     return fn()

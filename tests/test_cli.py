@@ -21,7 +21,7 @@ def run(capsys, *argv):
 
 def evaluate(spec: str, n_max: int):
     """The series the CLI builds for a space spec to n_max."""
-    return _plan(parse_space(spec), n_max)[1]()
+    return _plan(parse_space(spec), n_max)[0]()
 
 
 def _no_traces(monkeypatch):
@@ -701,7 +701,7 @@ class TestGrowthRefusals:
                              "product(hyperbolic-odd:1, dual(hyperbolic-odd:1))",
                              "--n-max", "300", "--n-min", "400")
         assert code == 2 and out == ""
-        assert "--n-min 400 exceeds --n-max 300" in err
+        assert "n_min must lie in [1, 300], got 400" in err
 
     @pytest.mark.parametrize("flag, value", [("--n-min", "-40"), ("--n-min", "0"),
                                              ("--epsilon", "1.5"), ("--epsilon", "0"),
@@ -764,13 +764,20 @@ _DEPTH_1 = st.one_of(_CHEAP_ATOMS, _combined(_CHEAP_ATOMS))
 _TREES = st.one_of(_DEPTH_1, _combined(_DEPTH_1))
 
 
-@given(spec=_TREES, n_max=st.integers(0, 12))
+@given(spec=_TREES, n_max=st.integers(1, 12))
 def test_gap_agrees_with_the_built_flags(spec, n_max):
-    # growth refuses from the plan's gap before building; it must name exactly
-    # the indices that the plan's builder flags as not exact
-    gap, build, _ = _plan(parse_space(spec), n_max)
+    # growth refuses from the plan's gap before building: for each n_min it must
+    # name an index exactly when the builder flags one on [n_min, n_max] as not exact
+    tree = parse_space(spec)
+    build, _ = _plan(tree, n_max)
     flags = build().validity
-    assert list(gap) == [n for n, f in enumerate(flags) if f != "exact"], spec
+    for n_min in range(1, n_max + 1):
+        try:
+            _plan(tree, n_max, n_min=n_min)
+            refused = False
+        except SpecError as exc:
+            refused = "is unavailable" in str(exc)
+        assert refused == any(f != "exact" for f in flags[n_min:]), (spec, n_min)
 
 
 # Any atom, and trees over atoms with dual, scale and product to depth 4.
@@ -783,7 +790,7 @@ for _ in range(4):
 @given(spec=_ANY_TREES, n_max=st.integers(0, 12))
 def test_plan_normalization_matches_the_former_second_walk(spec, n_max):
     tree = parse_space(spec)
-    assert _plan(tree, n_max)[2] == normalization_reference(tree), spec
+    assert _plan(tree, n_max)[1] == normalization_reference(tree), spec
 
 
 def test_closed_form_builds_its_atom_through_the_plan_model(capsys, monkeypatch):
@@ -809,7 +816,7 @@ def test_short_window_refused_exactly_when_the_report_would(spec, n_max, window)
 
     n_min = max(1, n_max - window)
     tree = parse_space(spec)
-    _, build, _ = _plan(tree, n_max)
+    build, _ = _plan(tree, n_max)
     try:
         _plan(tree, n_max, n_min=n_min)
         early = ""
@@ -857,7 +864,7 @@ def test_early_window_refusal_of_plancherel_trees_only_where_the_report_raises(
 
     n_min = max(1, n_max - window)
     tree = parse_space(spec)
-    _, build, _ = _plan(tree, n_max)
+    build, _ = _plan(tree, n_max)
     try:
         _plan(tree, n_max, n_min=n_min)
     except SpecError as exc:
@@ -928,10 +935,10 @@ class TestVerifyCommand:
         # command counts no verify call
         from heattrace import verify
 
-        def no_call():
+        def no_call(*args):
             raise AssertionError("building the parser called into verify")
 
-        monkeypatch.setattr(verify, "suite_names", no_call)
+        monkeypatch.setattr(verify, "run_suite", no_call)
         code, out, _ = run(capsys, "verify", "--help")
         assert code == 0 and "corollary-1.7" in out and "kernel, all" in out
         assert verify.SUITE_NAMES[-1] == "all" and len(verify.SUITE_NAMES) == 10

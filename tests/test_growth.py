@@ -79,7 +79,7 @@ class TestEquivCheck:
             with pytest.raises(ValueError, match="C must be positive"):
                 find_band_start(s, C, 0.2, 10)
         for N in (0, 121, 500):
-            with pytest.raises(ValueError, match=r"N must lie in \[1, 120\]"):
+            with pytest.raises(ValueError, match=r"n_min must lie in \[1, 120\]"):
                 find_band_start(s, 0.5, 0.2, N)
 
     def test_requires_exact_flags(self):

@@ -439,3 +439,20 @@ class TestModelFile:
                                     "form": [["1"]], "p": []}))
         with pytest.raises(ValueError):
             load_model_file(path)
+
+    def test_sparse_density_reads_only_its_moments(self, tmp_path):
+        # x^400 on one coordinate whose form entry has 4292-digit numerator and
+        # denominator: each of the 201 moment factors has about 860,000 digits,
+        # and the density reads one of them
+        import time
+
+        zeros = "0" * 4290
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"r": 1, "m": 401, "rho_sq": "1/4",
+                                    "form": [[f"1{zeros}7/3{zeros}1"]],
+                                    "p": [{"exponents": [400], "coeff": "1"}]}))
+        start = time.perf_counter()
+        form = closed_form(load_model_file(path))
+        assert time.perf_counter() - start < 5.0
+        assert form.kappa == Fraction(-1, 4)
+        assert form.poly == (Fraction(1),) + (Fraction(0),) * 200

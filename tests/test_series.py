@@ -302,7 +302,7 @@ def rank1_product_operands():
     from heattrace.cli import _plan, parse_space
 
     def evaluate(spec):
-        return _plan(parse_space(spec), 300)[1]()
+        return _plan(parse_space(spec), 300)[0]()
 
     return evaluate("cp:2"), {m: evaluate(f"dual(sphere:{m})") for m in (1, 2, 3)}
 
