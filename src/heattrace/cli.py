@@ -176,6 +176,10 @@ def _plan(tree: dict, n_max: int, oracle_precision: int | None = None,
     sphere's gap is filled, with the exact binary fractions of a fit of the
     unit S^{2 mbar} to order threshold - 1, flagged approximate.  Returns a
     zero-argument builder that reuses the models, and the normalization.
+    Each distinct atom is built once: atoms with equal models share one series,
+    stored after any oracle fill, so product(X, dual(X)) builds X once and
+    product(X, X) hands series.product one object twice.  Sharing is safe
+    because dual, scale and product return new series; none outlives the call.
 
     A growth window from ``n_min`` is refused here, before the build, by
     :func:`growth.check_window`, which owns the window rules.  It gets the
@@ -191,6 +195,15 @@ def _plan(tree: dict, n_max: int, oracle_precision: int | None = None,
     scale multiplies its child's scale by c2, and a product is "composite".
     """
 
+    built: dict[rank1.SpaceModel | plancherel.PlancherelModel, series.HeatSeries] = {}
+
+    def once(model, build: Callable[[], series.HeatSeries]) -> Callable[[], series.HeatSeries]:
+        def shared() -> series.HeatSeries:
+            if model not in built:
+                built[model] = build()
+            return built[model]
+        return shared
+
     def walk(node: dict) -> tuple[range, Callable[[], series.HeatSeries],
                                   tuple[Fraction, int] | None, tuple[str, Fraction]]:
         """The gap, the builder, (kappa, deg bound) if Plancherel-only, and the normalization."""
@@ -200,11 +213,12 @@ def _plan(tree: dict, n_max: int, oracle_precision: int | None = None,
             norm = (_LABELS.get(node["family"], "custom"), Fraction(1))
             if isinstance(model, plancherel.PlancherelModel):
                 return (range(0),
-                        lambda: plancherel.to_series(plancherel.closed_form(model), n_max),
+                        once(model, lambda: plancherel.to_series(plancherel.closed_form(model),
+                                                                 n_max)),
                         (-model.rho_sq, (model.m - model.r) // 2), norm)
             gap = range(1, min(model.threshold, n_max + 1))
             if oracle_precision is None or not gap:
-                return gap, lambda: rank1.rank1_series(model, n_max), None, norm
+                return gap, once(model, lambda: rank1.rank1_series(model, n_max)), None, norm
             if model.family != "sphere":
                 raise UnsupportedSpaceError(
                     f"oracle fill is only available for spheres, not {model.family}")
@@ -223,7 +237,7 @@ def _plan(tree: dict, n_max: int, oracle_precision: int | None = None,
                 s.validity[1:gap.stop] = [series.APPROXIMATE] * len(gap)
                 return s
 
-            return gap, filled, None, norm
+            return gap, once(model, filled), None, norm
         if kind in ("dual", "scale"):
             gap, build, form, norm = walk(node["child"])
             if kind == "dual":
@@ -387,7 +401,7 @@ def cmd_growth(args, out) -> int:
     tree = parse_space(args.space)
     build, _ = _plan(tree, args.n_max, n_min=args.n_min)
     s = build()
-    report = growth.growth_report(s, n_min=args.n_min, epsilons=tuple(args.epsilon))
+    report = growth.growth_report(s, n_min=args.n_min, epsilons=tuple(args.epsilon or [0.2]))
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "growth",
@@ -522,8 +536,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "epsilon", None) is None and args.command == "growth":
-        args.epsilon = [0.2]
     try:
         if args.out == "-":
             return args.fn(args, sys.stdout)

@@ -9,13 +9,15 @@ too large to compute with before building it.
 Everything except :func:`log_abs` and the integer forms of the lattice
 coefficients returns :class:`fractions.Fraction` (always in lowest terms with
 positive denominator), and all of it is computed exactly, with no floating
-point anywhere on the value path.  All of it is read from
-one table, the tangent numbers T_1..T_n, which :func:`_extend_tangent` builds
-to exactly the depth asked and which the readers take whole: a Bernoulli
-number is one exact division of a table entry, and :func:`c_numerators` and
-:func:`d_numerators` return a whole prefix in one pass, as integers over one
-denominator (the rank-one tails read these), which :func:`c_coeffs` and
-:func:`d_coeffs` return as reduced Fractions.  A rebuild replaces the
+point anywhere on the value path.  All of it is read from one table, the
+tangent numbers T_1..T_n, which is the package's one cache: every factor of a
+rank-one product reads it, so the second factor's read is a hit when the
+first asked as deep.  :func:`_extend_tangent` builds it to exactly the depth
+asked, and the readers take it whole: a Bernoulli number is one exact
+division of a table entry, and :func:`c_numerators` and :func:`d_numerators`
+return a whole prefix in one pass, as integers over one denominator (the
+rank-one tails read these), which :func:`c_coeffs` and :func:`d_coeffs`
+return as reduced Fractions.  A rebuild replaces the
 module's list instead of editing it, and every reader reads the list its own
 :func:`_extend_tangent` call returned, so concurrent readers stay exact; at
 worst two threads build a table twice, or the cache keeps the shallower of

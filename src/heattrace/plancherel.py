@@ -464,8 +464,10 @@ def closed_form(model: PlancherelModel) -> ExpPolyForm:
         raise DegenerateModelError(
             "density has zero leading moment; cannot normalize P(0) = 1"
         )
-    # moment_h = I_h / (2^h * common), so P_h = moment_(H-h) / moment_H = I_(H-h) 2^h / I_H
-    poly = tuple(Fraction(sums[H - h] << h, lead) for h in range(H + 1))
+    # moment_h = I_h / (2^h * common), so P_h = moment_(H-h) / moment_H = I_(H-h) 2^h / I_H;
+    # a zero sum gives 0 without Fraction's gcd dividing the huge lead by itself
+    poly = tuple(Fraction(x << h, lead) if x else Fraction(0)
+                 for h, x in enumerate(reversed(sums)))
     return ExpPolyForm(-model.rho_sq, poly, model.m, model.r)
 
 

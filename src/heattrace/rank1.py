@@ -62,12 +62,12 @@ B/(m+1), a binomial sum of m terms per index.  Either second term is brought
 to the first's scale by an integer factor and added as an integer, and each
 A_n is reduced once, at the end.
 
-:func:`rank1_series` is the one reader.  It reads one cached list per
-(family, mbar), ``_tail_cache``, behind the one check of (family, mbar) in
-:func:`_row`.  A request past the cached depth rebuilds to exactly the index
-asked, the rule of every cache in the package.  The closed form is valid
-only from a family-specific threshold index onward, so a request that ends
-below it builds nothing: those indices are flagged ``unavailable``.  For a
+:func:`rank1_series` is the one reader, a pure function: each call runs
+:func:`_build` to exactly the index asked, behind the one check of
+(family, mbar) in :func:`_row`, and nothing is kept between calls (the CLI
+shares a repeated atom's series within one request).  The closed form is
+valid only from a family-specific threshold index onward, so a request that
+ends below it builds nothing: those indices are flagged ``unavailable``.  For a
 sphere, the CLI's ``--oracle-fill`` fills them from the spectral oracle;
 nothing here reads the oracle.
 
@@ -277,7 +277,8 @@ def _inner_sums(table: SignedTable, ws: list[int], coeffs_fn, lo: int, i_max: in
 
 
 def _build(family: str, mbar: int, n_max: int) -> list[Fraction]:
-    """The normalized A_0..A_{n_max} of (family, mbar), from one seed table.
+    """The normalized A_0..A_{n_max} of (family, mbar), from one seed table, as a
+    new list on every call.
 
     Entries 1..threshold - 1 are the closed form's values there, which are not
     the space's; :func:`rank1_series` never reads them.
@@ -350,21 +351,6 @@ def _build(family: str, mbar: int, n_max: int) -> list[Fraction]:
     return nums
 
 
-# The one cache: A_0..A_depth per (family, mbar), built to exactly the depth
-# asked and read and written only by _coefficients.
-_tail_cache: dict[tuple[str, int], list[Fraction]] = {}
-
-
-def _coefficients(family: str, mbar: int, n_max: int) -> list[Fraction]:
-    """The normalized coefficients of (family, mbar) to at least n_max; a miss
-    rebuilds to exactly n_max."""
-    key = (family, mbar)
-    hit = _tail_cache.get(key)
-    if hit is None or len(hit) <= n_max:
-        hit = _tail_cache[key] = _build(family, mbar, n_max)
-    return hit
-
-
 def rank1_series(model: SpaceModel, n_max: int) -> HeatSeries:
     """Assemble the coefficient series A_0..A_{n_max} of a rank-one model.
 
@@ -380,6 +366,6 @@ def rank1_series(model: SpaceModel, n_max: int) -> HeatSeries:
     coeffs: list[Fraction] = [Fraction(1)] + [Fraction(0)] * gap
     flags: list[str] = [EXACT] + [UNAVAILABLE] * gap
     if n_max >= thr:
-        coeffs += _coefficients(model.family, model.mbar, n_max)[thr : n_max + 1]
+        coeffs += _build(model.family, model.mbar, n_max)[thr : n_max + 1]
         flags += [EXACT] * (n_max + 1 - thr)
     return HeatSeries(coeffs, flags, f"{model.family}:{model.mbar}")

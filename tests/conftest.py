@@ -9,8 +9,8 @@ settings.load_profile("det")
 
 @pytest.fixture(scope="session")
 def series300():
-    """Exact reference series to n = 300; the rank-one cache keeps their builds for
-    the whole run."""
+    """Exact reference series to n = 300, built anew at each call, as the package
+    keeps no series between calls."""
     from heattrace.verify import reference_series
 
     return lambda key: reference_series(key, 300)

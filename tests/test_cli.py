@@ -895,6 +895,38 @@ def test_each_atom_model_is_built_once(capsys, monkeypatch, argv, atoms):
     assert len(built) == atoms, built
 
 
+@pytest.mark.parametrize("spec, fill, module, builder, same", [
+    ("product(op2, dual(op2))", (), "rank1", "_build", False),
+    ("product(hyperbolic-odd:1, dual(hyperbolic-odd:1))", (), "plancherel", "closed_form", False),
+    ("product(sphere:3, sphere:3)", ("--oracle-fill",), "oracle", "fit_coefficients", True),
+], ids=["rank-one", "plancherel", "oracle-fill"])
+def test_each_distinct_atom_is_built_once(capsys, monkeypatch, spec, fill, module, builder,
+                                          same):
+    # equal atoms share one series within the request, so a repeated factor
+    # reaches the product as the same object
+    import importlib
+
+    from heattrace import series
+
+    layer = importlib.import_module(f"heattrace.{module}")
+    calls, operands = [], []
+
+    def counted(*args, _build=getattr(layer, builder)):
+        calls.append(args)
+        return _build(*args)
+
+    def product(a, b, _product=series.product):
+        operands.append(a is b)
+        return _product(a, b)
+
+    monkeypatch.setattr(layer, builder, counted)
+    monkeypatch.setattr(series, "product", product)
+    code, _, err = run(capsys, "coeffs", "--space", spec, "--n-max", "20", *fill)
+    assert code == 0, err
+    assert len(calls) == 1, calls
+    assert operands == [same]
+
+
 class TestNMaxLimit:
     @pytest.mark.parametrize("command", ["coeffs", "growth"])
     def test_refused_before_any_build(self, capsys, no_build, command):

@@ -440,19 +440,61 @@ class TestModelFile:
         with pytest.raises(ValueError):
             load_model_file(path)
 
-    def test_sparse_density_reads_only_its_moments(self, tmp_path):
-        # x^400 on one coordinate whose form entry has 4292-digit numerator and
-        # denominator: each of the 201 moment factors has about 860,000 digits,
-        # and the density reads one of them
+    @pytest.mark.parametrize("degree", [400, 1000])  # 1000 is the model-file degree limit
+    def test_sparse_density_reads_only_its_moments(self, tmp_path, degree):
+        # x^degree on one coordinate whose form entry has 4292-digit numerator and
+        # denominator: each of the degree / 2 + 1 moment factors has up to about
+        # 2150 * degree digits, the density reads one of them, and every other
+        # moment sum is zero
         import time
 
         zeros = "0" * 4290
         path = tmp_path / "model.json"
-        path.write_text(json.dumps({"r": 1, "m": 401, "rho_sq": "1/4",
+        path.write_text(json.dumps({"r": 1, "m": degree + 1, "rho_sq": "1/4",
                                     "form": [[f"1{zeros}7/3{zeros}1"]],
-                                    "p": [{"exponents": [400], "coeff": "1"}]}))
+                                    "p": [{"exponents": [degree], "coeff": "1"}]}))
         start = time.perf_counter()
         form = closed_form(load_model_file(path))
         assert time.perf_counter() - start < 5.0
         assert form.kappa == Fraction(-1, 4)
-        assert form.poly == (Fraction(1),) + (Fraction(0),) * 200
+        assert form.poly == (Fraction(1),) + (Fraction(0),) * (degree // 2)
+
+
+def _geometry(family, param):
+    """(m, dim k, c) of a built-in family, from the structure theory, not from
+    plancherel: the dimension, the isotropy algebra k, and the constant c with
+    |Rm|^2 = dim k (1 - c)^2 in the Killing normalization."""
+    if family == "hyperbolic_odd":  # H^m with m = 2 mbar + 1, k = so(m)
+        m = 2 * param + 1
+        return m, m * (m - 1) // 2, Fraction(m - 2, m - 1)
+    if family == "su_star":  # SU*(2M)/Sp(M), k = sp(M)
+        return ((param - 1) * (2 * param + 1), param * (2 * param + 1),
+                Fraction(param + 1, 2 * param))
+    if family == "e6_f4":  # E6(-26)/F4
+        return 26, 52, Fraction(3, 4)
+    kind, rank = param[0], int(param[1:])  # G_C/G_u: m = dim k = dim g_u
+    dim = {"A": rank * (rank + 2), "B": rank * (2 * rank + 1), "C": rank * (2 * rank + 1),
+           "D": rank * (2 * rank - 1)}[kind]
+    return dim, dim, Fraction(1, 2)
+
+
+_GILKEY_FAMILIES = (
+    [("hyperbolic_odd", m) for m in (*range(1, 8), 500)]
+    + [("su_star", m) for m in range(2, 6)] + [("e6_f4", None)]
+    + [("complex_group", f"A{r}") for r in range(1, 6)]
+    + [("complex_group", f"{k}{r}") for k in "BC" for r in range(2, 7)]
+    + [("complex_group", f"D{r}") for r in range(3, 7)])
+
+
+@pytest.mark.parametrize("family, param", _GILKEY_FAMILIES)
+def test_low_orders_are_the_local_heat_invariants(family, param):
+    # The first two heat invariants of a locally symmetric space (Gilkey,
+    # J. Diff. Geom. 10, 1975): A_1 = R / 6 and A_2 = (5 R^2 - 2 |Ric|^2 + 2 |Rm|^2) / 360.
+    # In the Killing normalization Ric = -g / 2, so R = -m / 2 and |Ric|^2 = m / 4.
+    m, dim_k, c = _geometry(family, param)
+    model = build_family(family, param)
+    assert model.m == m
+    s = to_series(closed_form(model), 2)
+    r_scalar, ric_sq, rm_sq = Fraction(-m, 2), Fraction(m, 4), dim_k * (1 - c) ** 2
+    assert s[1] == r_scalar / 6 == Fraction(-m, 12)
+    assert s[2] == (5 * r_scalar ** 2 - 2 * ric_sq + 2 * rm_sq) / 360

@@ -277,45 +277,16 @@ class TestTailKernel:
             text = "".join(f"{c.numerator}/{c.denominator}\n" for c in vec)
         assert hashlib.sha256(text.encode()).hexdigest() == self.BUILD_GOLDEN[key]
 
-    def test_a_miss_rebuilds_to_exactly_the_depth_asked(self, monkeypatch):
-        builds = []
-        build = rank1._build
-
-        def counting(family, mbar, n_max):
-            builds.append(n_max)
-            return build(family, mbar, n_max)
-
-        monkeypatch.setattr(rank1, "_tail_cache", {})
-        monkeypatch.setattr(rank1, "_build", counting)
+    def test_a_shallower_series_is_a_prefix_of_a_deeper_one(self):
         model = SpaceModel("cayley_plane", 2)
-        shallow = rank1_series(model, 300)
         deep = rank1_series(model, 360)
-        assert builds == [300, 360]  # not doubled to 600
-        assert len(rank1._tail_cache[("cayley_plane", 2)]) == 361
-        assert deep.coeffs[:301] == shallow.coeffs
-        for n in (7, 300, 360):
-            rank1_series(model, n)
-        assert builds == [300, 360]
+        for n in (0, 6, 7, 8, 150, 300):
+            assert rank1_series(model, n) == HeatSeries(deep.coeffs[: n + 1],
+                                                         deep.validity[: n + 1], deep.provenance)
 
 
 class TestOnePath:
-    """rank1_series reads one cached vector per (family, mbar), behind the one row check."""
-
-    def test_accessors_read_the_series_build(self, monkeypatch):
-        monkeypatch.setattr(rank1, "_tail_cache", {})
-        model = SpaceModel("cayley_plane", 2)
-        s = rank1_series(model, 300)
-        assert list(rank1._tail_cache) == [("cayley_plane", 2)]
-        cached = rank1._tail_cache[("cayley_plane", 2)]
-        assert len(cached) == 301 and cached[0] == 1 and cached[7:] == s.coeffs[7:]
-
-        def no_build(family, mbar, n_max):
-            raise AssertionError(f"rebuilt {family}:{mbar} to {n_max}")
-
-        monkeypatch.setattr(rank1, "_build", no_build)
-        for n in (7, 8, 150, 299, 300):
-            assert rank1_series(model, n) == HeatSeries(s.coeffs[: n + 1], s.validity[: n + 1],
-                                                         s.provenance)
+    """rank1_series builds one vector per call, behind the one row check."""
 
     def test_below_threshold_builds_nothing(self, monkeypatch):
         def no_build(family, mbar, n_max):
@@ -329,8 +300,7 @@ class TestOnePath:
     @pytest.mark.parametrize("family, mbar", [
         ("cayley_plane", 3), ("cayley_plane", 1), ("sphere", 0), ("complex_projective", 1),
         ("quaternionic_projective", 1), ("quaternionic_projective", 0)])
-    def test_bad_parameters_refused_by_every_entry_point(self, monkeypatch, family, mbar):
-        monkeypatch.setattr(rank1, "_tail_cache", {})
+    def test_bad_parameters_refused_by_every_entry_point(self, family, mbar):
         with pytest.raises(ValueError) as expected:
             rank1._row(family, mbar)
         for call in (lambda: threshold(family, mbar), lambda: SpaceModel(family, mbar),
@@ -339,12 +309,10 @@ class TestOnePath:
             with pytest.raises(ValueError) as got:
                 call()
             assert str(got.value) == str(expected.value)
-        assert rank1._tail_cache == {}
 
-    def test_negative_index_refused_cold_or_warm(self, monkeypatch):
-        monkeypatch.setattr(rank1, "_tail_cache", {})
+    def test_negative_index_refused_cold_or_warm(self):
         model = SpaceModel("sphere", 1)
-        for _ in range(2):  # the second call finds the vector cached by the first
+        for _ in range(2):  # the second pass finds the tangent table built by the first
             with pytest.raises(ValueError, match="nonnegative"):
                 rank1_series(model, -1)
             rank1_series(model, 5)
@@ -405,7 +373,6 @@ class TestSeriesAssembly:
             calls.append(mbar)
             return table(mbar)
 
-        monkeypatch.setattr(rank1, "_tail_cache", {})
         monkeypatch.setattr(rank1, "beta_table", counting)
         s = rank1_series(SpaceModel("sphere", 50), 300)
         assert calls == [50]
