@@ -183,9 +183,9 @@ def _plan(tree: dict, n_max: int, oracle_precision: int | None = None,
 
     A growth window from ``n_min`` is refused here, before the build, by
     :func:`growth.check_window`, which owns the window rules.  It gets the
-    gap's flags (the build leaves a rank-one atom's 1..threshold-1 not exact;
-    dual and scale keep their child's flags, and a product's is the prefix
-    minimum of its factors') and, for a tree of Plancherel atoms alone, the
+    gap the build will have (a rank-one atom's 1..threshold-1; dual and scale
+    keep their child's, and a product's runs to n_max when a factor has one),
+    flagged unavailable, and, for a tree of Plancherel atoms alone, the
     (kappa, deg P bound) of its e^{kappa t} P(t): -rho_sq and (m - r) / 2 per
     atom, kappa negated by dual and times c2 under scale, both summed over a
     product.  A tree with a rank-one atom never vanishes and passes none.
@@ -234,7 +234,7 @@ def _plan(tree: dict, n_max: int, oracle_precision: int | None = None,
                 fitted = oracle.fit_coefficients(2 * model.mbar, orders, oracle_precision)
                 s.coeffs[1:gap.stop] = [Fraction(*to_rational(f._mpf_))
                                         for f in fitted[1:gap.stop]]
-                s.validity[1:gap.stop] = [series.APPROXIMATE] * len(gap)
+                s.flag = series.APPROXIMATE
                 return s
 
             return gap, once(model, filled), None, norm
@@ -246,17 +246,15 @@ def _plan(tree: dict, n_max: int, oracle_precision: int | None = None,
             return (gap, lambda: series.rescale(build(), c2), form and (c2 * form[0], form[1]),
                     (norm[0], c2 * norm[1]))
         gaps, builds, forms, _ = zip(*(walk(c) for c in node["children"]))
-        starts = [gap.start for gap in gaps if gap]
-        return (range(min(starts), n_max + 1) if starts else range(0),
+        return (range(1, n_max + 1) if any(gaps) else range(0),
                 lambda: reduce(series.product, (build() for build in builds)),
                 None if None in forms else (sum(k for k, _ in forms), sum(d for _, d in forms)),
                 ("composite", Fraction(1)))
 
     gap, build, form, (label, scale) = walk(tree)
     if n_min is not None:
-        flags = [series.UNAVAILABLE if n in gap else series.EXACT for n in range(n_max + 1)]
         try:
-            growth.check_window(n_min, flags, exppoly=form)
+            growth.check_window(n_min, n_max, gap, series.UNAVAILABLE, exppoly=form)
         except ValueError as exc:
             raise SpecError(exc) from None
     return build, {"label": label, "scale": str(scale)}

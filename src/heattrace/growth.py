@@ -17,12 +17,11 @@ after a build and the CLI before one.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from fractions import Fraction
 
 from ._value import Value
 from .exactnum import log_abs
-from .series import EXACT, HeatSeries
+from .series import HeatSeries
 
 __all__ = [
     "GrowthReport",
@@ -46,31 +45,38 @@ def _require_unit_eps(eps: float) -> None:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
 
 
+def _root(lr: float, n: int) -> float:
+    """(|A_n| / n!)^(1/n) from lr = log(|A_n| / n!), refused past the float range."""
+    try:
+        return math.exp(lr / n)
+    except OverflowError:
+        raise ValueError(f"(|A_n|/n!)^(1/n) = e^{lr / n:.6g} at n = {n} "
+                         "is past the float range") from None
+
+
 def _zero_run(s: HeatSeries) -> int:
-    """The number of exact zeros the series ends in (a non-exact entry is not one)."""
-    return s.n_max - max((n for n, (c, flag) in enumerate(zip(s.coeffs, s.validity))
-                          if c != 0 or flag != EXACT), default=0)
+    """The number of exact zeros the series ends in (its gap holds none)."""
+    return s.n_max - next((n for n in range(s.n_max, len(s.gap), -1) if s.coeffs[n]),
+                          len(s.gap))
 
 
-def check_window(n_min: int, flags: Sequence[str], zero_run: int = 0,
+def check_window(n_min: int, n_max: int, gap: range, flag: str, zero_run: int = 0,
                  exppoly: tuple[Fraction, int] | None = None) -> bool:
     """Refuse a window [n_min, n_max] that the diagnostics cannot read; return
-    whether the series vanishes.  ``flags`` are A_0..A_{n_max}'s.
+    whether the series vanishes.  ``gap``, flagged ``flag``, is its inexact run.
 
-    n_min must lie in [1, n_max], and the first non-exact A_n from n_min on is
-    refused.  A series ending in more than max(10, n_max // 10) exact zeros
-    (``zero_run``; 0 for one that cannot vanish) vanishes, and one that does
-    not needs n_max >= n_min + 50.  A series e^{kappa t} P(t) not yet built
-    passes ``exppoly`` = (kappa, a bound on deg P) instead: with kappa != 0,
-    A_n = kappa^n / n! Q(n) for a nonzero Q of degree deg P, so at most deg P
-    coefficients vanish; with kappa = 0 the series is P and may vanish.
+    n_min must lie in [1, n_max] and outside the gap.  A series ending in
+    more than max(10, n_max // 10) exact zeros (``zero_run``; 0 for one that
+    cannot vanish) vanishes, and one that does not needs n_max >= n_min + 50.
+    A series e^{kappa t} P(t) not yet built passes ``exppoly`` = (kappa, a
+    bound on deg P) instead: with kappa != 0, A_n = kappa^n / n! Q(n) for a
+    nonzero Q of degree deg P, so at most deg P coefficients vanish; with
+    kappa = 0 the series is P and may vanish.
     """
-    n_max = len(flags) - 1
     if not 1 <= n_min <= n_max:
         raise ValueError(f"n_min must lie in [1, {n_max}], got {n_min}")
-    n = next((n for n in range(n_min, n_max + 1) if flags[n] != EXACT), None)
-    if n is not None:
-        raise ValueError(f"A_{n} is {flags[n]}: growth diagnostics need exact coefficients "
+    if n_min in gap:
+        raise ValueError(f"A_{n_min} is {flag}: growth diagnostics need exact coefficients "
                          f"on [n_min, n_max] = [{n_min}, {n_max}]")
     if exppoly is not None:  # (kappa, deg P bound)
         zero_run = exppoly[1] if exppoly[0] else math.inf
@@ -86,12 +92,12 @@ def estimate_growth_constant(s: HeatSeries, n_min: int) -> float:
     Raises ValueError on a window that :func:`check_window` refuses, and on a
     zero coefficient in the window, which signals vanishing instead.
     """
-    check_window(n_min, s.validity, _zero_run(s))
+    check_window(n_min, s.n_max, s.gap, s.flag, _zero_run(s))
     ratios = _log_ratios(s, n_min)
     if -math.inf in ratios:
         n = n_min + ratios.index(-math.inf)
         raise ValueError(f"zero coefficient at n={n}; series looks vanishing, not growing")
-    return math.exp(ratios[-1] / s.n_max)
+    return _root(ratios[-1], s.n_max)
 
 
 def find_band_start(s: HeatSeries, C: float, eps: float, n_min: int = 1) -> int | None:
@@ -104,7 +110,7 @@ def find_band_start(s: HeatSeries, C: float, eps: float, n_min: int = 1) -> int 
     _require_unit_eps(eps)
     if C <= 0:
         raise ValueError("C must be positive")
-    check_window(n_min, s.validity, _zero_run(s))
+    check_window(n_min, s.n_max, s.gap, s.flag, _zero_run(s))
     lo = math.log(C * (1.0 - eps))
     hi = math.log(C * (1.0 + eps))
     bad = [n for n, lr in enumerate(_log_ratios(s, n_min), n_min) if not n * lo < lr < n * hi]
@@ -119,21 +125,21 @@ def factorial_bound_witness(s: HeatSeries) -> float:
     Finite for every series with nonzero length; by construction the bound
     then holds at every index for the returned witness.
     """
-    return max((math.exp(lr / n) for n, lr in enumerate(_log_ratios(s, 1), 1)
+    return max((_root(lr, n) for n, lr in enumerate(_log_ratios(s, 1), 1)
                 if lr != -math.inf), default=0.0)
 
 
 def _classify(s: HeatSeries, n_min: int) -> tuple[str, float]:
     """The classification of :func:`classify`, and the estimate of C when it is
     'factorial_growth' (0.0 otherwise)."""
-    if check_window(n_min, s.validity, _zero_run(s)):
+    if check_window(n_min, s.n_max, s.gap, s.flag, _zero_run(s)):
         return "vanishing", 0.0
     ratios = _log_ratios(s, n_min)
     if -math.inf in ratios:
         return "vanishing", 0.0
     # the n-th roots over the last 20% of the window; the last is the estimate
     tail_start = s.n_max - max(1, (s.n_max - n_min) // 5)
-    tail = [math.exp(lr / n) for n, lr in enumerate(ratios, n_min) if n >= tail_start]
+    tail = [_root(lr, n) for n, lr in enumerate(ratios, n_min) if n >= tail_start]
     c_est = tail[-1]
     if c_est < 1e-3 and all(b <= a for a, b in zip(tail, tail[1:])):
         return "factorial_decay", 0.0

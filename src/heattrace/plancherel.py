@@ -47,7 +47,7 @@ from pathlib import Path
 from ._value import Frozen
 from .errors import DegenerateModelError, InvariantViolation, NotPositiveDefiniteError, UnsupportedSpaceError
 from .exactnum import parse_rational
-from .series import EXACT, HeatSeries, exp_times
+from .series import HeatSeries, exp_times
 
 __all__ = [
     "PlancherelModel",
@@ -314,7 +314,7 @@ def build_family(family: str, param: int | str | None = None) -> PlancherelModel
     ``complex_group`` (param like ``"A2"``; classical types A (rank <= 5) and
     B/C/D (rank <= 6)).  Cheap, since no density is expanded, so the CLI
     builds every atom's model before any series.  On a 2-core box the CLI
-    ``closed-form`` takes about 2.3 s on su_star:5 (expanding its
+    ``closed-form`` takes about 1.1 s on su_star:5 (expanding its
     276,063-term density) and 0.5 s on hyperbolic_odd:500; every complex
     group reads P = 1 from its root data and takes the CLI's start-up of
     about 0.15 s.  su_star:6 would run for minutes, so it is refused, and so
@@ -482,8 +482,8 @@ def to_series(form: ExpPolyForm, n_max: int) -> HeatSeries:
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     coeffs = exp_times(form.kappa, list(form.poly), n_max)
-    return HeatSeries(coeffs, [EXACT] * (n_max + 1), f"exppoly(kappa={form.kappa})",
-                      (form.kappa, form.poly))
+    return HeatSeries(coeffs, provenance=f"exppoly(kappa={form.kappa})",
+                      exppoly=(form.kappa, form.poly))
 
 
 # --- user-supplied models --------------------------------------------------------

@@ -112,8 +112,7 @@ from .errors import InvariantViolation, UnsupportedSpaceError
 from .exactnum import c_numerators, d_numerators
 from .seedpolys import (SignedTable, beta_table, delta_table, eta_table, expected_signs,
                         gamma_table)
-from .series import (EXACT, UNAVAILABLE, HeatSeries, _cauchy, _over_common_denominator,
-                     exp_numerators)
+from .series import HeatSeries, _cauchy, _over_common_denominator, exp_numerators
 
 __all__ = [
     "SpaceModel",
@@ -362,10 +361,8 @@ def rank1_series(model: SpaceModel, n_max: int) -> HeatSeries:
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     thr = model.threshold
-    gap = min(thr, n_max + 1) - 1
-    coeffs: list[Fraction] = [Fraction(1)] + [Fraction(0)] * gap
-    flags: list[str] = [EXACT] + [UNAVAILABLE] * gap
+    gap = range(1, min(thr, n_max + 1))
+    coeffs: list[Fraction] = [Fraction(1)] + [Fraction(0)] * len(gap)
     if n_max >= thr:
         coeffs += _build(model.family, model.mbar, n_max)[thr : n_max + 1]
-        flags += [EXACT] * (n_max + 1 - thr)
-    return HeatSeries(coeffs, flags, f"{model.family}:{model.mbar}")
+    return HeatSeries(coeffs, gap, provenance=f"{model.family}:{model.mbar}")

@@ -1,10 +1,10 @@
 """Truncated heat-coefficient series and their algebra.
 
 A :class:`HeatSeries` holds the normalized coefficients A_0..A_N of a heat
-trace expansion together with a per-index validity flag.  Three operations
-mirror how the underlying spaces combine: Cauchy product (Riemannian
-products), coefficient sign flip (compact/noncompact duality, t -> -t), and
-geometric rescaling (homothety, t -> c2*t).
+trace expansion together with the one run of them that is not exact.  Three
+operations mirror how the underlying spaces combine: Cauchy product
+(Riemannian products), coefficient sign flip (compact/noncompact duality,
+t -> -t), and geometric rescaling (homothety, t -> c2*t).
 
 The two whole-series kernels, :func:`exp_times` and the Cauchy convolution
 :func:`convolve`, work on integer numerators over one shared denominator and
@@ -28,16 +28,16 @@ Duality and homothety map the pair, and :func:`product` uses it: the product
 of two such series is e^{(ka + kb) t} * (Pa * Pb), and a general series A
 times one is e^{kappa t} * (A * P), so neither convolves two full series.
 
-Validity flags propagate pessimistically: an operation never upgrades a
-flag, and a product coefficient is only as trustworthy as the weakest flag
-among all pairs that contribute to it.
+Only one run A_1..A_{k-1} can be inexact, with one flag, ``unavailable`` or
+``approximate``: a rank-one atom's indices below its family threshold, kept
+by duality and homothety, and A_1..A_{n_max} of a product with such a factor.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, zip_longest
+from itertools import zip_longest
 from operator import mul
 
 from ._value import Value
@@ -45,9 +45,6 @@ from ._value import Value
 EXACT = "exact"
 APPROXIMATE = "approximate"
 UNAVAILABLE = "unavailable"
-
-_RANK = {UNAVAILABLE: 0, APPROXIMATE: 1, EXACT: 2}
-_BY_RANK = {v: k for k, v in _RANK.items()}
 
 __all__ = [
     "HeatSeries",
@@ -64,28 +61,32 @@ __all__ = [
 
 
 class HeatSeries(Value):
-    """Coefficients A_0..A_{n_max} with validity flags and provenance.
+    """Coefficients A_0..A_{n_max}, their one non-exact run, and provenance.
 
-    ``exppoly = (kappa, P)``, when known, states coeffs == exp_times(kappa, P,
-    n_max); ``==`` and ``repr`` ignore it.
+    ``gap`` is ``range(0)`` or ``range(1, k)`` with k <= n_max + 1: A_1..A_{k-1}
+    are ``flag`` (``unavailable`` or ``approximate``), the rest exact, as
+    ``validity`` spells out.  ``exppoly = (kappa, P)``, when known, states
+    coeffs == exp_times(kappa, P, n_max); ``==`` and ``repr`` ignore it.
     """
 
     _fields = ("coeffs", "validity", "provenance")
 
-    def __init__(self, coeffs: list[Fraction], validity: list[str] | None = None,
+    def __init__(self, coeffs: list[Fraction], gap: range = range(0), flag: str = UNAVAILABLE,
                  provenance: str = "",
                  exppoly: tuple[Fraction, tuple[Fraction, ...]] | None = None) -> None:
         self.coeffs = [Fraction(c) for c in coeffs]
         if not self.coeffs:
             raise ValueError("a series needs at least the index-0 coefficient")
-        self.validity = validity or [EXACT] * len(self.coeffs)
-        if len(self.validity) != len(self.coeffs):
-            raise ValueError("validity flags must match coefficients")
-        for flag in self.validity:
-            if flag not in _RANK:
-                raise ValueError(f"unknown validity flag {flag!r}")
+        self.gap, self.flag = range(1, len(gap) + 1), flag
+        if gap != self.gap or len(gap) > self.n_max or flag not in (UNAVAILABLE, APPROXIMATE):
+            raise ValueError(f"a gap is range(0) or range(1, k) with k <= {len(self.coeffs)}, "
+                             f"flagged {UNAVAILABLE} or {APPROXIMATE}; got {gap!r}, {flag!r}")
         self.provenance = provenance
         self.exppoly = exppoly
+
+    @property
+    def validity(self) -> list[str]:
+        return [EXACT] + [self.flag] * len(self.gap) + [EXACT] * (self.n_max - len(self.gap))
 
     @property
     def n_max(self) -> int:
@@ -189,29 +190,26 @@ def product(a: HeatSeries, b: HeatSeries) -> HeatSeries:
 
     When both operands carry ``exppoly`` the result is
     ``exp_times(ka + kb, Pa * Pb)`` and carries that pair; when one does, it
-    is ``exp_times(kappa, A * P)``, which holds for any A (flags and all) as an
+    is ``exp_times(kappa, A * P)``, which holds for any A (gap and all) as an
     identity of formal series.  Two general series go through the full
-    :func:`convolve`.  Each pair (i, n - i) with i <= n lies in 0..n on both
-    sides, so the flag at n is the weaker of the two operands' prefix-minimum
-    flags at n.
+    :func:`convolve`.  For n >= 1, A_n sums A_i B_{n-i} over i <= n and so
+    reads A_1 of both factors: a gap in either makes A_1..A_{n_max} inexact,
+    ``unavailable`` when either gap is, else ``approximate``.
     """
     n_max = min(a.n_max, b.n_max)
-    ranks_a = accumulate((_RANK[f] for f in a.validity[: n_max + 1]), min)
-    ranks_b = accumulate((_RANK[f] for f in b.validity[: n_max + 1]), min)
-    flags = [_BY_RANK[min(ra, rb)] for ra, rb in zip(ranks_a, ranks_b)]
-    provenance = f"product({a.provenance}, {b.provenance})"
+    gap = range(1, n_max + 1) if a.gap or b.gap else range(0)
+    flag = APPROXIMATE if all(s.flag == APPROXIMATE for s in (a, b) if s.gap) else UNAVAILABLE
+    exppoly = None
     if a.exppoly and b.exppoly:
         (ka, pa), (kb, pb) = a.exppoly, b.exppoly
-        kappa = ka + kb
-        poly = tuple(convolve(pa, pb, min(n_max, len(pa) + len(pb) - 2)))
-        return HeatSeries(exp_times(kappa, list(poly), n_max), flags, provenance,
-                          (kappa, poly))
-    if a.exppoly or b.exppoly:
+        kappa, poly = ka + kb, tuple(convolve(pa, pb, min(n_max, len(pa) + len(pb) - 2)))
+        coeffs, exppoly = exp_times(kappa, list(poly), n_max), (kappa, poly)
+    elif a.exppoly or b.exppoly:
         (kappa, poly), other = (a.exppoly, b) if a.exppoly else (b.exppoly, a)
-        ys = convolve(other.coeffs[: n_max + 1], poly, n_max)
-        return HeatSeries(exp_times(kappa, ys, n_max), flags, provenance)
-    return HeatSeries(convolve(a.coeffs[: n_max + 1], b.coeffs[: n_max + 1], n_max),
-                      flags, provenance)
+        coeffs = exp_times(kappa, convolve(other.coeffs[: n_max + 1], poly, n_max), n_max)
+    else:
+        coeffs = convolve(a.coeffs[: n_max + 1], b.coeffs[: n_max + 1], n_max)
+    return HeatSeries(coeffs, gap, flag, f"product({a.provenance}, {b.provenance})", exppoly)
 
 
 def exp_numerators(b: Fraction, egf: list[int], n_max: int) -> list[int]:
@@ -273,7 +271,7 @@ def dualize(a: HeatSeries) -> HeatSeries:
     if a.exppoly:
         kappa, poly = a.exppoly
         exppoly = (-kappa, tuple(c if h % 2 == 0 else -c for h, c in enumerate(poly)))
-    return HeatSeries(coeffs, list(a.validity), f"dual({a.provenance})", exppoly)
+    return HeatSeries(coeffs, a.gap, a.flag, f"dual({a.provenance})", exppoly)
 
 
 def rescale(a: HeatSeries, c2: Fraction | int) -> HeatSeries:
@@ -293,4 +291,4 @@ def rescale(a: HeatSeries, c2: Fraction | int) -> HeatSeries:
     if a.exppoly:
         kappa, poly = a.exppoly
         exppoly = (c2 * kappa, tuple(c * c2 ** h for h, c in enumerate(poly)))
-    return HeatSeries(coeffs, list(a.validity), f"scale({a.provenance}, {c2})", exppoly)
+    return HeatSeries(coeffs, a.gap, a.flag, f"scale({a.provenance}, {c2})", exppoly)

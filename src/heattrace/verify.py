@@ -76,7 +76,7 @@ def check_corollary_vanishing() -> list[CheckResult]:
     form = plancherel.closed_form(plancherel.build_family("hyperbolic_odd", 1))
     s = plancherel.to_series(form, 100)
     dual = series.dualize(s)
-    plain = [series.HeatSeries(x.coeffs, x.validity, x.provenance) for x in (s, dual)]
+    plain = [series.HeatSeries(x.coeffs, provenance=x.provenance) for x in (s, dual)]
     out = []
     for name, (a, b) in (("product-vanishes", (s, dual)),
                          ("schoolbook-product-vanishes", plain)):

@@ -18,7 +18,8 @@ it substitutes: it expands every monomial of p(T y) in full.
 coordinates, where the form is not diagonal, so that reference runs their
 densities through a nontrivial congruence; the package builds them in N = r + 1
 ambient coordinates.  :func:`parse_document`, the reader of the CLI's JSON
-documents, lifts the interpreter's int-digit limit with the CLI's own guard.
+documents, lifts the interpreter's int-digit limit with the CLI's own guard
+and holds each document's validity column to one gap.
 :func:`normalization_reference` is the CLI's former separate walk for a
 document's normalization, kept as the reference for the plan's.
 :func:`sum_levels_reference` is the package's fixed-point summation loop as it
@@ -156,7 +157,11 @@ def sum_levels_reference(eigenvalue, multiplicity, t: Fraction, digits: int) -> 
 
 
 def parse_document(text: str) -> tuple[dict, HeatSeries]:
-    """The document and series of a ``coeffs`` JSON document; exact values round-trip."""
+    """The document and series of a ``coeffs`` JSON document; exact values round-trip.
+
+    The ``validity`` column must be one gap: "exact" at n = 0, one flag on
+    1..k-1, then "exact"; any other column fails.
+    """
     doc = json.loads(text)
     coeffs = []
     flags = []
@@ -166,7 +171,10 @@ def parse_document(text: str) -> tuple[dict, HeatSeries]:
             coeffs.append(Fraction(int(entry["num"]), int(entry["den"])))
             flags.append(entry["validity"])
     prov = doc.get("provenance") or [""]
-    return doc, HeatSeries(coeffs, flags, prov[0])
+    gap = range(1, next((n for n, f in enumerate(flags) if n and f == "exact"), len(flags)))
+    s = HeatSeries(coeffs, gap, flags[1] if gap else "unavailable", prov[0])
+    assert s.validity == flags, f"the validity column is not one gap: {flags}"
+    return doc, s
 
 
 def normalization_reference(tree: dict) -> dict:

@@ -732,6 +732,13 @@ class TestGrowthRefusals:
         assert code == 2 and out == ""
         assert "need n_max >= n_min + 50" in err
 
+    @pytest.mark.parametrize("spec", ["scale(sphere:1, 1e400)", "scale(hyperbolic-odd:1, 1e400)"])
+    def test_growth_constant_past_the_float_range_refused(self, capsys, spec):
+        # C is about 1e400 / pi^2; its float overflowed into a traceback and exit 1
+        code, out, err = run(capsys, "growth", "--space", spec, "--n-max", "300")
+        assert code == 2 and out == ""
+        assert "past the float range" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("spec", ["sphere:1", "product(sphere:1, cp:2)"])
     def test_exact_window_reaches_the_build(self, monkeypatch, spec):
         class Built(Exception):

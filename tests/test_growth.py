@@ -84,16 +84,19 @@ class TestEquivCheck:
 
     def test_requires_exact_flags(self):
         s = factorial_series(Fraction(1, 2), 120)
-        s.validity[60] = "approximate"
-        with pytest.raises(ValueError, match="A_60 is approximate"):
-            find_band_start(s, 0.5, 0.2, 50)
+        s = HeatSeries(s.coeffs, range(1, 61), "approximate")
+        for n_min in (50, 60):
+            with pytest.raises(ValueError, match=f"A_{n_min} is approximate"):
+                find_band_start(s, 0.5, 0.2, n_min)
+        assert find_band_start(s, 0.5, 0.2, 61) == 61
 
     def test_zero_placeholder_is_refused_not_skipped(self):
-        s = factorial_series(Fraction(1, 3), 200)
+        s = factorial_series(Fraction(1, 3), 210)
         assert find_band_start(s, 1 / 3, 0.2, 50) == 50
-        s.coeffs[150], s.validity[150] = Fraction(0), "unavailable"
+        s = HeatSeries([Fraction(1)] + [Fraction(0)] * 150 + s.coeffs[151:], range(1, 151))
         with pytest.raises(ValueError, match="A_150 is unavailable"):
-            find_band_start(s, 1 / 3, 0.2, 50)
+            find_band_start(s, 1 / 3, 0.2, 150)
+        assert find_band_start(s, 1 / 3, 0.2, 151) == 151
 
     def test_exact_zero_fails_the_band(self):
         s = factorial_series(Fraction(1, 3), 200)
@@ -152,28 +155,48 @@ class TestClassifyAndReport:
         assert all(n >= 50 for _, n in rep.epsilon_band)
 
 
+def test_roots_past_the_float_range_refused():
+    huge = factorial_series(Fraction(10 ** 400), 120)
+    for fn in (lambda s: estimate_growth_constant(s, 50), classify, growth_report,
+               factorial_bound_witness):
+        with pytest.raises(ValueError, match="past the float range"):
+            fn(huge)
+    # only A_1 is past it: the window reads, the witness over all n >= 1 does not
+    early = HeatSeries([1, 10 ** 400] + factorial_series(Fraction(1, 3), 120).coeffs[2:])
+    assert classify(early, n_min=50) == "factorial_growth"
+    with pytest.raises(ValueError, match="at n = 1 "):
+        factorial_bound_witness(early)
+
+
 class TestExactWindow:
     """classify and growth_report read only exact coefficients on [n_min, n_max]."""
 
     def unavailable_tail(self, n_max=300):
         # the shape of a product with an unavailable factor: zero placeholders past A_0
-        return HeatSeries([Fraction(1)] + [Fraction(0)] * n_max,
-                          ["exact"] + ["unavailable"] * n_max)
+        return HeatSeries([Fraction(1)] + [Fraction(0)] * n_max, range(1, n_max + 1))
 
     def test_placeholders_are_not_vanishing(self):
         for fn in (classify, growth_report):
             with pytest.raises(ValueError, match="A_50 is unavailable"):
                 fn(self.unavailable_tail())
+        # the exact zeros past the gap are 5, too few to vanish: the gap's
+        # zero placeholders must not lengthen their run
+        s = HeatSeries([Fraction(1)] + [Fraction(0)] * 100, range(1, 96))
+        with pytest.raises(ValueError, match="need n_max >= n_min"):
+            classify(s, n_min=96)
 
     def test_first_non_exact_index_is_named(self):
-        s = factorial_series(Fraction(1, 3), 300)
-        s.validity[1] = s.validity[2] = "unavailable"
+        coeffs = factorial_series(Fraction(1, 3), 300).coeffs
+        s = HeatSeries(coeffs, range(1, 3), "unavailable")
         assert classify(s, n_min=50) == "factorial_growth"
-        with pytest.raises(ValueError, match="A_1 is unavailable"):
-            classify(s, n_min=1)
-        s.validity[60] = s.validity[120] = "approximate"
-        with pytest.raises(ValueError, match="A_60 is approximate"):
+        assert classify(s, n_min=3) == "factorial_growth"
+        for n_min in (1, 2):
+            with pytest.raises(ValueError, match=f"A_{n_min} is unavailable"):
+                classify(s, n_min=n_min)
+        s = HeatSeries(coeffs, range(1, 121), "approximate")
+        with pytest.raises(ValueError, match="A_50 is approximate"):
             growth_report(s, n_min=50)
+        assert growth_report(s, n_min=121).classification == "factorial_growth"
 
     def test_non_positive_n_min_refused(self):
         s = factorial_series(Fraction(1, 3), 120)
@@ -186,13 +209,12 @@ class TestExactWindow:
         for n_min in (121, 400):
             with pytest.raises(ValueError, match=r"n_min must lie in \[1, 120\]"):
                 classify(s, n_min=n_min)
-        vanishing = HeatSeries([Fraction(1)] + [Fraction(0)] * 120, ["exact"] * 121)
+        vanishing = HeatSeries([Fraction(1)] + [Fraction(0)] * 120)
         with pytest.raises(ValueError, match="n_min"):
             growth_report(vanishing, n_min=400)
 
     def test_exact_zero_tail_still_vanishes(self):
-        s = HeatSeries([Fraction(1), Fraction(1, 2)] + [Fraction(0)] * 100,
-                       ["exact", "unavailable"] + ["exact"] * 100)
+        s = HeatSeries([Fraction(1), Fraction(1, 2)] + [Fraction(0)] * 100, range(1, 2))
         assert classify(s) == "vanishing"
 
     @pytest.mark.parametrize("eps", [1.5, 1.0, 0.0, -0.5, float("nan")])

@@ -100,17 +100,36 @@ def test_product_with_dual_is_even(a):
 
 
 def test_validity_propagates_pessimistically():
-    a = HeatSeries([Fraction(1), Fraction(2), Fraction(3)], [EXACT, APPROXIMATE, EXACT])
-    b = HeatSeries([Fraction(1), Fraction(5), Fraction(7)], [EXACT, EXACT, UNAVAILABLE])
-    p = product(a, b)
-    assert p.validity == [EXACT, APPROXIMATE, UNAVAILABLE]
-    assert dualize(a).validity == a.validity
-    assert rescale(a, 2).validity == a.validity
+    a = HeatSeries([Fraction(1), Fraction(2), Fraction(3), Fraction(4)], range(1, 2), APPROXIMATE)
+    b = HeatSeries([Fraction(1), Fraction(5), Fraction(7)], range(1, 3), UNAVAILABLE)
+    exact = HeatSeries([Fraction(1)] * 4)
+    assert a.validity == [EXACT, APPROXIMATE, EXACT, EXACT]
+    assert product(a, b).validity == [EXACT, UNAVAILABLE, UNAVAILABLE]
+    assert product(a, exact).validity == [EXACT, APPROXIMATE, APPROXIMATE, APPROXIMATE]
+    assert product(exact, exact).validity == [EXACT] * 4
+    # an operand shorter than the other's gap cuts the gap with the product
+    assert product(b, HeatSeries([Fraction(1), Fraction(1)])).validity == [EXACT, UNAVAILABLE]
+    assert product(b, HeatSeries([Fraction(3)])).validity == [EXACT]
+    for op in (dualize, lambda s: rescale(s, 2)):
+        assert (op(a).gap, op(a).flag, op(a).validity) == (a.gap, a.flag, a.validity)
 
 
-def test_flags_validated():
+@pytest.mark.parametrize("gap, flag", [
+    (range(0, 2), UNAVAILABLE),       # does not start at 1
+    (range(2, 3), UNAVAILABLE),
+    (range(1, 4), APPROXIMATE),       # past n_max = 2
+    (range(1, 4, 2), UNAVAILABLE),    # a step other than 1
+    ([EXACT, UNAVAILABLE, EXACT], UNAVAILABLE),  # a per-index list is not a gap
+    (range(1, 2), "bogus"),
+    (range(1, 2), EXACT),
+    (range(0), EXACT),
+])
+def test_flags_validated(gap, flag):
     with pytest.raises(ValueError):
-        HeatSeries([Fraction(1)], ["bogus"])
+        HeatSeries([Fraction(1)] * 3, gap, flag)
+
+
+def test_empty_series_refused():
     with pytest.raises(ValueError):
         HeatSeries([])
 
@@ -127,13 +146,15 @@ def naive_product(a, b):
     return coeffs, flags
 
 
-entry = st.tuples(st.one_of(st.just(Fraction(0)), frac),
-                  st.sampled_from([EXACT, APPROXIMATE, UNAVAILABLE]))
-flagged_series = st.lists(entry, min_size=1, max_size=10).map(
-    lambda es: HeatSeries([c for c, _ in es], [f for _, f in es], "t"))
+@st.composite
+def flagged_series(draw):
+    """A series of 1 to 10 entries with a gap of any length it can hold, of either flag."""
+    coeffs = draw(st.lists(st.one_of(st.just(Fraction(0)), frac), min_size=1, max_size=10))
+    gap = range(1, draw(st.integers(1, len(coeffs))))
+    return HeatSeries(coeffs, gap, draw(st.sampled_from([APPROXIMATE, UNAVAILABLE])), "t")
 
 
-@given(flagged_series, flagged_series)
+@given(flagged_series(), flagged_series())
 def test_product_equals_naive_cauchy_sum(a, b):
     p = product(a, b)
     assert (p.coeffs, p.validity) == naive_product(a, b)
@@ -190,8 +211,8 @@ def closed_form_series(kappa, poly, n_max):
 
 
 def plain(s):
-    """The generator-free copy of s: same values, flags and provenance, no exppoly."""
-    return HeatSeries(s.coeffs, s.validity, s.provenance)
+    """The generator-free copy of s: same values, gap and provenance, no exppoly."""
+    return HeatSeries(s.coeffs, s.gap, s.flag, s.provenance)
 
 
 def assert_generator_holds(s):
@@ -202,7 +223,7 @@ def assert_generator_holds(s):
 
 closed_form_strategy = st.builds(
     closed_form_series, frac, st.lists(frac, min_size=1, max_size=4), st.integers(0, 10))
-any_series = st.one_of(closed_form_strategy, flagged_series)
+any_series = st.one_of(closed_form_strategy, flagged_series())
 
 
 @given(any_series, any_series,
@@ -237,8 +258,7 @@ def test_closed_form_product_of_dual_pair_is_finite():
 def test_one_closed_form_operand_skips_the_full_convolution(monkeypatch):
     import heattrace.series as series_mod
 
-    a = HeatSeries([Fraction(k + 1, k + 2) for k in range(40)],
-                   [EXACT] * 3 + [UNAVAILABLE] + [APPROXIMATE] * 36)
+    a = HeatSeries([Fraction(k + 1, k + 2) for k in range(40)], range(1, 30), APPROXIMATE)
     b = closed_form_series(Fraction(5, 3), [1, Fraction(-2, 7), Fraction(1, 9)], 50)
     expected = naive_product(a, plain(b))
     convolve = series_mod.convolve
