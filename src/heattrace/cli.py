@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import sys
 from collections.abc import Callable
 from contextlib import contextmanager
@@ -68,19 +69,8 @@ def parse_space(text: str) -> dict:
 
 
 def _tokenize(text: str) -> list[str]:
-    out = []
-    cur = ""
-    for ch in text:
-        if ch in "(),":
-            if cur.strip():
-                out.append(cur.strip())
-            cur = ""
-            out.append(ch)
-        else:
-            cur += ch
-    if cur.strip():
-        out.append(cur.strip())
-    return out
+    """The spec's tokens: each bracket and comma, and the stripped text between them."""
+    return [t for t in map(str.strip, re.split(r"([(),])", text)) if t]
 
 
 def _parse_expr(tokens: list[str], pos: int, leaf):
@@ -139,6 +129,8 @@ def _atom(token: str) -> dict:
             raise SpecError(f"complex-group parameter must look like 'A2', got {param!r}")
     elif not (param.isascii() and param.isdigit()):
         raise SpecError(f"{name} parameter must be a positive integer, got {param!r}")
+    if sum(map(str.isdigit, param)) > exactnum.MAX_DIGITS:
+        raise SpecError(f"{name} parameter has more than {exactnum.MAX_DIGITS} digits")
     return {"kind": "atom", "family": name, "param": param}
 
 
@@ -431,34 +423,18 @@ def cmd_verify(args, out) -> int:
 # --- entry point ------------------------------------------------------------------
 
 
-def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-
-
-def _positive_int(text: str) -> int:
-    value = _int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _digits(text: str) -> int:
-    value = _positive_int(text)
-    if value > exactnum.MAX_DIGITS:
-        raise argparse.ArgumentTypeError(
-            f"must be at most {exactnum.MAX_DIGITS}, got {value}")
-    return value
-
-
-def _precision(text: str) -> int:
-    """An oracle precision, in the range ``oracle.heat_trace`` sums to."""
-    value = _int(text)
-    if not 1 <= value <= oracle.MAX_PRECISION:
-        raise argparse.ArgumentTypeError(f"precision must lie in [1, {oracle.MAX_PRECISION}]")
-    return value
+def _count(lo: int, hi: int | None = None) -> Callable[[str], int]:
+    """The argparse type of every integer option: an integer from lo to hi (None: unbounded)."""
+    def read(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < lo or hi is not None and value > hi:
+            span = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise argparse.ArgumentTypeError(f"must be {span}, got {value}")
+        return value
+    return read
 
 
 def _epsilon(text: str) -> float:
@@ -483,15 +459,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the generated_at field (deterministic output)")
         if decimal:
-            p.add_argument("--decimal", type=_digits, default=None, metavar="D",
+            p.add_argument("--decimal", type=_count(1, exactnum.MAX_DIGITS), metavar="D",
                            help="add decimal renderings with D significant digits "
                                 f"(1 to {exactnum.MAX_DIGITS})")
         p.add_argument("-o", "--output", dest="out", default="-",
                        help="write to a file instead of stdout")
 
     def n_max(p, **kwargs):
-        p.add_argument("--n-max", type=int, **kwargs)
-        p.add_argument("--n-max-limit", type=int, default=1000,
+        p.add_argument("--n-max", type=_count(0), **kwargs)
+        p.add_argument("--n-max-limit", type=_count(0), default=1000,
                        help="refuse any --n-max above this (default 1000)")
 
     p = sub.add_parser("coeffs", help="coefficient table of a space spec")
@@ -502,7 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-fill", action="store_true",
                    help="fill below-threshold indices from the spectral oracle "
                         "(spheres only; flagged approximate)")
-    p.add_argument("--oracle-precision", type=_precision, default=30)
+    p.add_argument("--oracle-precision", type=_count(1, oracle.MAX_PRECISION), default=30)
     common(p, decimal=True)
     p.set_defaults(fn=cmd_coeffs)
 
@@ -516,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("growth", help="growth diagnostics of a space spec")
     p.add_argument("--space", required=True)
     n_max(p, default=300)
-    p.add_argument("--n-min", type=_positive_int, default=50)
+    p.add_argument("--n-min", type=_count(1), default=50)
     p.add_argument("--epsilon", type=_epsilon, action="append", default=None)
     common(p)
     p.set_defaults(fn=cmd_growth)

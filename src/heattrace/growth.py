@@ -11,7 +11,10 @@ constants are invisible.  All magnitude comparisons happen in log space via
 :func:`heattrace.exactnum.log_abs`, since the exact coefficients reach
 10^5-digit numerators long before n = 300.  The rules of the window
 [n_min, n_max] live in :func:`check_window` alone, which the diagnostics ask
-after a build and the CLI before one.
+after a build and the CLI before one.  A series vanishes only by its rule:
+it ends in exact zeros.  Every diagnostic skips an exact zero inside the
+window, so X x X* of a rank-one X, whose odd coefficients are zero, is read
+from its even ones.
 """
 
 from __future__ import annotations
@@ -34,10 +37,10 @@ __all__ = [
 ]
 
 
-def _log_ratios(s: HeatSeries, n_min: int) -> list[float]:
-    """log(|A_n| / n!) for n = n_min..n_max, -inf at a zero coefficient."""
-    return [log_abs(c) - math.lgamma(n + 1) if c != 0 else -math.inf
-            for n, c in enumerate(s.coeffs[n_min:], n_min)]
+def _log_ratios(s: HeatSeries, n_min: int) -> list[tuple[int, float]]:
+    """(n, log(|A_n| / n!)) for each nonzero A_n with n in [n_min, n_max]."""
+    return [(n, log_abs(c) - math.lgamma(n + 1))
+            for n, c in enumerate(s.coeffs[n_min:], n_min) if c != 0]
 
 
 def _require_unit_eps(eps: float) -> None:
@@ -87,36 +90,41 @@ def check_window(n_min: int, n_max: int, gap: range, flag: str, zero_run: int = 
 
 
 def estimate_growth_constant(s: HeatSeries, n_min: int) -> float:
-    """Estimate C in |A_n| ~ C^n n! as the n_max value of (|A_n|/n!)^(1/n).
+    """Estimate C in |A_n| ~ C^n n! as (|A_n|/n!)^(1/n) at the last nonzero A_n.
 
-    Raises ValueError on a window that :func:`check_window` refuses, and on a
-    zero coefficient in the window, which signals vanishing instead.
+    Raises ValueError on a window that :func:`check_window` refuses, on a
+    series that it calls vanishing, and on a window of zeros.
     """
-    check_window(n_min, s.n_max, s.gap, s.flag, _zero_run(s))
+    if check_window(n_min, s.n_max, s.gap, s.flag, _zero_run(s)):
+        raise ValueError("the series vanishes; it has no growth constant")
     ratios = _log_ratios(s, n_min)
-    if -math.inf in ratios:
-        n = n_min + ratios.index(-math.inf)
-        raise ValueError(f"zero coefficient at n={n}; series looks vanishing, not growing")
-    return _root(ratios[-1], s.n_max)
+    if not ratios:
+        raise ValueError(f"A_n is zero for every n in [{n_min}, {s.n_max}]")
+    return _root(ratios[-1][1], ratios[-1][0])
 
 
 def find_band_start(s: HeatSeries, C: float, eps: float, n_min: int = 1) -> int | None:
     """Smallest N >= n_min with the band holding on [N, n_max], or None.
 
     The band holds on all of [n_min, n_max] exactly when this returns n_min;
-    a zero coefficient fails it.  Raises ValueError unless eps lies in (0, 1),
-    C > 0 and :func:`check_window` accepts the window.
+    exact zeros are skipped, and a series that :func:`check_window` calls
+    vanishing, or a window of zeros, has no band (None).  Raises ValueError
+    unless eps lies in (0, 1), C > 0 and :func:`check_window` accepts the window.
     """
     _require_unit_eps(eps)
     if C <= 0:
         raise ValueError("C must be positive")
-    check_window(n_min, s.n_max, s.gap, s.flag, _zero_run(s))
+    if check_window(n_min, s.n_max, s.gap, s.flag, _zero_run(s)):
+        return None
+    ratios = _log_ratios(s, n_min)
+    if not ratios:
+        return None
     lo = math.log(C * (1.0 - eps))
     hi = math.log(C * (1.0 + eps))
-    bad = [n for n, lr in enumerate(_log_ratios(s, n_min), n_min) if not n * lo < lr < n * hi]
+    bad = [n for n, lr in ratios if not n * lo < lr < n * hi]
     if not bad:
         return n_min
-    return None if bad[-1] == s.n_max else bad[-1] + 1
+    return None if bad[-1] == ratios[-1][0] else bad[-1] + 1
 
 
 def factorial_bound_witness(s: HeatSeries) -> float:
@@ -125,8 +133,7 @@ def factorial_bound_witness(s: HeatSeries) -> float:
     Finite for every series with nonzero length; by construction the bound
     then holds at every index for the returned witness.
     """
-    return max((_root(lr, n) for n, lr in enumerate(_log_ratios(s, 1), 1)
-                if lr != -math.inf), default=0.0)
+    return max((_root(lr, n) for n, lr in _log_ratios(s, 1)), default=0.0)
 
 
 def _classify(s: HeatSeries, n_min: int) -> tuple[str, float]:
@@ -134,12 +141,11 @@ def _classify(s: HeatSeries, n_min: int) -> tuple[str, float]:
     'factorial_growth' (0.0 otherwise)."""
     if check_window(n_min, s.n_max, s.gap, s.flag, _zero_run(s)):
         return "vanishing", 0.0
-    ratios = _log_ratios(s, n_min)
-    if -math.inf in ratios:
-        return "vanishing", 0.0
     # the n-th roots over the last 20% of the window; the last is the estimate
     tail_start = s.n_max - max(1, (s.n_max - n_min) // 5)
-    tail = [_root(lr, n) for n, lr in enumerate(ratios, n_min) if n >= tail_start]
+    tail = [_root(lr, n) for n, lr in _log_ratios(s, tail_start)]
+    if not tail:
+        return "polynomial_exponential", 0.0
     c_est = tail[-1]
     if c_est < 1e-3 and all(b <= a for a, b in zip(tail, tail[1:])):
         return "factorial_decay", 0.0
@@ -152,10 +158,12 @@ def classify(s: HeatSeries, n_min: int = 50) -> str:
     """One of 'vanishing', 'factorial_decay', 'factorial_growth', 'polynomial_exponential'.
 
     Raises ValueError on a window that :func:`check_window` refuses.  A
-    series is vanishing when :func:`check_window` says so or an exact zero
-    lies in the window; factorially decaying when the n-th root ratio drops
-    below 1e-3 by n_max; factorially growing when that ratio stabilizes
-    within 5% over the last 20% of the window.  Anything else reports
+    series is vanishing when :func:`check_window` says so, that is, when it
+    ends in more than max(10, n_max // 10) exact zeros; exact zeros inside
+    the window are skipped.  It is factorially decaying when the n-th root
+    ratio of its nonzero coefficients drops below 1e-3 by n_max; factorially
+    growing when that ratio stabilizes within 5% over the last 20% of the
+    window.  Anything else, a last 20% of zeros included, reports
     polynomial_exponential.
     """
     return _classify(s, n_min)[0]

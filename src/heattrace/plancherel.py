@@ -509,9 +509,13 @@ def load_model_file(path: str | Path) -> PlancherelModel:
     :func:`~heattrace.exactnum.parse_rational` refuses raises a
     ``ValueError`` that names the file and the key, and so does a model past
     the size limits above: m - r over 1000, more than 12 coordinates, or a
-    non-diagonal form whose sheared density may pass 10,000 terms.
+    non-diagonal form whose sheared density may pass 10,000 terms.  So does
+    text the JSON decoder refuses, or nests past its recursion limit.
     """
-    raw = json.loads(Path(path).read_text())
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"model file {path}: cannot decode its JSON ({exc})") from None
 
     def read(obj, key: str, convert):
         try:

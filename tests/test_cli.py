@@ -177,6 +177,36 @@ def no_build(monkeypatch):
     _patch_builders(monkeypatch, no_build)
 
 
+@pytest.fixture
+def no_model(monkeypatch, no_build):
+    """Make any atom model or series build fail the test: the request must be
+    refused before the plan reads a single atom."""
+    from heattrace import plancherel, rank1
+
+    def no_model(*args):
+        raise AssertionError("a refused request built a model")
+
+    monkeypatch.setattr(rank1, "atom_model", no_model)
+    monkeypatch.setattr(plancherel, "build_family", no_model)
+
+
+def _reference_tokenize(text: str) -> list[str]:
+    """The spec tokenizer as a character loop, the reference for cli._tokenize."""
+    out = []
+    cur = ""
+    for ch in text:
+        if ch in "(),":
+            if cur.strip():
+                out.append(cur.strip())
+            cur = ""
+            out.append(ch)
+        else:
+            cur += ch
+    if cur.strip():
+        out.append(cur.strip())
+    return out
+
+
 class TestSpaceSpecParser:
     def test_atoms(self):
         assert parse_space("sphere:2") == {"kind": "atom", "family": "sphere", "param": "2"}
@@ -216,14 +246,24 @@ class TestSpaceSpecParser:
             assert code == 2 and out == ""
             assert err == "error: space spec nests combinators deeper than 100\n"
 
-    def test_parsing_builds_no_model(self, monkeypatch):
-        from heattrace import plancherel, rank1
+    @given(st.text(st.sampled_from("(),: \t\nabcdeAEsphr-12309") | st.characters(),
+                   max_size=40))
+    @example("product( sphere:1 ,dual(cp: 2)) ")
+    @example(" , \n(")
+    def test_tokens_equal_the_character_loop(self, text):
+        from heattrace.cli import _tokenize
 
-        def no_model(*args):
-            raise AssertionError("parsing built a model")
+        assert _tokenize(text) == _reference_tokenize(text)
 
-        monkeypatch.setattr(rank1, "atom_model", no_model)
-        monkeypatch.setattr(plancherel, "build_family", no_model)
+    @pytest.mark.parametrize("spec", ["sphere:" + "1" * 4301, "complex-group:A" + "1" * 4301],
+                             ids=["sphere", "complex-group"])
+    def test_parameter_past_the_digit_limit_refused(self, spec):
+        with pytest.raises(SpecError, match="parameter has more than 4300 digits"):
+            parse_space(spec)
+        # 4300 digits are read: the model applies its own range
+        assert parse_space(spec[:-1])["param"] == spec[spec.index(":") + 1:-1]
+
+    def test_parsing_builds_no_model(self, no_model):
         tree = parse_space("product(sphere:0, hp:4, su-star:9, complex-group:A9)")
         assert [c["param"] for c in tree["children"]] == ["0", "4", "9", "A9"]
 
@@ -386,7 +426,7 @@ class TestCoeffsCommand:
             code, out, err = run(capsys, "coeffs", "--space", "sphere:3", "--n-max", "20",
                                  "--oracle-fill", "--oracle-precision", precision)
             assert code == 2 and out == ""
-            assert "precision must lie in [1, 500]" in err
+            assert f"argument --oracle-precision: must be in [1, 500], got {precision}" in err
 
     @pytest.mark.parametrize("argv, message", [
         (("cp:3", "--oracle-fill"),
@@ -394,9 +434,9 @@ class TestCoeffsCommand:
         (("product(sphere:1, cp:3)", "--oracle-fill"),
          "oracle fill is only available for spheres, not complex_projective"),
         (("product(sphere:1, sphere:3)", "--oracle-fill", "--oracle-precision", "0"),
-         "precision must lie in [1, 500]"),
+         "argument --oracle-precision: must be in [1, 500], got 0"),
         (("product(sphere:1, sphere:3)", "--oracle-fill", "--oracle-precision", "501"),
-         "precision must lie in [1, 500]"),
+         "argument --oracle-precision: must be in [1, 500], got 501"),
         (("product(sphere:1, sphere:13)", "--oracle-fill"),
          "a spectral fit to order 12 needs at least 60 digits (--oracle-precision 60)"),
     ], ids=["non-sphere-atom", "non-sphere", "precision-0", "precision-501",
@@ -643,6 +683,20 @@ class TestClosedFormCommand:
             assert code == 0, err
             assert json.loads(out)["degree_bound"] == degree // 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 1000 + "]" * 1000, "maximum recursion depth exceeded"),
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+        ('{"r": 1,', "Expecting property name enclosed in double quotes")],
+        ids=["nested-1000", "nested-100000", "truncated"])
+    def test_undecodable_model_file_refused(self, capsys, tmp_path, text, message):
+        # the decoder's RecursionError ended in a traceback and exit 1
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "closed-form", "--model-file", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: model file {path}: cannot decode its JSON (")
+        assert message in err
+
     @pytest.mark.parametrize("flags", [(), ("--family", "hyperbolic-odd:1",
                                             "--model-file", "m.json")],
                              ids=["neither", "both"])
@@ -678,6 +732,21 @@ class TestGrowthCommand:
                         "--n-max", "150", "--no-timestamp")
         doc = json.loads(out)
         assert doc["growth"]["classification"] == "vanishing"
+
+    @pytest.mark.parametrize("spec, c, c1_min", [
+        ("product(sphere:1, dual(sphere:1))", 1 / math.pi ** 2, 0.10540925533894598),
+        ("product(cp:2, dual(cp:2))", 3 / math.pi ** 2, 0.31887440145529594)],
+        ids=["sphere:1", "cp:2"])
+    def test_rank_one_times_its_dual_grows(self, capsys, spec, c, c1_min):
+        # A(t) A(-t) has exact zeros at every odd n, which read as 'vanishing'
+        # once; its even coefficients grow like C^n n!
+        code, out, err = run(capsys, "growth", "--space", spec, "--n-max", "300",
+                             "--no-timestamp")
+        assert code == 0, err
+        report = json.loads(out)["growth"]
+        assert report["classification"] == "factorial_growth"
+        assert abs(report["C_estimate"] / c - 1) < 0.05
+        assert report["C1_min"] == c1_min
 
 
 class TestGrowthRefusals:
@@ -948,6 +1017,47 @@ class TestNMaxLimit:
         code, out, err = run(capsys, "growth", "--space", "hyperbolic-odd:1", "--n-max", "60",
                              "--n-max-limit", "60", "--n-min", "10", "--no-timestamp")
         assert code == 0, err
+
+
+class TestIntegerOptions:
+    @pytest.mark.parametrize("argv, message", [
+        (("coeffs", "--space", "su-star:5", "--n-max", "-1"),
+         "argument --n-max: must be at least 0, got -1"),
+        (("growth", "--space", "sphere:2", "--n-max", "-1"),
+         "argument --n-max: must be at least 0, got -1"),
+        (("coeffs", "--space", "sphere:1", "--n-max", "3", "--n-max-limit", "-5"),
+         "argument --n-max-limit: must be at least 0, got -5"),
+        (("coeffs", "--space", "sphere:" + "1" * 5000, "--n-max", "3"),
+         "sphere parameter has more than 4300 digits"),
+        (("growth", "--space", "sphere:2", "--n-min", "x"),
+         "argument --n-min: expected an integer, got 'x'"),
+        (("coeffs", "--space", "sphere:1", "--n-max", "3", "--decimal", "4301"),
+         "argument --decimal: must be in [1, 4300], got 4301"),
+    ], ids=["coeffs-n-max", "growth-n-max", "n-max-limit", "long-parameter", "n-min-text",
+            "decimal"])
+    def test_refused_before_any_model(self, capsys, no_model, argv, message):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert message in err and "n_min" not in err and "Traceback" not in err
+
+    def test_n_max_zero_is_read(self, capsys):
+        code, out, err = run(capsys, "coeffs", "--space", "sphere:1", "--n-max", "0",
+                             "--n-max-limit", "0", "--no-timestamp")
+        assert code == 0, err
+        assert [c["n"] for c in json.loads(out)["coefficients"]] == [0]
+
+    def test_no_integer_option_skips_the_bounded_reader(self):
+        import argparse
+
+        from heattrace.cli import _build_parser
+
+        parser = _build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        actions = [a for p in commands.choices.values() for a in p._actions]
+        assert [a.dest for a in actions if a.dest == "n_max"] == ["n_max", "n_max"]
+        assert not [a.option_strings for a in actions if a.type is int]
 
 
 def test_plancherel_products_skip_the_full_convolution(monkeypatch):

@@ -42,11 +42,27 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate_growth_constant(s, 30)
 
-    def test_zero_coefficient_raises(self):
-        coeffs = [Fraction(1)] * 201
-        coeffs[100] = Fraction(0)
-        with pytest.raises(ValueError):
-            estimate_growth_constant(HeatSeries(coeffs), 50)
+    def test_exact_zeros_inside_the_window_are_skipped(self):
+        s = factorial_series(Fraction(1, 7), 200)
+        s.coeffs[100] = Fraction(0)
+        assert abs(estimate_growth_constant(s, 50) - 1 / 7) < 1e-12
+        s.coeffs[200] = Fraction(0)  # the last nonzero coefficient, A_199, gives it
+        s.coeffs[199] *= 2 ** 199
+        assert abs(estimate_growth_constant(s, 50) - 2 / 7) < 1e-12
+
+    def test_vanishing_series_raises(self):
+        s = factorial_series(Fraction(1, 7), 200)
+        s.coeffs[150:] = [Fraction(0)] * 51
+        with pytest.raises(ValueError, match="vanishes"):
+            estimate_growth_constant(s, 50)
+
+    def test_window_of_zeros_raises(self):
+        # 60 trailing zeros are not more than n_max // 10, so the series does
+        # not vanish, yet no coefficient in the window is nonzero
+        s = factorial_series(Fraction(1), 600)
+        s.coeffs[541:] = [Fraction(0)] * 60
+        with pytest.raises(ValueError, match=r"A_n is zero for every n in \[541, 600\]"):
+            estimate_growth_constant(s, 541)
 
 
 class TestEquivCheck:
@@ -98,10 +114,23 @@ class TestEquivCheck:
             find_band_start(s, 1 / 3, 0.2, 150)
         assert find_band_start(s, 1 / 3, 0.2, 151) == 151
 
-    def test_exact_zero_fails_the_band(self):
+    def test_exact_zero_is_skipped_by_the_band(self):
         s = factorial_series(Fraction(1, 3), 200)
         s.coeffs[150] = Fraction(0)
-        assert find_band_start(s, 1 / 3, 0.2, 50) == 151
+        assert find_band_start(s, 1 / 3, 0.2, 50) == 50
+        # the last nonzero coefficient is out of the band: the zeros after it
+        # hold no band
+        s.coeffs[199] *= 10 ** 40
+        s.coeffs[200] = Fraction(0)
+        assert find_band_start(s, 1 / 3, 0.2, 50) is None
+
+    def test_vanishing_series_has_no_band(self):
+        s = factorial_series(Fraction(1, 3), 200)
+        s.coeffs[150:] = [Fraction(0)] * 51
+        assert find_band_start(s, 1 / 3, 0.2, 50) is None
+        s = factorial_series(Fraction(1), 600)
+        s.coeffs[541:] = [Fraction(0)] * 60
+        assert find_band_start(s, 1.0, 0.2, 541) is None
 
 
 class TestWitness:
@@ -146,6 +175,22 @@ class TestClassifyAndReport:
         rep = growth_report(prod)
         assert rep.classification == "vanishing"
         assert rep.C_estimate == 0.0
+
+    def test_rank_one_times_its_dual_grows(self, series300):
+        # A(t) A(-t) is even: its odd coefficients are exact zeros, which the
+        # diagnostics skip, and its even ones grow like (1/pi^2)^n n!
+        s = series300("sphere:1")
+        rep = growth_report(product(s, dualize(s)))
+        assert rep.classification == "factorial_growth"
+        assert abs(rep.C_estimate * math.pi ** 2 - 1) < 0.05
+        assert rep.epsilon_band == [(0.2, 50)]
+
+    def test_last_fifth_of_zeros_is_not_an_error(self):
+        s = factorial_series(Fraction(1), 600)
+        s.coeffs[580:] = [Fraction(0)] * 21
+        assert classify(s, n_min=500) == "polynomial_exponential"
+        s.coeffs[541:] = [Fraction(0)] * 60
+        assert growth_report(s, n_min=541).classification == "polynomial_exponential"
 
     def test_factorial_growth_report(self, series300):
         rep = growth_report(series300("sphere:1"), n_min=50, epsilons=(0.2, 0.5))
