@@ -4,7 +4,7 @@ Classifies a series as factorially growing, factorially decaying, vanishing,
 or other; estimates the growth constant C in |A_n| ~ C^n n!; and checks the
 two-sided band
 
-    (C (1 - eps))^n n!  <  |A_n|  <  (C (1 + eps))^n n!      for n >= N,
+    (C (1 - eps))^n n!  <  |A_n|  <  (C (1 + eps))^n n!      for nonzero A_n, n >= N,
 
 the equivalence notion under which polynomial prefactors and multiplicative
 constants are invisible.  All magnitude comparisons happen in log space via
@@ -12,9 +12,9 @@ constants are invisible.  All magnitude comparisons happen in log space via
 10^5-digit numerators long before n = 300.  The rules of the window
 [n_min, n_max] live in :func:`check_window` alone, which the diagnostics ask
 after a build and the CLI before one.  A series vanishes only by its rule:
-it ends in exact zeros.  Every diagnostic skips an exact zero inside the
-window, so X x X* of a rank-one X, whose odd coefficients are zero, is read
-from its even ones.
+its closed form is a polynomial, or it ends in exact zeros.  Every
+diagnostic skips an exact zero inside the window, so X x X* of a rank-one X,
+whose odd coefficients are zero, is read from its even ones.
 """
 
 from __future__ import annotations
@@ -57,10 +57,13 @@ def _root(lr: float, n: int) -> float:
                          "is past the float range") from None
 
 
-def _zero_run(s: HeatSeries) -> int:
-    """The number of exact zeros the series ends in (its gap holds none)."""
-    return s.n_max - next((n for n in range(s.n_max, len(s.gap), -1) if s.coeffs[n]),
-                          len(s.gap))
+def _vanishes(s: HeatSeries, n_min: int) -> bool:
+    """:func:`check_window` on a built series, whose zero run is the exact zeros
+    it ends in (its gap holds none), or, for a closed form e^{0 t} P(t), a
+    polynomial, inf, as :func:`check_window` counts it before the build."""
+    zero_run = math.inf if s.exppoly and not s.exppoly[0] else s.n_max - next(
+        (n for n in range(s.n_max, len(s.gap), -1) if s.coeffs[n]), len(s.gap))
+    return check_window(n_min, s.n_max, s.gap, s.flag, zero_run)
 
 
 def check_window(n_min: int, n_max: int, gap: range, flag: str, zero_run: int = 0,
@@ -95,7 +98,7 @@ def estimate_growth_constant(s: HeatSeries, n_min: int) -> float:
     Raises ValueError on a window that :func:`check_window` refuses, on a
     series that it calls vanishing, and on a window of zeros.
     """
-    if check_window(n_min, s.n_max, s.gap, s.flag, _zero_run(s)):
+    if _vanishes(s, n_min):
         raise ValueError("the series vanishes; it has no growth constant")
     ratios = _log_ratios(s, n_min)
     if not ratios:
@@ -106,15 +109,16 @@ def estimate_growth_constant(s: HeatSeries, n_min: int) -> float:
 def find_band_start(s: HeatSeries, C: float, eps: float, n_min: int = 1) -> int | None:
     """Smallest N >= n_min with the band holding on [N, n_max], or None.
 
-    The band holds on all of [n_min, n_max] exactly when this returns n_min;
-    exact zeros are skipped, and a series that :func:`check_window` calls
-    vanishing, or a window of zeros, has no band (None).  Raises ValueError
-    unless eps lies in (0, 1), C > 0 and :func:`check_window` accepts the window.
+    The band is read on the nonzero A_n alone: it holds on all of
+    [n_min, n_max] exactly when this returns n_min, and a series that
+    :func:`check_window` calls vanishing, or a window of zeros, has no band
+    (None).  Raises ValueError unless eps lies in (0, 1), C > 0 and
+    :func:`check_window` accepts the window.
     """
     _require_unit_eps(eps)
     if C <= 0:
         raise ValueError("C must be positive")
-    if check_window(n_min, s.n_max, s.gap, s.flag, _zero_run(s)):
+    if _vanishes(s, n_min):
         return None
     ratios = _log_ratios(s, n_min)
     if not ratios:
@@ -139,13 +143,14 @@ def factorial_bound_witness(s: HeatSeries) -> float:
 def _classify(s: HeatSeries, n_min: int) -> tuple[str, float]:
     """The classification of :func:`classify`, and the estimate of C when it is
     'factorial_growth' (0.0 otherwise)."""
-    if check_window(n_min, s.n_max, s.gap, s.flag, _zero_run(s)):
+    if _vanishes(s, n_min):
         return "vanishing", 0.0
     # the n-th roots over the last 20% of the window; the last is the estimate
     tail_start = s.n_max - max(1, (s.n_max - n_min) // 5)
     tail = [_root(lr, n) for n, lr in _log_ratios(s, tail_start)]
     if not tail:
-        return "polynomial_exponential", 0.0
+        raise ValueError(f"A_n is zero for every n in [{tail_start}, {s.n_max}], the last "
+                         "fifth of the window, yet the series does not vanish")
     c_est = tail[-1]
     if c_est < 1e-3 and all(b <= a for a, b in zip(tail, tail[1:])):
         return "factorial_decay", 0.0
@@ -157,14 +162,15 @@ def _classify(s: HeatSeries, n_min: int) -> tuple[str, float]:
 def classify(s: HeatSeries, n_min: int = 50) -> str:
     """One of 'vanishing', 'factorial_decay', 'factorial_growth', 'polynomial_exponential'.
 
-    Raises ValueError on a window that :func:`check_window` refuses.  A
-    series is vanishing when :func:`check_window` says so, that is, when it
-    ends in more than max(10, n_max // 10) exact zeros; exact zeros inside
+    Raises ValueError on a window that :func:`check_window` refuses, and on
+    a last 20% of the window that holds only zeros of a series that does not
+    vanish.  A series is vanishing when :func:`check_window` says so, that
+    is, when its closed form is a polynomial (``exppoly`` with kappa = 0) or
+    it ends in more than max(10, n_max // 10) exact zeros; exact zeros inside
     the window are skipped.  It is factorially decaying when the n-th root
     ratio of its nonzero coefficients drops below 1e-3 by n_max; factorially
     growing when that ratio stabilizes within 5% over the last 20% of the
-    window.  Anything else, a last 20% of zeros included, reports
-    polynomial_exponential.
+    window.  Anything else reports polynomial_exponential.
     """
     return _classify(s, n_min)[0]
 

@@ -746,7 +746,21 @@ class TestGrowthCommand:
         report = json.loads(out)["growth"]
         assert report["classification"] == "factorial_growth"
         assert abs(report["C_estimate"] / c - 1) < 0.05
+        assert report["epsilon_band"] == [{"epsilon": 0.2, "N": 50}]
         assert report["C1_min"] == c1_min
+
+    @pytest.mark.parametrize("window", [
+        (), ("--n-max", "305"), ("--n-max", "320", "--n-min", "305")],
+        ids=["degree-n_max", "past-the-degree", "n_min-past-the-degree"])
+    def test_polynomial_of_degree_near_n_max_vanishes(self, capsys, window):
+        # P(t) P(-t) of degree 300 has exact zeros at every odd n but no long
+        # trailing zero run; kappa = 0 makes it a polynomial all the same
+        code, out, err = run(capsys, "growth", "--space",
+                             "product(hyperbolic-odd:150, dual(hyperbolic-odd:150))",
+                             "--no-timestamp", *window)
+        assert code == 0, err
+        report = json.loads(out)["growth"]
+        assert (report["classification"], report["C_estimate"]) == ("vanishing", 0.0)
 
 
 class TestGrowthRefusals:

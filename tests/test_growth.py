@@ -176,21 +176,27 @@ class TestClassifyAndReport:
         assert rep.classification == "vanishing"
         assert rep.C_estimate == 0.0
 
-    def test_rank_one_times_its_dual_grows(self, series300):
-        # A(t) A(-t) is even: its odd coefficients are exact zeros, which the
-        # diagnostics skip, and its even ones grow like (1/pi^2)^n n!
-        s = series300("sphere:1")
-        rep = growth_report(product(s, dualize(s)))
-        assert rep.classification == "factorial_growth"
-        assert abs(rep.C_estimate * math.pi ** 2 - 1) < 0.05
-        assert rep.epsilon_band == [(0.2, 50)]
+    @pytest.mark.parametrize("n_max, n_min", [(300, 50), (305, 50), (320, 305)])
+    def test_a_polynomial_closed_form_vanishes(self, n_max, n_min):
+        # P(t) P(-t) of degree 300 is even: its odd coefficients are exact
+        # zeros, yet it ends in no zero run at n_max = 300, in one of 5 at
+        # 305 and in one of 20 at 320, too short to vanish by its run (so the
+        # window [305, 320] would need n_max >= n_min + 50); its closed form,
+        # kappa = 0, says it is a polynomial
+        s = to_series(closed_form(build_family("hyperbolic_odd", 150)), n_max)
+        prod = product(s, dualize(s))
+        assert prod.exppoly[0] == 0
+        rep = growth_report(prod, n_min=n_min)
+        assert (rep.classification, rep.C_estimate, rep.epsilon_band) == ("vanishing", 0.0, [])
 
-    def test_last_fifth_of_zeros_is_not_an_error(self):
+    def test_last_fifth_of_zeros_is_refused(self):
+        # 21 trailing zeros are not more than n_max // 10: the series does not
+        # vanish, and the last fifth of its window holds nothing to read
         s = factorial_series(Fraction(1), 600)
         s.coeffs[580:] = [Fraction(0)] * 21
-        assert classify(s, n_min=500) == "polynomial_exponential"
-        s.coeffs[541:] = [Fraction(0)] * 60
-        assert growth_report(s, n_min=541).classification == "polynomial_exponential"
+        with pytest.raises(ValueError, match=r"A_n is zero for every n in \[580, 600\]"):
+            classify(s, n_min=500)
+        assert classify(s, n_min=400) == "factorial_growth"
 
     def test_factorial_growth_report(self, series300):
         rep = growth_report(series300("sphere:1"), n_min=50, epsilons=(0.2, 0.5))
