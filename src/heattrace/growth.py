@@ -77,7 +77,7 @@ def check_window(n_min: int, n_max: int, gap: range, flag: str, zero_run: int = 
     A series e^{kappa t} P(t) not yet built passes ``exppoly`` = (kappa, a
     bound on deg P) instead: with kappa != 0, A_n = kappa^n / n! Q(n) for a
     nonzero Q of degree deg P, so at most deg P coefficients vanish; with
-    kappa = 0 the series is P and may vanish.
+    kappa = 0 the series is P, a polynomial, and vanishes.
     """
     if not 1 <= n_min <= n_max:
         raise ValueError(f"n_min must lie in [1, {n_max}], got {n_min}")
