@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import re
 import sys
 from collections.abc import Callable
@@ -317,15 +318,22 @@ def coefficients_document(spec: str, tree: dict, normalization: dict, s: series.
     return _stamped(doc, timestamp)
 
 
-def render_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+# The writers stream a document to ``out`` as they render it, so its text is
+# held once, in the fields, and never joined into one string.
 
 
-def render_csv(s: series.HeatSeries) -> str:
+def write_json(doc: dict, out) -> None:
+    """doc as two-space indented JSON and a newline."""
+    json.dump(doc, out, indent=2)
+    out.write("\n")
+
+
+def write_csv(s: series.HeatSeries, out) -> None:
+    """The header, then one row per coefficient."""
     # every field is an integer or a flag word, so no field needs quoting
-    return "n,num,den,pi_power,validity\n" + "".join(
-        f"{n},{f['num']},{f['den']},{f['pi_power']},{flag}\n"
-        for n, (f, flag) in enumerate(zip(_frac_fields(s.coeffs), s.validity)))
+    out.write("n,num,den,pi_power,validity\n")
+    for n, (f, flag) in enumerate(zip(_frac_fields(s.coeffs), s.validity)):
+        out.write(f"{n},{f['num']},{f['den']},{f['pi_power']},{flag}\n")
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -334,8 +342,8 @@ def render_csv(s: series.HeatSeries) -> str:
 def _check_n_max(args) -> None:
     """Refuse an n_max over --n-max-limit before any parsing or building."""
     if args.n_max > args.n_max_limit:
-        raise SpecError(f"n_max {args.n_max} exceeds the limit {args.n_max_limit} "
-                        "(raise it with --n-max-limit)")
+        raise SpecError(f"n_max {_shown(args.n_max)} exceeds the limit "
+                        f"{_shown(args.n_max_limit)} (raise it with --n-max-limit)")
 
 
 def cmd_coeffs(args, out) -> int:
@@ -345,11 +353,10 @@ def cmd_coeffs(args, out) -> int:
                                  args.oracle_precision if args.oracle_fill else None)
     s = build()
     if args.format == "csv":
-        out.write(render_csv(s))
+        write_csv(s, out)
     else:
-        doc = coefficients_document(args.space, tree, normalization, s, args.decimal,
-                                    not args.no_timestamp)
-        out.write(render_json(doc))
+        write_json(coefficients_document(args.space, tree, normalization, s, args.decimal,
+                                         not args.no_timestamp), out)
     return 0
 
 
@@ -382,7 +389,7 @@ def cmd_closed_form(args, out) -> int:
         doc["kappa"]["decimal"] = _decimal(form.kappa, args.decimal)
         for entry, c in zip(doc["poly"], form.poly):
             entry["decimal"] = _decimal(c, args.decimal)
-    out.write(render_json(_stamped(doc, not args.no_timestamp)))
+    write_json(_stamped(doc, not args.no_timestamp), out)
     return 0
 
 
@@ -405,7 +412,7 @@ def cmd_growth(args, out) -> int:
         },
         "provenance": [s.provenance],
     }
-    out.write(render_json(_stamped(doc, not args.no_timestamp)))
+    write_json(_stamped(doc, not args.no_timestamp), out)
     return 0
 
 
@@ -423,16 +430,37 @@ def cmd_verify(args, out) -> int:
 # --- entry point ------------------------------------------------------------------
 
 
+# The most characters of a rejected option, or digits of an integer, that a
+# message repeats; a longer one is named by its length.
+_ECHO = 20
+
+
+def _echoed(text: str) -> str:
+    """A rejected option's text as a message quotes it."""
+    if len(text) <= _ECHO:
+        return repr(text)
+    return f"{text[:_ECHO]!r}... ({len(text)} characters)"
+
+
+def _shown(value: int) -> str:
+    """An integer as a message names it."""
+    text = str(value)
+    digits = len(text) - (value < 0)
+    if digits <= _ECHO:
+        return text
+    return f"{text[:_ECHO + (value < 0)]}... ({digits} digits)"
+
+
 def _count(lo: int, hi: int | None = None) -> Callable[[str], int]:
     """The argparse type of every integer option: an integer from lo to hi (None: unbounded)."""
     def read(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+            raise argparse.ArgumentTypeError(f"expected an integer, got {_echoed(text)}") from None
         if value < lo or hi is not None and value > hi:
             span = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
-            raise argparse.ArgumentTypeError(f"must be {span}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be {span}, got {_shown(value)}")
         return value
     return read
 
@@ -441,9 +469,9 @@ def _epsilon(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected a number, got {_echoed(text)}") from None
     if not 0 < value < 1:
-        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {text}")
+        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {_echoed(text)}")
     return value
 
 
@@ -512,7 +540,14 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         if args.out == "-":
-            return args.fn(args, sys.stdout)
+            try:
+                return args.fn(args, sys.stdout)
+            except BrokenPipeError:
+                # The reader left mid-document, as `| head` does.  Every refusal
+                # comes before the first byte, so the request succeeded; what is
+                # still buffered goes to the null device, not the closed pipe.
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                return 0
         buf = io.StringIO()  # the file is opened only once the output is complete
         code = args.fn(args, buf)
         with open(args.out, "w") as f:

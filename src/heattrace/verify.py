@@ -63,6 +63,11 @@ def reference_series(key: str, n_max: int) -> series.HeatSeries:
     return rank1.rank1_series(rank1.atom_model(name, param), n_max)
 
 
+def _references(depth: int | None = None) -> dict[str, series.HeatSeries]:
+    """Each table row's series, to ``depth`` or else to the row's band depth."""
+    return {key: reference_series(key, depth or band) for key, _, _, band in GROWTH_LAW_TABLE}
+
+
 # --- criterion checks ---------------------------------------------------------
 
 
@@ -156,12 +161,15 @@ def check_unit_s3_chain() -> list[CheckResult]:
     return out
 
 
-def check_growth_laws() -> list[CheckResult]:
+def check_growth_laws(references: dict[str, series.HeatSeries] | None = None
+                      ) -> list[CheckResult]:
     """Two-sided factorial band at eps = 0.2 from N >= 50 up to each table row's
-    band depth, and the eventual sign for 50 <= n <= 300."""
+    band depth, and the eventual sign for 50 <= n <= 300; ``references`` are
+    the rows' series to their band depths, built here if not given."""
+    references = references or _references()
     out = []
     for key, C, sign, depth in GROWTH_LAW_TABLE:
-        s = reference_series(key, depth)
+        s = references[key]
         start = growth.find_band_start(s, C, 0.2, 50)
         ok = start is not None
         measured = growth.estimate_growth_constant(s, 100)
@@ -230,11 +238,16 @@ def check_cross_family() -> list[CheckResult]:
                         f"kappa {a.kappa} vs {b.kappa}; P {pa} vs {pb}")]
 
 
-def check_factorial_bound() -> list[CheckResult]:
-    """Finite factorial bound witness, verified index by index."""
+def check_factorial_bound(references: dict[str, series.HeatSeries] | None = None
+                          ) -> list[CheckResult]:
+    """Finite factorial bound witness, verified index by index to n = 300;
+    ``references`` are the table rows' series to at least 300, built here if
+    not given."""
+    references = references or _references(300)
     out = []
     for key, *_ in GROWTH_LAW_TABLE:
-        s = reference_series(key, 300)
+        full = references[key]
+        s = series.HeatSeries(full.coeffs[:301], full.gap, full.flag, full.provenance)
         c1 = growth.factorial_bound_witness(s)
         ok = math.isfinite(c1) and c1 > 0
         slack = 1e-9
@@ -312,13 +325,17 @@ _SUITES = {
 # The suite names, "all" last: --suite's help text reads them without a call.
 SUITE_NAMES = (*_SUITES, "all")
 
+# The suites that read the table rows' series; "all" builds them once for both.
+_TABLE_SUITES = (check_growth_laws, check_factorial_bound)
+
 
 def run_suite(name: str) -> list[CheckResult]:
     """Run one named suite (or 'all'); returns the individual check results."""
     if name == "all":
+        references = _references()
         results = []
         for fn in _SUITES.values():
-            results.extend(fn())
+            results.extend(fn(references) if fn in _TABLE_SUITES else fn())
         return results
     try:
         fn = _SUITES[name]

@@ -1,5 +1,8 @@
+import hashlib
+import io
 import json
 import math
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -344,17 +347,16 @@ class TestCoeffsCommand:
         _, out, _ = run(capsys, "coeffs", "--space", "scale(hp:2, 3/7)",
                         "--n-max", "9", "--no-timestamp")
         doc, series = parse_document(out)
-        from heattrace.cli import coefficients_document, render_json
+        from heattrace.cli import coefficients_document, write_json
 
-        again = render_json(coefficients_document(
+        again = io.StringIO()
+        write_json(coefficients_document(
             doc["space"]["spec"], doc["space"]["tree"], doc["normalization"], series, None,
-            False))
-        assert again == out
+            False), again)
+        assert again.getvalue() == out
 
     def test_round_trip_past_the_int_digit_limit(self):
-        import sys
-
-        from heattrace.cli import coefficients_document, render_csv, render_json
+        from heattrace.cli import coefficients_document, write_csv, write_json
         from heattrace.series import HeatSeries
 
         big = Fraction(7 ** 6000, 3 ** 5000)  # 5071-digit numerator, 2386-digit denominator
@@ -362,21 +364,51 @@ class TestCoeffsCommand:
         limit = sys.get_int_max_str_digits()
         doc = coefficients_document("sphere:1", parse_space("sphere:1"),
                                     {"label": "unit_curvature", "scale": "1"}, s, None, False)
-        text = render_json(doc)
-        doc, back = parse_document(text)
+        text, table = io.StringIO(), io.StringIO()
+        write_json(doc, text)
+        doc, back = parse_document(text.getvalue())
         assert back.coeffs == s.coeffs
         assert len(doc["coefficients"][1]["num"]) > 4300
-        rows = [line.split(",") for line in render_csv(s).splitlines()[1:]]
+        write_csv(s, table)
+        rows = [line.split(",") for line in table.getvalue().splitlines()[1:]]
         assert [(r[1], r[2]) for r in rows] == [
             (e["num"], e["den"]) for e in doc["coefficients"]]
         assert sys.get_int_max_str_digits() == limit
 
-    def test_deep_sphere_serializes(self, capsys):
-        code, out, err = run(capsys, "coeffs", "--space", "sphere:1", "--n-max", "1000",
-                             "--no-timestamp")
-        assert code == 0, err
-        last = json.loads(out)["coefficients"][-1]
-        assert last["n"] == 1000 and len(last["num"]) > 4300
+    # sha256 of the --no-timestamp stdout of coeffs --space sphere:1 --n-max 1000
+    DEEP_SPHERE = {"json": "eb24cdca63039c037851abad182fd5a238a6d55979c928e2579a80406cb4a19b",
+                   "csv": "be5ef1961d1d6bffdcc3ff00eb8f8168142de7441102fb1e23d882eb8459c734"}
+
+    def test_deep_sphere_serializes(self, capsys, monkeypatch):
+        # the document is streamed: no write is much longer than its longest
+        # field (JSON) or row (CSV), so its text is never joined into one string
+        writes = []
+
+        class Sink:
+            def write(self, text):
+                writes.append(text)
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Sink())
+        for fmt, digest in self.DEEP_SPHERE.items():
+            writes.clear()
+            code = main(["coeffs", "--space", "sphere:1", "--n-max", "1000", "--no-timestamp",
+                         "--format", fmt])
+            assert code == 0, capsys.readouterr().err
+            text = "".join(writes)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, fmt
+            if fmt == "json":
+                entries = json.loads(text)["coefficients"]
+                longest = max(len(e[k]) for e in entries for k in ("num", "den"))
+                last = entries[-1]
+                assert last["n"] == 1000 and len(last["num"]) > 4300
+            else:
+                rows = text.splitlines(keepends=True)
+                longest = max(map(len, rows))
+                last = rows[-1].split(",")
+                assert last[0] == "1000" and len(last[1]) > 4300
+            assert len(writes) > 1000
+            assert max(map(len, writes)) <= longest + 8, fmt
 
     def test_decimal_field(self, capsys):
         _, out, _ = run(capsys, "coeffs", "--space", "sphere:1", "--n-max", "2",
@@ -1062,6 +1094,26 @@ class TestIntegerOptions:
         assert code == 0, err
         assert [c["n"] for c in json.loads(out)["coefficients"]] == [0]
 
+    @pytest.mark.parametrize("argv, message", [
+        (("coeffs", "--space", "sphere:1", "--n-max", "1" * 5000),
+         "argument --n-max: expected an integer, got '11111111111111111111'... "
+         "(5000 characters)"),
+        (("coeffs", "--space", "sphere:1", "--n-max", "9" * 4000),
+         "error: n_max 99999999999999999999... (4000 digits) exceeds the limit 1000"),
+        (("growth", "--space", "sphere:2", "--n-max", "-" + "9" * 4000),
+         "argument --n-max: must be at least 0, got -99999999999999999999... (4000 digits)"),
+        (("coeffs", "--space", "sphere:1", "--n-max", "3", "--decimal", "9" * 4000),
+         "argument --decimal: must be in [1, 4300], got 99999999999999999999... (4000 digits)"),
+        (("growth", "--space", "sphere:2", "--epsilon", "2" * 500),
+         "argument --epsilon: must lie strictly between 0 and 1, got '22222222222222222222'... "
+         "(500 characters)"),
+    ], ids=["past-the-digit-limit", "over-the-n-max-limit", "negative", "decimal", "epsilon"])
+    def test_long_option_is_named_by_its_length(self, capsys, no_model, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        (line,) = [line for line in err.splitlines() if "error:" in line]
+        assert message in line and len(line.encode()) < 200
+
     def test_no_integer_option_skips_the_bounded_reader(self):
         import argparse
 
@@ -1125,6 +1177,35 @@ class TestVerifyCommand:
             code, out, _ = run(capsys, "verify", "--suite", suite)
             assert code == 0, out
 
+    def test_all_suite_output_is_pinned(self, capsys, monkeypatch):
+        # each growth-law table series is built once per run, to its band
+        # depth, and read by both the growth-law and the factorial-bound checks
+        from heattrace import verify
+
+        built = []
+        reference_series = verify.reference_series
+
+        def counted(key, n_max):
+            built.append((key, n_max))
+            return reference_series(key, n_max)
+
+        monkeypatch.setattr(verify, "reference_series", counted)
+        code, out, _ = run(capsys, "verify", "--suite", "all")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "bd362ee92b3cc518203cbe90bc36a9edc6343870143d224dc9de89ba904d430b")
+        assert built == [(key, depth) for key, _, _, depth in verify.GROWTH_LAW_TABLE]
+
+    def test_factorial_bound_reads_the_shared_series_to_300(self):
+        from heattrace import verify
+        from heattrace.series import HeatSeries
+
+        alone = verify.check_factorial_bound()
+        longer = {key: verify.reference_series(key, 300) for key, *_ in verify.GROWTH_LAW_TABLE}
+        for key, s in longer.items():
+            longer[key] = HeatSeries([*s.coeffs, Fraction(10 ** 1000)], s.gap, s.flag)
+        assert verify.check_factorial_bound(longer) == alone
+
     def test_growth_laws_suite_reports_documented_failures(self, capsys):
         # Every entry passes: the sphere constant is 1/pi^2 for every M (the
         # Hurwitz-zeta form of the spectrum, see README testing notes), and
@@ -1155,6 +1236,26 @@ class TestExitCodes:
         assert code == 3
         assert "invariant" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_reader_that_leaves_early_ends_the_output_quietly(self, fmt):
+        # `| head`: the 0.26 MB document overfills the pipe, so the reader
+        # leaves mid-document and the next write meets a closed pipe
+        import os
+        import subprocess
+
+        import heattrace
+
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(heattrace.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "heattrace.cli", "coeffs", "--space", "sphere:1",
+             "--n-max", "300", "--no-timestamp", "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env)
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0, err
+        assert err == b"" and head.startswith(b"{" if fmt == "json" else b"n,num,den")
+
     def test_argparse_usage_is_2(self, capsys):
         assert main(["coeffs"]) == 2  # missing required arguments
 
@@ -1177,6 +1278,10 @@ class TestExitCodes:
         assert "unknown space" in err and "Traceback" not in err
 
 
+# A rank-one product whose 300-term documents are about 0.4 MB.
+PRODUCT = "product(cp:2, dual(sphere:1))"
+
+
 class TestOutputFile:
     """``-o PATH`` is opened only once the document is complete."""
 
@@ -1188,11 +1293,16 @@ class TestOutputFile:
         path.write_bytes(self.KEPT)
         return path
 
-    @pytest.mark.parametrize("argv", [("--space", "bogus:1", "--n-max", "5"),
-                                      ("--space", "sphere:1", "--n-max", "5000")],
-                             ids=["bad-space", "n-max-limit"])
+    @pytest.mark.parametrize("argv", [
+        ("coeffs", "--space", "bogus:1", "--n-max", "5"),
+        ("coeffs", "--space", "sphere:1", "--n-max", "5000"),
+        ("coeffs", "--space", "product(cp:3, dual(sphere:1))", "--n-max", "300", "--format",
+         "csv", "--oracle-fill"),
+        ("growth", "--space", PRODUCT, "--n-max", "300", "--n-min", "290"),
+        ("closed-form", "--family", "sphere:1"),
+    ], ids=["bad-space", "n-max-limit", "fill-of-a-product", "short-window", "closed-form"])
     def test_refused_run_leaves_the_file(self, capsys, target, argv):
-        code, out, _ = run(capsys, "coeffs", *argv, "-o", str(target))
+        code, out, _ = run(capsys, *argv, "-o", str(target))
         assert code == 2 and out == ""
         assert target.read_bytes() == self.KEPT
 
@@ -1213,7 +1323,10 @@ class TestOutputFile:
         ("coeffs", "--space", "cp:2", "--n-max", "12", "--format", "csv"),
         ("closed-form", "--family", "su-star:2"),
         ("growth", "--space", "dual(hyperbolic-odd:1)", "--n-max", "150"),
-    ], ids=["coeffs-json", "coeffs-csv", "closed-form", "growth"])
+        ("coeffs", "--space", PRODUCT, "--n-max", "300"),
+        ("coeffs", "--space", PRODUCT, "--n-max", "300", "--format", "csv"),
+    ], ids=["coeffs-json", "coeffs-csv", "closed-form", "growth", "product-json",
+            "product-csv"])
     def test_file_holds_the_stdout_bytes(self, capsys, target, argv):
         code, expected, _ = run(capsys, *argv, "--no-timestamp")
         assert code == 0
