@@ -65,7 +65,7 @@ def parse_space(text: str) -> dict:
             raise SpecError(f"space spec nests combinators deeper than {_MAX_NESTING}")
     tree, pos = _parse_expr(tokens, 0, _atom)
     if pos != len(tokens):
-        raise SpecError(f"trailing input in space spec: {tokens[pos:]}")
+        raise SpecError(f"trailing input in space spec: {_echoed(' '.join(tokens[pos:]))}")
     return tree
 
 
@@ -82,7 +82,7 @@ def _parse_expr(tokens: list[str], pos: int, leaf):
     head = tokens[pos]
     if pos + 1 < len(tokens) and tokens[pos + 1] == "(":
         if head not in ("dual", "scale", "product"):
-            raise SpecError(f"unknown combinator {head!r}")
+            raise SpecError(f"unknown combinator {_echoed(head)}")
         args = []
         pos += 2
         while True:
@@ -96,7 +96,7 @@ def _parse_expr(tokens: list[str], pos: int, leaf):
             if tokens[pos] == ")":
                 pos += 1
                 break
-            raise SpecError(f"expected ',' or ')' near {tokens[pos]!r}")
+            raise SpecError(f"expected ',' or ')' near {_echoed(tokens[pos])}")
         if head == "dual":
             if len(args) != 1:
                 raise SpecError("dual(...) takes exactly one space")
@@ -118,7 +118,7 @@ def _atom(token: str) -> dict:
     name = name.strip()
     param = param.strip()
     if name not in rank1.ATOMS and name not in _PLANCHEREL_ATOMS:
-        raise SpecError(f"unknown space {token!r}")
+        raise SpecError(f"unknown space {_echoed(token)}")
     if name in ("op2", "e6-f4"):
         if param:
             raise SpecError(f"{name} takes no parameter")
@@ -127,9 +127,9 @@ def _atom(token: str) -> dict:
         raise SpecError(f"{name} needs a parameter, e.g. {name}:2")
     if name == "complex-group":
         if not (param.isascii() and param[:1].isalpha() and param[1:].isdigit()):
-            raise SpecError(f"complex-group parameter must look like 'A2', got {param!r}")
+            raise SpecError(f"complex-group parameter must look like 'A2', got {_echoed(param)}")
     elif not (param.isascii() and param.isdigit()):
-        raise SpecError(f"{name} parameter must be a positive integer, got {param!r}")
+        raise SpecError(f"{name} parameter must be a positive integer, got {_echoed(param)}")
     if sum(map(str.isdigit, param)) > exactnum.MAX_DIGITS:
         raise SpecError(f"{name} parameter has more than {exactnum.MAX_DIGITS} digits")
     return {"kind": "atom", "family": name, "param": param}
@@ -142,8 +142,9 @@ def _number(token: str) -> Fraction:
     """The rational a bare token spells, read by :func:`exactnum.parse_rational`."""
     try:
         return exactnum.parse_rational(token)
-    except exactnum.DigitLimitError as exc:
-        raise SpecError(f"scale factor {exc}") from None
+    except exactnum.DigitLimitError:
+        raise SpecError(f"scale factor {_echoed(token)} has more than {exactnum.MAX_DIGITS} "
+                        "digits in its numerator or denominator") from None
     except ValueError:
         raise SpecError(_SCALE_USAGE) from None
 
@@ -475,6 +476,16 @@ def _epsilon(text: str) -> float:
     return value
 
 
+def _choice(names: tuple[str, ...]) -> Callable[[str], str]:
+    """The argparse type of an option that names one of ``names``."""
+    def read(text: str) -> str:
+        if text not in names:
+            raise argparse.ArgumentTypeError(f"invalid choice: {_echoed(text)} "
+                                             "(--help lists the choices)")
+        return text
+    return read
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heattrace",
@@ -502,7 +513,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True, help="space spec, e.g. 'sphere:1' or "
                    "'product(hyperbolic-odd:1, dual(hyperbolic-odd:1))'")
     n_max(p, required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--format", type=_choice(("json", "csv")), default="json",
+                   help="json (the default) or csv")
     p.add_argument("--oracle-fill", action="store_true",
                    help="fill below-threshold indices from the spectral oracle "
                         "(spheres only; flagged approximate)")
@@ -526,7 +538,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_growth)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("--suite", required=True, help=f"one of: {', '.join(verify.SUITE_NAMES)}")
+    p.add_argument("--suite", type=_choice(verify.SUITE_NAMES), required=True,
+                   help=f"one of: {', '.join(verify.SUITE_NAMES)}")
     common(p)
     p.set_defaults(fn=cmd_verify)
     return parser

@@ -22,9 +22,10 @@ where the form is a multiple of the identity, so the congruence is T = I and
 no shear runs.  The A-type families live on the sum-zero hyperplane, so there
 N = r + 1 and the density is constant along (1, ..., 1).  For the complex
 groups every shift h is 0, so the density is homogeneous and P = 1 is read
-from the root data with nothing expanded.  The other built-ins expand their
-integer density once, on packed monomials (one int per monomial, see
-:func:`_expand`), and sum the moments from those keys.  Model files give the
+from the root data with nothing expanded.  The other built-ins expand only
+the even part of their integer density, the terms whose exponents are all
+even, on packed monomials (one int per monomial, see :func:`_even_part`),
+and sum the moments from those keys.  Model files give the
 density as monomials; the shears serve their non-diagonal forms, and the
 sheared density is packed once for the same moment loop.  ``model.p``, the
 density as {exponent tuple: coefficient}, is expanded at each read and never
@@ -86,6 +87,27 @@ def _unpack(packed: Packed, n: int, w: int) -> Poly:
     return {tuple((k >> (w * i)) & mask for i in range(n)): a for k, a in packed.items()}
 
 
+def _mul(p: Packed, q: Packed, odd: int = 0) -> Packed:
+    """p * q on packed monomials, keeping only the products of terms with k1 & odd == k2 & odd.
+
+    With ``odd`` the low bit of every field, those are exactly the terms whose
+    exponents are all even (no field carries, so a field of k1 + k2 is even
+    when the two fields agree in their low bit); with odd = 0, all of p * q.
+    """
+    classes: dict[int, list[tuple[int, Fraction | int]]] = {}
+    for k2, a2 in q.items():
+        classes.setdefault(k2 & odd, []).append((k2, a2))
+    out: Packed = {}
+    get = out.get
+    for k1, a1 in p.items():
+        for k2, a2 in classes.get(k1 & odd, ()):
+            k = k1 + k2
+            out[k] = get(k, 0) + a1 * a2
+    for k in [k for k, a in out.items() if not a]:
+        del out[k]
+    return out
+
+
 def _expand(roots: list[tuple[int, ...]], shifts: range, w: int) -> Packed:
     """prod_alpha prod_{h in shifts} (<alpha, x>^2 + h^2) on packed monomials of width w."""
     p: Packed = {0: 1}
@@ -96,14 +118,19 @@ def _expand(roots: list[tuple[int, ...]], shifts: range, w: int) -> Packed:
             for b, l in pairing:
                 square[k + l] = square.get(k + l, 0) + a * b
         for h in shifts:
-            out: Packed = {k: a * h * h for k, a in p.items()} if h else {}
-            get = out.get
-            for k2, a2 in square.items():
-                for k1, a1 in p.items():
-                    k = k1 + k2
-                    out[k] = get(k, 0) + a1 * a2
-            p = {k: a for k, a in out.items() if a}
+            p = _mul(p, {**square, 0: h * h} if h else square)
     return p
+
+
+def _even_part(roots: list[tuple[int, ...]], shifts: range, w: int, odd: int) -> Packed:
+    """The terms of :func:`_expand` whose exponents are all even, ``odd`` the fields' low bits.
+
+    The two halves of the roots are expanded apart, and :func:`_mul` pairs
+    each term of the first with the terms of the second in its own parity
+    class, so no term with an odd exponent is made.
+    """
+    half = len(roots) // 2
+    return _mul(_expand(roots[:half], shifts, w), _expand(roots[half:], shifts, w), odd)
 
 
 def _poly_degree(p: Poly) -> int:
@@ -314,10 +341,10 @@ def build_family(family: str, param: int | str | None = None) -> PlancherelModel
     ``complex_group`` (param like ``"A2"``; classical types A (rank <= 5) and
     B/C/D (rank <= 6)).  Cheap, since no density is expanded, so the CLI
     builds every atom's model before any series.  On a 2-core box the CLI
-    ``closed-form`` takes about 1.1 s on su_star:5 (expanding its
-    276,063-term density) and 0.5 s on hyperbolic_odd:500; every complex
+    ``closed-form`` takes about 0.3 s on su_star:5 (the 22,308 even terms of
+    its 276,063-term density) and 0.3 s on hyperbolic_odd:500; every complex
     group reads P = 1 from its root data and takes the CLI's start-up of
-    about 0.15 s.  su_star:6 would run for minutes, so it is refused, and so
+    about 0.1 s.  su_star:6 would run for minutes, so it is refused, and so
     are complex groups past those ranks: their closed form is cheap, but
     reading ``model.p`` of A6 expands a 1.39-million-term density.  In
     process, hyperbolic_odd:500 takes about 0.3 s to its closed form and
@@ -419,8 +446,11 @@ def closed_form(model: PlancherelModel) -> ExpPolyForm:
         return ExpPolyForm(-model.rho_sq, (Fraction(1),) + (Fraction(0),) * H, model.m, model.r)
     T, d = diagonalize_form(model.form)
     w = _width(model.m - model.r)
+    # A monomial with an odd exponent integrates to zero; one with all
+    # exponents even has its half-exponents in the same fields of key >> 1.
+    odd = sum(1 << (w * i) for i in range(len(d)))
     if model.factors is not None:
-        packed = _expand(*model.factors, w)  # the form is diagonal: T = I
+        packed = _even_part(*model.factors, w, odd)  # the form is diagonal: T = I
     else:
         # p(T y) for unit upper-triangular T: T is the product of its columns'
         # shears x_i -> x_i + T_ij x_j taken from the last column to the first.
@@ -440,9 +470,6 @@ def closed_form(model: PlancherelModel) -> ExpPolyForm:
     dfact = list(accumulate(range(1, 2 * H, 2), mul, initial=1))  # (2e-1)!!, e <= H
     rows = [[0] * (H + 1) for _ in d]
     scale = math.lcm(*(a.denominator for a in packed.values()))
-    # A monomial with an odd exponent integrates to zero; one with all
-    # exponents even has its half-exponents in the same fields of key >> 1.
-    odd = sum(1 << (w * i) for i in range(len(d)))
     mask = (1 << w) - 1
     sums = [0] * (H + 1)
     for key, a in packed.items():

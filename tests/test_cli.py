@@ -1126,6 +1126,31 @@ class TestIntegerOptions:
         assert not [a.option_strings for a in actions if a.type is int]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("coeffs", "--space", "x" * 5000, "--n-max", "3"), "unknown space 'xxxx"),
+    (("closed-form", "--family", "su-star:" + "x" * 5000),
+     "su-star parameter must be a positive integer, got 'xxxx"),
+    (("closed-form", "--family", "complex-group:A" + "x" * 5000),
+     "complex-group parameter must look like 'A2', got 'Axxxx"),
+    (("coeffs", "--space", "x" * 5000 + "(sphere:1)", "--n-max", "3"),
+     "unknown combinator 'xxxx"),
+    (("coeffs", "--space", "product(sphere:1, dual(sphere:1)" + "x" * 5000 + ")",
+      "--n-max", "3"), "expected ',' or ')' near 'xxxx"),
+    (("coeffs", "--space", "sphere:1)" + "x" * 5000, "--n-max", "3"),
+     "trailing input in space spec: ') xxxx"),
+    (("verify", "--suite", "x" * 5000), "argument --suite: invalid choice: 'xxxx"),
+    (("coeffs", "--space", "sphere:1", "--n-max", "3", "--format", "x" * 5000),
+     "argument --format: invalid choice: 'xxxx"),
+], ids=["space", "su-star", "complex-group", "combinator", "separator", "trailing", "suite",
+        "format"])
+def test_long_rejected_text_is_named_by_its_length(capsys, no_model, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    (line,) = [line for line in err.splitlines() if "error:" in line]
+    assert message in line and "characters)" in line and len(line.encode()) < 200
+    assert "x" * 100 not in err
+
+
 def test_plancherel_products_skip_the_full_convolution(monkeypatch):
     # every operand carries its closed form, so only the short polynomials
     # are convolved and each product is one exp_times

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -15,6 +16,7 @@ from heattrace.errors import (
 from heattrace.plancherel import (
     ExpPolyForm,
     PlancherelModel,
+    _even_part,
     _expand,
     _unpack,
     _width,
@@ -382,11 +384,37 @@ class TestPackedExpansion:
         shifts = range(data.draw(st.integers(1, 3)))
         assert self.unpacked(roots, shifts) == root_density_reference(roots, shifts)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 4), st.data())
+    def test_even_part_of_random_root_sets(self, n, data):
+        # one root leaves the first half empty, and odd counts split unevenly
+        entry = st.integers(-2, 2)
+        root = st.tuples(*[entry] * n).filter(any)
+        roots = data.draw(st.lists(root, min_size=1, max_size=6))
+        shifts = range(data.draw(st.integers(1, 3)))
+        w = _width(2 * len(roots) * len(shifts))
+        odd = sum(1 << (w * i) for i in range(n))
+        even = {e: a for e, a in root_density_reference(roots, shifts).items()
+                if not any(x % 2 for x in e)}
+        assert _unpack(_even_part(roots, shifts, w, odd), n, w) == even
+
     def test_hyperbolic_odd_500(self):
         # degree 1000 in one field: the widest field a built-in family packs
         model = build_family("hyperbolic_odd", 500)
         assert max(sum(e) for e in model.p) == 1000
         assert model.p == root_density_reference(*model.factors)
+
+    def test_su_star_4_closed_form_stays_small(self):
+        # the full density has 5,782 terms, its even part 970; only the two
+        # half products and the even part are ever held
+        model = build_family("su_star", 4)
+        tracemalloc.start()
+        try:
+            closed_form(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 19  # 0.5 MiB; expanding the whole density peaked at 1.16 MiB
 
 
 class TestToSeries:
